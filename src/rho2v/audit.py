@@ -42,6 +42,11 @@ __all__ = [
     "audit_pair",
 ]
 
+# max-norm tolerance for "equal" wavefunctions, densities and charges
+AUDIT_TOL = 1e-9
+# seed grid points per axis of the case-IV cusp cross-check
+CUSP_CHECK_SEEDS = 5
+
 
 @dataclass(frozen=True)
 class ExponentialWavefunction:
@@ -52,9 +57,6 @@ class ExponentialWavefunction:
 
     def value(self, r):
         return self.amplitude * np.exp(-self.decay * np.asarray(r, dtype=float))
-
-    def radial_derivative(self, r):
-        return -self.decay * self.value(r)
 
     def kinetic_ratio(self, r):
         """(T psi)/psi with T = -(1/2) laplacian, away from r = 0."""
@@ -76,10 +78,6 @@ class GaussianWavefunction:
     def value(self, r):
         r = np.asarray(r, dtype=float)
         return self.amplitude * np.exp(-self.width * r * r)
-
-    def radial_derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        return -2.0 * self.width * r * self.value(r)
 
     def kinetic_ratio(self, r):
         r = np.asarray(r, dtype=float)
@@ -179,12 +177,11 @@ class PotentialTable:
     radii: np.ndarray
     values: np.ndarray
     energy: float
+    psi: object
 
     def __call__(self, r):
         # exact continuation off the sample grid via the defining relation
-        return self._ratio(r)
-
-    _ratio: object = None
+        return self.energy - self.psi.kinetic_ratio(r)
 
 
 def potential_from_wavefunction(psi, energy: float, radii=None) -> PotentialTable:
@@ -201,11 +198,7 @@ def potential_from_wavefunction(psi, energy: float, radii=None) -> PotentialTabl
     if np.any(vals <= 0.0):
         bad = radii[np.argmax(vals <= 0.0)]
         raise NodeEncountered(f"wavefunction is non-positive at r = {bad:g}")
-
-    def ratio(r):
-        return energy - psi.kinetic_ratio(r)
-
-    return PotentialTable(radii=radii, values=ratio(radii), energy=energy, _ratio=ratio)
+    return PotentialTable(radii=radii, values=energy - psi.kinetic_ratio(radii), energy=energy, psi=psi)
 
 
 @dataclass(frozen=True)
@@ -240,7 +233,7 @@ def _concentric(a: OneElectronSystem, b: OneElectronSystem) -> bool:
     )
 
 
-def audit_pair(system1: OneElectronSystem, system2: OneElectronSystem, tol: float = 1e-9) -> HKAuditReport:
+def audit_pair(system1: OneElectronSystem, system2: OneElectronSystem, tol: float = AUDIT_TOL) -> HKAuditReport:
     """Assemble the full inequality audit for a pair of one-electron systems.
 
     cross12 is <psi_2|H_1|psi_2> and cross21 is <psi_1|H_2|psi_1>; both are
@@ -291,7 +284,7 @@ def audit_pair(system1: OneElectronSystem, system2: OneElectronSystem, tol: floa
         )
     elif rho_eq and not pot_eq:
         case = "IV"
-        cusp_check = incompatibility_check(rho1, rho2, seeds_per_axis=5)
+        cusp_check = incompatibility_check(rho1, rho2, seeds_per_axis=CUSP_CHECK_SEEDS)
         notes.append(
             "equal densities under potentials differing beyond a constant; "
             "cusp reconstruction cross-check attached"

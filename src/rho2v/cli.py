@@ -8,16 +8,28 @@ Commands:
     lst          solve the radial local-scaling map between two specs
     grid-export  sample the density on a regular grid as a Gaussian cube file
 
-Exit codes: 0 success, 1 input error, 2 no cusps / cusp check failed,
-3 out of scope (multi-center where single-center is required), 4 electron
-count mismatch.  All reports are deterministic JSON: same inputs and flags,
-same bytes.
+Flags, per command (every one of them is read):
+
+    invert       --output --seeds --lebedev-order --json-indent --snap-charges
+    verify-cusp  --output --tol --lebedev-order --json-indent
+    audit        --output --tol --json-indent
+    lst          --output --json-indent --grid-min --grid-max --grid-points --table
+    grid-export  --output --origin --step --counts
+
+Exit codes: 0 success, 1 input error (bad spec, out-of-range flag value, or
+usage error), 2 no cusps / cusp check failed, 3 out of scope (multi-center
+where single-center is required), 4 electron count mismatch.  Errors are
+reported as one "rho2v <command>: <message>" line on stderr (usage errors:
+argparse's usage text and its "error:" line).  All reports are
+deterministic JSON: same inputs and flags, same bytes.  Each records the
+tolerances its command used, with the values it passed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,20 +38,22 @@ import numpy as np
 from . import __version__
 from .density import DensityModel, evaluate_many
 from .errors import (
-    EmptyResult,
     MassMismatch,
     NoCuspsFound,
     NonMonotoneCumulative,
+    OptionError,
+    OutOfScope,
     Rho2vError,
     SpecError,
 )
-from .audit import OneElectronSystem, audit_pair
-from .inversion import reconstruct_potential, verify_cusp_conditions
+from .audit import AUDIT_TOL, CUSP_CHECK_SEEDS, OneElectronSystem, audit_pair
+from .inversion import CUSP_TOL, reconstruct_potential, verify_cusp_conditions
 from .lebedev import SUPPORTED_ORDERS
-from .scaling import RadialDensity, default_grid, solve_scaling_map
+from .radial import DEFAULT_NODES
+from .scaling import MASS_TOL, Q_RESIDUAL_TARGET, RadialDensity, default_grid, solve_scaling_map
 from .specio import load_spec, make_report, render_report, spec_offset
 from .spherical import DEFAULT_LEVELS, DEFAULT_ORDER, DEFAULT_R0, DEFAULT_SHRINK, DEFAULT_TOL
-from .topology import DEDUPE_RADIUS, GRAD_TOL, TAU_CUSP
+from .topology import DEDUPE_RADIUS, DEFAULT_SEEDS, GRAD_TOL, MIN_SEEDS, TAU_CUSP
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -47,25 +61,47 @@ EXIT_NO_CUSPS = 2
 EXIT_SCOPE = 3
 EXIT_MASS = 4
 
-DEFAULT_TOLERANCES = {
-    "radial_derivative": {
-        "r0": DEFAULT_R0,
-        "shrink": DEFAULT_SHRINK,
-        "max_levels": DEFAULT_LEVELS,
-        "tol": DEFAULT_TOL,
-        "lebedev_order": DEFAULT_ORDER,
-    },
-    "topology": {
-        "seeds_per_axis": 8,
-        "gradient_tol": GRAD_TOL,
-        "tau_cusp": TAU_CUSP,
-        "dedupe_radius": DEDUPE_RADIUS,
-    },
-    "cusp_verification": {"tol": 1e-2},
-    "audit": {"tol": 1e-9, "quadrature_nodes": 200},
-    "local_scaling": {"mass_tol": 1e-10, "q_residual": 1e-12},
-    "supported_lebedev_orders": list(SUPPORTED_ORDERS),
+# exception -> exit code; the first class the error is an instance of wins
+EXIT_CODES = {
+    MassMismatch: EXIT_MASS,
+    NonMonotoneCumulative: EXIT_MASS,
+    OutOfScope: EXIT_SCOPE,
+    Rho2vError: EXIT_INPUT,
+    OSError: EXIT_INPUT,
 }
+
+
+def _tolerances(
+    *sections,
+    lebedev_order=DEFAULT_ORDER,
+    seeds=DEFAULT_SEEDS,
+    cusp_tol=CUSP_TOL,
+    audit_tol=AUDIT_TOL,
+) -> dict:
+    """The named tolerance sections (all when none is named) with the values in force."""
+    full = {
+        "radial_derivative": {
+            "r0": DEFAULT_R0,
+            "shrink": DEFAULT_SHRINK,
+            "max_levels": DEFAULT_LEVELS,
+            "tol": DEFAULT_TOL,
+            "lebedev_order": lebedev_order,
+        },
+        "topology": {
+            "seeds_per_axis": seeds,
+            "gradient_tol": GRAD_TOL,
+            "tau_cusp": TAU_CUSP,
+            "dedupe_radius": DEDUPE_RADIUS,
+        },
+        "cusp_verification": {"tol": cusp_tol},
+        "audit": {"tol": audit_tol, "quadrature_nodes": DEFAULT_NODES},
+        "local_scaling": {"mass_tol": MASS_TOL, "q_residual": Q_RESIDUAL_TARGET},
+        "supported_lebedev_orders": list(SUPPORTED_ORDERS),
+    }
+    return {name: full[name] for name in sections or full}
+
+
+DEFAULT_TOLERANCES = _tolerances()
 
 
 def _write_output(text: str, path: str | None):
@@ -88,18 +124,14 @@ def _point_dict(p):
     }
 
 
-def _tolerances(args) -> dict:
-    tol = json.loads(json.dumps(DEFAULT_TOLERANCES))  # deep copy
-    tol["radial_derivative"]["lebedev_order"] = args.lebedev_order
-    tol["topology"]["seeds_per_axis"] = args.seeds
-    return tol
-
-
 def cmd_invert(args) -> int:
+    if args.seeds < MIN_SEEDS:
+        raise OptionError(f"--seeds must be >= {MIN_SEEDS}")
     model, _ = load_spec(args.spec)
     derivative_options = {"order": args.lebedev_order}
-    tolerances = _tolerances(args)
-    tolerances["cusp_verification"]["tol"] = args.tol
+    tolerances = _tolerances(
+        "radial_derivative", "topology", lebedev_order=args.lebedev_order, seeds=args.seeds
+    )
     try:
         report = reconstruct_potential(
             model,
@@ -162,8 +194,9 @@ def cmd_verify_cusp(args) -> int:
     verification = verify_cusp_conditions(
         model, model.frame, tol=args.tol, derivative_options={"order": args.lebedev_order}
     )
-    tolerances = _tolerances(args)
-    tolerances["cusp_verification"]["tol"] = args.tol
+    tolerances = _tolerances(
+        "radial_derivative", "cusp_verification", lebedev_order=args.lebedev_order, cusp_tol=args.tol
+    )
     result = {
         "all_passed": verification.all_passed,
         "checks": [
@@ -185,9 +218,9 @@ def cmd_verify_cusp(args) -> int:
 
 def _single_center_system(model: DensityModel, offset: float, label: str) -> OneElectronSystem:
     if model.frame is None or len(model.frame) != 1:
-        raise _Scope(f"{label}: audit requires a spec with a single-center frame")
+        raise OutOfScope(f"{label}: audit requires a spec with a single-center frame")
     if model.electron_count != 1:
-        raise _Scope(f"{label}: audit requires electron_count == 1")
+        raise OutOfScope(f"{label}: audit requires electron_count == 1")
     return OneElectronSystem(
         charge=float(model.frame.charges[0]),
         center=tuple(model.frame.positions[0]),
@@ -195,22 +228,16 @@ def _single_center_system(model: DensityModel, offset: float, label: str) -> One
     )
 
 
-class _Scope(Exception):
-    pass
-
-
 def cmd_audit(args) -> int:
     model1, raw1 = load_spec(args.spec1)
     model2, raw2 = load_spec(args.spec2)
-    try:
-        sys1 = _single_center_system(model1, spec_offset(raw1), args.spec1)
-        sys2 = _single_center_system(model2, spec_offset(raw2), args.spec2)
-    except _Scope as err:
-        print(f"rho2v audit: {err}", file=sys.stderr)
-        return EXIT_SCOPE
+    sys1 = _single_center_system(model1, spec_offset(raw1), args.spec1)
+    sys2 = _single_center_system(model2, spec_offset(raw2), args.spec2)
     report = audit_pair(sys1, sys2, tol=args.tol)
-    tolerances = _tolerances(args)
-    tolerances["audit"]["tol"] = args.tol
+    # the case-IV cross-check runs the cusp search at its own seed count
+    tolerances = _tolerances(
+        "audit", "radial_derivative", "topology", audit_tol=args.tol, seeds=CUSP_CHECK_SEEDS
+    )
     result = {
         "case": report.case,
         "E1": report.e1,
@@ -240,25 +267,23 @@ def cmd_audit(args) -> int:
 
 
 def cmd_lst(args) -> int:
+    if not args.grid_min > 0.0:
+        raise OptionError("--grid-min must be > 0")
+    if not args.grid_min < args.grid_max < math.inf:
+        raise OptionError("--grid-max must be finite and greater than --grid-min")
+    # the Jacobian residual differentiates f with a 3-point stencil
+    if args.grid_points < 3:
+        raise OptionError("--grid-points must be >= 3")
     model_s, _ = load_spec(args.spec_source)
     model_t, _ = load_spec(args.spec_target)
     for label, model in ((args.spec_source, model_s), (args.spec_target, model_t)):
         if len(model.centers) != 1:
-            print(
-                f"rho2v lst: {label}: all terms must share one center (spherical case only)",
-                file=sys.stderr,
-            )
-            return EXIT_SCOPE
+            raise OutOfScope(f"{label}: all terms must share one center (spherical case only)")
     grid = default_grid(args.grid_min, args.grid_max, args.grid_points)
-    try:
-        mapping = solve_scaling_map(
-            RadialDensity.from_model(model_s), RadialDensity.from_model(model_t), grid
-        )
-    except MassMismatch as err:
-        print(f"rho2v lst: {err}", file=sys.stderr)
-        return EXIT_MASS
-
-    tolerances = _tolerances(args)
+    mapping = solve_scaling_map(
+        RadialDensity.from_model(model_s), RadialDensity.from_model(model_t), grid
+    )
+    tolerances = _tolerances("local_scaling")
     result = {
         "electron_count": mapping.source.electron_count,
         "jacobian_residual": mapping.jacobian_residual,
@@ -276,11 +301,10 @@ def cmd_lst(args) -> int:
 
 
 def cmd_grid_export(args) -> int:
-    model, _ = load_spec(args.spec)
     counts = args.counts
     if any(c < 2 for c in counts):
-        print("rho2v grid-export: counts must be >= 2 per axis", file=sys.stderr)
-        return EXIT_INPUT
+        raise OptionError("--counts must be >= 2 per axis")
+    model, _ = load_spec(args.spec)
     origin = np.asarray(args.origin, dtype=float)
     steps = np.diag(args.step)
 
@@ -311,8 +335,21 @@ def cmd_grid_export(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INPUT; argparse's own 2 means "no cusps" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _report_flags(p):
+    p.add_argument("--output", default=None, help="report path (default: stdout)")
+    p.add_argument("--json-indent", type=int, default=2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="rho2v",
         description="Invert densities to Coulomb potentials and audit uniqueness machinery.",
     )
@@ -324,34 +361,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, tol_default):
-        p.add_argument("--output", default=None, help="report path (default: stdout)")
-        p.add_argument("--tol", type=float, default=tol_default)
-        p.add_argument("--lebedev-order", type=int, default=DEFAULT_ORDER, choices=SUPPORTED_ORDERS)
-        p.add_argument("--seeds", type=int, default=8, help="seed grid points per axis")
-        p.add_argument("--json-indent", type=int, default=2)
-
     p = sub.add_parser("invert", help="reconstruct the Coulomb frame from a density")
     p.add_argument("spec")
-    common(p, 1e-2)
+    _report_flags(p)
+    p.add_argument("--lebedev-order", type=int, default=DEFAULT_ORDER, choices=SUPPORTED_ORDERS)
+    p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS, help="seed grid points per axis")
     p.add_argument("--snap-charges", action="store_true", help="also round charges to integers")
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("verify-cusp", help="check cusp relations against the declared frame")
     p.add_argument("spec")
-    common(p, 1e-2)
+    _report_flags(p)
+    p.add_argument("--lebedev-order", type=int, default=DEFAULT_ORDER, choices=SUPPORTED_ORDERS)
+    p.add_argument("--tol", type=float, default=CUSP_TOL)
     p.set_defaults(func=cmd_verify_cusp)
 
     p = sub.add_parser("audit", help="cross-energy audit of two one-electron systems")
     p.add_argument("spec1")
     p.add_argument("spec2")
-    common(p, 1e-9)
+    _report_flags(p)
+    p.add_argument("--tol", type=float, default=AUDIT_TOL)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("lst", help="solve the radial local-scaling map between two densities")
     p.add_argument("spec_source")
     p.add_argument("spec_target")
-    common(p, 1e-12)
+    _report_flags(p)
     p.add_argument("--grid-min", type=float, default=1e-3)
     p.add_argument("--grid-max", type=float, default=20.0)
     p.add_argument("--grid-points", type=int, default=256)
@@ -360,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid-export", help="sample the density as a Gaussian cube file")
     p.add_argument("spec")
-    common(p, 1e-2)
+    p.add_argument("--output", default=None, help="cube file path (default: stdout)")
     p.add_argument("--origin", type=float, nargs=3, default=[0.0, 0.0, 0.0])
     p.add_argument("--step", type=float, nargs=3, default=[1.0, 1.0, 1.0])
     p.add_argument("--counts", type=int, nargs=3, required=True)
@@ -380,21 +415,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
-    except SpecError as err:
+    except tuple(EXIT_CODES) as err:
         print(f"rho2v {args.command}: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except EmptyResult as err:
-        print(f"rho2v {args.command}: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (MassMismatch, NonMonotoneCumulative) as err:
-        print(f"rho2v {args.command}: {err}", file=sys.stderr)
-        return EXIT_MASS
-    except OSError as err:
-        print(f"rho2v {args.command}: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except Rho2vError as err:
-        print(f"rho2v {args.command}: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(err, cls))
 
 
 if __name__ == "__main__":

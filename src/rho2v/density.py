@@ -237,12 +237,6 @@ class DensityModel:
         return np.array(uniq)
 
     @property
-    def min_decay_length(self) -> float:
-        if not self.terms:
-            return 1.0
-        return min(p.decay_length for _, p in self.terms)
-
-    @property
     def max_decay_length(self) -> float:
         if not self.terms:
             return 1.0

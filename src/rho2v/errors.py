@@ -61,3 +61,11 @@ class NonMonotoneCumulative(Rho2vError):
 
 class SpecError(Rho2vError):
     """A density spec file failed validation; message names the field."""
+
+
+class OptionError(Rho2vError):
+    """A command-line option value lies outside the range the command accepts."""
+
+
+class OutOfScope(Rho2vError):
+    """A valid spec that the command does not handle (e.g. multi-center audit)."""

@@ -21,10 +21,11 @@ from .density import DensityModel, NuclearFrame, evaluate, evaluate_many
 from .errors import NoCuspsFound
 from .lebedev import lebedev_grid
 from .spherical import radial_derivative_at_center
-from .topology import CriticalPoint, find_critical_points
+from .topology import DEFAULT_SEEDS, CriticalPoint, find_critical_points
 
 __all__ = [
     "MATCH_GATE",
+    "CUSP_TOL",
     "CenterMatch",
     "SkippedPoint",
     "ReconstructionReport",
@@ -38,6 +39,8 @@ __all__ = [
 
 # nearest-neighbor assignment gate against ground truth, bohr
 MATCH_GATE = 0.5
+# relative residual allowed between the two sides of the cusp relation
+CUSP_TOL = 1e-2
 
 _PROBE_RADII = (0.1, 0.5, 1.0, 2.0, 4.0)
 _PROBE_ORDER = 26
@@ -127,7 +130,7 @@ def _match_centers(positions, charges, frame: NuclearFrame, gate: float = MATCH_
 def reconstruct_potential(
     model: DensityModel,
     search_box=None,
-    seeds_per_axis: int = 8,
+    seeds_per_axis: int = DEFAULT_SEEDS,
     snap_charges: bool = False,
     **search_options,
 ) -> ReconstructionReport:
@@ -207,7 +210,7 @@ class CuspVerification:
 def verify_cusp_conditions(
     model: DensityModel,
     frame: NuclearFrame,
-    tol: float = 1e-2,
+    tol: float = CUSP_TOL,
     derivative_options: dict | None = None,
 ) -> CuspVerification:
     """Check rho_av'(R_a) = -2 Z_a rho(R_a) at every claimed nucleus.
@@ -281,7 +284,7 @@ def incompatibility_check(
     model2: DensityModel,
     search_box=None,
     tol: float = 1e-6,
-    seeds_per_axis: int = 8,
+    seeds_per_axis: int = DEFAULT_SEEDS,
     **search_options,
 ) -> IncompatibilityVerdict:
     """Compare densities on a probe grid, then compare reconstructed frames.

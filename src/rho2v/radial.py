@@ -55,10 +55,6 @@ def _genlaguerre(n: int, alpha: float = 0.0):
     return nodes, weights
 
 
-def _laguerre(n: int):
-    return _genlaguerre(n, 0.0)
-
-
 @lru_cache(maxsize=64)
 def _legendre(n: int):
     return roots_legendre(n)
@@ -66,7 +62,7 @@ def _legendre(n: int):
 
 def integrate_decaying(g, beta: float, nodes: int = DEFAULT_NODES) -> float:
     """int_0^inf g(r) exp(-beta*r) dr with the weight matched to beta."""
-    x, w = _laguerre(nodes)
+    x, w = _genlaguerre(nodes, 0.0)
     return float(np.dot(w, g(x / beta)) / beta)
 
 
@@ -93,7 +89,7 @@ def radial_moment(prim: RadialPrimitive, m: int, nodes: int = DEFAULT_NODES, low
         return float(c / (2.0 * alpha ** (0.5 * (p + 1))) * np.sum(w))
     # u = alpha (r^2 - lower^2); integrand analytic for lower > 0
     shift = math.exp(-alpha * lower * lower)
-    x, w = _laguerre(nodes)
+    x, w = _genlaguerre(nodes, 0.0)
     rsq = lower * lower + x / alpha
     return float(shift / (2.0 * alpha) * np.dot(w, c * rsq ** (0.5 * (p - 1))))
 

@@ -24,10 +24,8 @@ from .lebedev import lebedev_grid
 
 __all__ = [
     "DEFAULT_ORDER",
-    "SphericalAverageProfile",
     "RadialDerivativeEstimate",
     "spherical_average",
-    "average_profile",
     "radial_derivative_at_center",
 ]
 
@@ -49,40 +47,6 @@ def spherical_average(model: DensityModel, center, radius: float, order: int = D
     c = np.asarray(center, dtype=float).reshape(3)
     values = evaluate_many(model, c[None, :] + radius * units)
     return float(np.dot(weights, values))
-
-
-@dataclass(frozen=True)
-class SphericalAverageProfile:
-    """Averages on a strictly decreasing geometric radius ladder."""
-
-    center: np.ndarray
-    radii: np.ndarray
-    values: np.ndarray
-    value_at_center: float
-
-    def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        if np.any(r <= 0.0) or np.any(np.diff(r) >= 0.0):
-            raise ValueError("radii must be strictly decreasing and positive")
-        if np.any(np.asarray(self.values) < 0.0):
-            raise ValueError("averaged density values must be nonnegative")
-
-
-def average_profile(
-    model: DensityModel,
-    center,
-    r0: float = DEFAULT_R0,
-    shrink: float = DEFAULT_SHRINK,
-    levels: int = DEFAULT_LEVELS,
-    order: int = DEFAULT_ORDER,
-) -> SphericalAverageProfile:
-    """Profile rho_av(r_k) on r_k = r0 * shrink^k, k = 0..levels-1."""
-    if not 0.0 < shrink < 1.0:
-        raise ValueError(f"shrink factor must lie in (0, 1), got {shrink}")
-    c = np.asarray(center, dtype=float).reshape(3)
-    radii = r0 * shrink ** np.arange(levels)
-    values = np.array([spherical_average(model, c, r, order) for r in radii])
-    return SphericalAverageProfile(center=c, radii=radii, values=values, value_at_center=evaluate(model, c))
 
 
 @dataclass(frozen=True)

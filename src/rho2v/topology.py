@@ -34,6 +34,7 @@ __all__ = [
     "CriticalKind",
     "CriticalPoint",
     "TAU_CUSP",
+    "DEFAULT_SEEDS",
     "default_search_box",
     "classify",
     "find_critical_points",
@@ -44,6 +45,9 @@ __all__ = [
 TAU_CUSP = 1e-3
 
 GRAD_TOL = 1e-6
+# seed grid points per axis of the multistart search box
+DEFAULT_SEEDS = 8
+MIN_SEEDS = 4
 DEDUPE_RADIUS = 1e-4
 # Newton is disabled this close to a detected non-smooth point
 CUSP_EXCLUSION = 1e-2
@@ -262,7 +266,7 @@ def _dedupe(candidates, model, radius):
 def find_critical_points(
     model: DensityModel,
     search_box=None,
-    seeds_per_axis: int = 8,
+    seeds_per_axis: int = DEFAULT_SEEDS,
     g_tol: float = GRAD_TOL,
     tau_cusp: float = TAU_CUSP,
     dedupe_radius: float = DEDUPE_RADIUS,
@@ -279,8 +283,8 @@ def find_critical_points(
 
     Raises EmptyResult when no seed converges to anything (flat model).
     """
-    if seeds_per_axis < 4:
-        raise ValueError(f"seeds_per_axis must be >= 4, got {seeds_per_axis}")
+    if seeds_per_axis < MIN_SEEDS:
+        raise ValueError(f"seeds_per_axis must be >= {MIN_SEEDS}, got {seeds_per_axis}")
     if not model.terms:
         raise EmptyResult("model has no terms")
     box = np.asarray(search_box, dtype=float) if search_box is not None else default_search_box(model)

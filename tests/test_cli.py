@@ -6,7 +6,19 @@ import math
 import numpy as np
 import pytest
 
+from rho2v import cli
+from rho2v.audit import CUSP_CHECK_SEEDS
 from rho2v.cli import main
+from rho2v.errors import (
+    EmptyResult,
+    MassMismatch,
+    NonMonotoneCumulative,
+    OptionError,
+    OutOfScope,
+    QuadratureNotConverged,
+    SpecError,
+)
+from rho2v.scaling import Q_RESIDUAL_TARGET
 
 HYDROGEN = {
     "electron_count": 1,
@@ -66,7 +78,9 @@ def test_invert_hydrogen(tmp_path, capsys):
     assert len(centers) == 1
     assert centers[0]["charge"] == pytest.approx(1.0, abs=1e-6)
     assert report["result"]["match"]["centers"][0]["charge_error"] < 1e-6
-    assert "tolerances" in report and report["inputs"][0]["sha256"]
+    assert report["inputs"][0]["sha256"]
+    assert set(report["tolerances"]) == {"radial_derivative", "topology"}
+    assert report["tolerances"]["topology"]["seeds_per_axis"] == 5
 
 
 def test_invert_reruns_bit_identical(tmp_path):
@@ -130,9 +144,11 @@ def test_spec_validation_messages(tmp_path, capsys, mutate, field):
 def test_verify_cusp_pass(tmp_path):
     spec = write_spec(tmp_path, "h.json", HYDROGEN)
     out = tmp_path / "v.json"
-    assert run(["verify-cusp", spec, "--output", str(out)]) == 0
+    assert run(["verify-cusp", spec, "--tol", "0.05", "--output", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["result"]["all_passed"] is True
+    assert set(report["tolerances"]) == {"radial_derivative", "cusp_verification"}
+    assert report["tolerances"]["cusp_verification"]["tol"] == 0.05
 
 
 def test_verify_cusp_missing_frame(tmp_path, capsys):
@@ -166,6 +182,11 @@ def test_audit_z1_z2(tmp_path):
     assert r["cross12"] == pytest.approx(0.0, abs=1e-8)
     assert r["cross21"] == pytest.approx(-1.5, abs=1e-8)
     assert r["strict1"] and r["strict2"]
+    tolerances = json.loads(out.read_text())["tolerances"]
+    assert set(tolerances) == {"audit", "radial_derivative", "topology"}
+    assert tolerances["audit"]["tol"] == 1e-9
+    # the seed count the case-IV cusp cross-check runs with
+    assert tolerances["topology"]["seeds_per_axis"] == CUSP_CHECK_SEEDS
 
 
 def test_audit_identical_specs(tmp_path):
@@ -210,7 +231,10 @@ def test_lst_z1_to_z2(tmp_path):
         ]
     )
     assert code == 0
-    rows = json.loads(out.read_text())["result"]["table"]
+    report = json.loads(out.read_text())
+    assert set(report["tolerances"]) == {"local_scaling"}
+    assert report["tolerances"]["local_scaling"]["q_residual"] == Q_RESIDUAL_TARGET
+    rows = report["result"]["table"]
     by_r = {round(row["r"], 10): row for row in rows}
     assert by_r[1.0]["f"] == pytest.approx(0.5, abs=1e-10)
     assert by_r[1.0]["f_prime"] == pytest.approx(0.5, abs=1e-8)
@@ -228,10 +252,13 @@ def test_lst_identity(tmp_path):
         assert row["f"] == pytest.approx(row["r"], abs=1e-10)
 
 
-def test_lst_mass_mismatch_exit_4(tmp_path):
+def test_lst_mass_mismatch_exit_4(tmp_path, capsys):
     s1 = write_spec(tmp_path, "n1.json", z_spec(1.0))
     s2 = write_spec(tmp_path, "n2.json", z_spec(1.0, electrons=2))
     assert run(["lst", s1, s2]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rho2v lst: electron counts differ")
 
 
 def test_lst_nonspherical_exit_3(tmp_path):
@@ -279,12 +306,85 @@ def test_grid_export_counts_too_small(tmp_path):
     assert run(["grid-export", spec, "--counts", "1", "2", "2"]) == 1
 
 
+# --- errors and usage ------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invert", "{z1}", "--seeds", "3"],
+        ["lst", "{z1}", "{z2}", "--grid-points", "2"],
+        ["lst", "{z1}", "{z2}", "--grid-min", "0"],
+        ["lst", "{z1}", "{z2}", "--grid-min", "5", "--grid-max", "1"],
+        ["lst", "{z1}", "{z2}", "--grid-max", "inf"],
+    ],
+)
+def test_out_of_range_flag_values_exit_1(tmp_path, capsys, argv):
+    paths = {
+        "z1": write_spec(tmp_path, "z1.json", z_spec(1.0)),
+        "z2": write_spec(tmp_path, "z2.json", z_spec(2.0)),
+    }
+    assert run([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"rho2v {argv[0]}: --") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invert"],
+        ["invert", "x.json", "--bogus"],
+        ["invert", "x.json", "--lebedev-order", "7"],
+        # flags a command does not read are not accepted either
+        ["invert", "x.json", "--tol", "0.1"],
+        ["lst", "a.json", "b.json", "--seeds", "5"],
+        ["grid-export", "x.json", "--counts", "2", "2", "2", "--json-indent", "2"],
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [
+        (SpecError, 1),
+        (OptionError, 1),
+        (EmptyResult, 1),
+        (QuadratureNotConverged, 1),
+        (OSError, 1),
+        (OutOfScope, 3),
+        (MassMismatch, 4),
+        (NonMonotoneCumulative, 4),
+    ],
+)
+def test_error_exit_code_table(monkeypatch, capsys, error, code):
+    def fail(path):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "load_spec", fail)
+    assert run(["verify-cusp", "x.json"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rho2v verify-cusp: boom\n"
+
+
 # --- misc ----------------------------------------------------------------------------
 
 def test_tolerances_dump(capsys):
     assert run(["--tolerances"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert "radial_derivative" in data and "topology" in data
+    assert set(data) == {
+        "radial_derivative",
+        "topology",
+        "cusp_verification",
+        "audit",
+        "local_scaling",
+        "supported_lebedev_orders",
+    }
+    assert data["topology"]["seeds_per_axis"] == 8
 
 
 def test_report_round_trips(tmp_path):

@@ -10,28 +10,31 @@ import math
 import numpy as np
 import pytest
 
-from rho2v.density import DensityModel, PrimitiveKind, RadialPrimitive, evaluate, hydrogenic_model
+from rho2v.density import (
+    DensityModel,
+    PrimitiveKind,
+    RadialPrimitive,
+    evaluate,
+    evaluate_many,
+    hydrogenic_model,
+)
 from rho2v.errors import UnsupportedOrder, ZeroCenterValue
 from rho2v.lebedev import SUPPORTED_ORDERS
-from rho2v.spherical import (
-    average_profile,
-    radial_derivative_at_center,
-    spherical_average,
-)
+from rho2v.spherical import radial_derivative_at_center, spherical_average
 
 
 def dense_angular_average(model, center, radius, n_theta=400, n_phi=800):
     """Product-grid angular average, independent of the Lebedev machinery."""
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)  # cos(theta) in [-1, 1]
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    ct = np.repeat(nodes, n_phi)  # one ring of n_phi points per theta node
+    st = np.sqrt(1.0 - ct * ct)
+    ph = np.tile(phis, n_theta)
+    pts = center + radius * np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=1)
+    ring_means = evaluate_many(model, pts).reshape(n_theta, n_phi).mean(axis=1)
     total = 0.0
-    for ct, w in zip(nodes, weights):
-        st = math.sqrt(1.0 - ct * ct)
-        pts = center + radius * np.stack(
-            [st * np.cos(phis), st * np.sin(phis), np.full_like(phis, ct)], axis=1
-        )
-        vals = [evaluate(model, p) for p in pts]
-        total += w * np.mean(vals)
+    for w, mean in zip(weights, ring_means):
+        total += w * mean
     return total / 2.0  # legendre weights sum to 2
 
 
@@ -82,13 +85,6 @@ def test_average_converges_monotonically_in_order():
 def test_unsupported_order():
     with pytest.raises(UnsupportedOrder):
         spherical_average(hydrogenic_model(1.0), (0, 0, 0), 0.1, order=74)
-
-
-def test_average_profile_shape():
-    prof = average_profile(hydrogenic_model(1.0), (0, 0, 0), levels=6)
-    assert len(prof.radii) == 6
-    assert np.all(np.diff(prof.radii) < 0)
-    assert prof.value_at_center == pytest.approx(1.0 / math.pi, rel=1e-14)
 
 
 # --- radial_derivative_at_center ----------------------------------------------
