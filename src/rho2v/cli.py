@@ -18,11 +18,11 @@ Flags, per command (every one of them is read):
 
 Exit codes: 0 success, 1 input error (bad spec, out-of-range flag value, or
 usage error), 2 no cusps / cusp check failed, 3 out of scope (multi-center
-where single-center is required), 4 electron count mismatch.  Errors are
-reported as one "rho2v <command>: <message>" line on stderr (usage errors:
-argparse's usage text and its "error:" line).  All reports are
-deterministic JSON: same inputs and flags, same bytes.  Each records the
-tolerances its command used, with the values it passed.
+where single-center is required), 4 electron-count mismatch, or a target
+density hole in lst.  Errors are reported as one "rho2v <command>: <message>"
+line on stderr (usage errors: argparse's usage text and its "error:" line).
+All reports are deterministic JSON: same inputs and flags, same bytes.  Each
+records the tolerances its command used, with the values it passed.
 """
 
 from __future__ import annotations
@@ -341,6 +341,13 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand reports what it does not take instead of handing it up
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _report_flags(p):

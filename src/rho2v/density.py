@@ -5,14 +5,17 @@ A density is a nonnegative mixture
     rho(x) = sum_t  c_t * r_t^n_t * E_t(r_t),     r_t = |x - C_t|,
 
 where each radial factor is either a Slater s-type exponential
-E(r) = exp(-2*zeta*r) or a Gaussian E(r) = exp(-alpha*r^2).  Coefficients
+E(r) = exp(-2*zeta*r) or a Gaussian E(r) = exp(-alpha*r^2), both written
+as exp(-(a + b*r)*r) with (a, b) = (2*zeta, 0) or (0, alpha).  Coefficients
 are constrained nonnegative so the mixture is pointwise nonnegative by
 construction.  The Slater exponent convention exp(-2*zeta*r) makes an
 isolated normalized term with zeta = Z the exact hydrogenic ground-state
 density rho(r) = Z^3/pi * exp(-2*Z*r).
 
 Everything here is a pure function of immutable inputs: evaluation,
-analytic first and second derivatives, closed-form normalization.
+analytic first and second derivatives, closed-form normalization.  Values,
+gradients and Hessians come from one kernel over a struct-of-arrays view of
+the terms that each model builds once.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +38,7 @@ __all__ = [
     "evaluate_many",
     "gradient",
     "hessian",
+    "on_cusp",
     "total_integral",
     "normalize",
     "translate",
@@ -43,6 +48,8 @@ __all__ = [
 
 # Below this separation a point is treated as sitting exactly on a center.
 CENTER_EPS = 1e-12
+# points per pass of the density kernel; bounds its (terms, points, 3) temporaries
+_CHUNK = 8192
 
 
 class PrimitiveKind(enum.Enum):
@@ -71,74 +78,19 @@ class RadialPrimitive:
         if self.power < 0 or int(self.power) != self.power:
             raise ValueError(f"power must be a nonnegative integer, got {self.power}")
 
+    @property
+    def envelope(self) -> tuple:
+        """(c, a, b, n) of g(r) = c * r^n * exp(-(a + b*r) * r): Slater terms have
+        a = 2*zeta, b = 0 and Gaussian terms a = 0, b = alpha."""
+        if self.kind is PrimitiveKind.SLATER_S:
+            return self.coefficient, 2.0 * self.exponent, 0.0, self.power
+        return self.coefficient, 0.0, self.exponent, self.power
+
     def radial_value(self, r):
         """g(r) = c * r^n * E(r) for scalar or array r >= 0."""
         r = np.asarray(r, dtype=float)
-        if self.kind is PrimitiveKind.SLATER_S:
-            env = np.exp(-2.0 * self.exponent * r)
-        else:
-            env = np.exp(-self.exponent * r * r)
-        if self.power == 0:
-            return self.coefficient * env
-        return self.coefficient * r**self.power * env
-
-    def radial_derivative(self, r):
-        """g'(r) for scalar or array r > 0."""
-        r = np.asarray(r, dtype=float)
-        c, n = self.coefficient, self.power
-        if self.kind is PrimitiveKind.SLATER_S:
-            env = np.exp(-2.0 * self.exponent * r)
-            poly = -2.0 * self.exponent * r**n
-        else:
-            env = np.exp(-self.exponent * r * r)
-            poly = -2.0 * self.exponent * r ** (n + 1)
-        if n > 0:
-            poly = poly + n * r ** (n - 1)
-        return c * env * poly
-
-    def radial_second_derivative(self, r):
-        """g''(r) for scalar or array r > 0."""
-        r = np.asarray(r, dtype=float)
-        c, n = self.coefficient, self.power
-        if self.kind is PrimitiveKind.SLATER_S:
-            z = self.exponent
-            env = np.exp(-2.0 * z * r)
-            poly = 4.0 * z * z * r**n
-            if n > 0:
-                poly = poly - 4.0 * z * n * r ** (n - 1)
-            if n > 1:
-                poly = poly + n * (n - 1) * r ** (n - 2)
-        else:
-            a = self.exponent
-            env = np.exp(-a * r * r)
-            poly = 4.0 * a * a * r ** (n + 2) - 2.0 * a * (2 * n + 1) * r**n
-            if n > 1:
-                poly = poly + n * (n - 1) * r ** (n - 2)
-        return c * env * poly
-
-    @property
-    def gradient_singular(self) -> bool:
-        """True when grad of this term is undefined at its own center.
-
-        Slater terms with power 0 or 1 and Gaussian terms with power 1 have
-        a direction-dependent or nonzero radial slope at r = 0.
-        """
-        if self.kind is PrimitiveKind.SLATER_S:
-            return self.power <= 1
-        return self.power == 1
-
-    def hessian_center_limit(self) -> float:
-        """lim_{r->0} g'(r)/r (= g''(0)) for terms smooth enough at center.
-
-        The Hessian contribution at the exact center is this value times the
-        identity matrix.  Only meaningful when gradient_singular is False.
-        """
-        c, n = self.coefficient, self.power
-        if self.kind is PrimitiveKind.GAUSSIAN and n == 0:
-            return -2.0 * c * self.exponent
-        if n == 2:
-            return 2.0 * c
-        return 0.0
+        # arithmetic on a 0-d array costs about a microsecond per operation
+        return _radial(*self.envelope, r if r.ndim else float(r))
 
     @property
     def decay_length(self) -> float:
@@ -223,18 +175,16 @@ class DensityModel:
                 raise ValueError("term primitive must be a RadialPrimitive")
             fixed.append((c, prim))
         object.__setattr__(self, "terms", tuple(fixed))
+        object.__setattr__(self, "_arrays", _TermArrays.of(fixed))
 
     @property
     def centers(self) -> np.ndarray:
         """Unique term centers, (K, 3); empty (0, 3) for an empty model."""
-        if not self.terms:
-            return np.zeros((0, 3))
-        pts = np.array([c for c, _ in self.terms])
-        uniq = [pts[0]]
-        for p in pts[1:]:
+        uniq = []
+        for p in self._arrays.centers:
             if all(np.linalg.norm(p - q) > CENTER_EPS for q in uniq):
                 uniq.append(p)
-        return np.array(uniq)
+        return np.array(uniq).reshape(-1, 3)
 
     @property
     def max_decay_length(self) -> float:
@@ -243,14 +193,79 @@ class DensityModel:
         return max(p.decay_length for _, p in self.terms)
 
 
+class _TermArrays(NamedTuple):
+    """Struct-of-arrays view of a model's terms, one row per term."""
+
+    centers: np.ndarray  # (T, 3)
+    c: np.ndarray  # (T, 1) coefficient
+    a: np.ndarray  # (T, 1) 2*zeta for Slater terms, 0 for Gaussian terms
+    b: np.ndarray  # (T, 1) 0 for Slater terms, alpha for Gaussian terms
+    n: np.ndarray  # (T, 1) power
+    singular: np.ndarray  # (T,) radial slope nonzero at the term's own center
+
+    @classmethod
+    def of(cls, terms) -> "_TermArrays":
+        centers = np.array([center for center, _ in terms]).reshape(-1, 3)
+        c, a, b, n = np.array([prim.envelope for _, prim in terms], dtype=float).reshape(-1, 4).T[:, :, None]
+        singular = ((n == 1) | ((n == 0) & (a > 0))).ravel()
+        return cls(centers, c, a, b, n, singular)
+
+
+def _radial(c, a, b, n, r):
+    """g(r) = c * r^n * exp(-(a + b*r) * r), the one formula for every kind."""
+    return c * r**n * np.exp(-(a + b * r) * r)
+
+
+def _separation(centers, pts):
+    """d = x - C, (T, P, 3), and r = |d|, (T, P), for every term and point."""
+    d = pts - centers[:, None, :]
+    return d, np.sqrt(np.add.reduce(d * d, axis=2))
+
+
+def _chunked(fn, points) -> np.ndarray:
+    """fn over the points (M, 3) in fixed chunks, so temporaries stay O(T * _CHUNK)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if len(pts) <= _CHUNK:
+        return fn(pts)
+    return np.concatenate([fn(pts[lo : lo + _CHUNK]) for lo in range(0, len(pts), _CHUNK)])
+
+
+def _term_sum(t: _TermArrays, pts: np.ndarray, order: int) -> np.ndarray:
+    """Sum over terms of the value (order 0), gradient (1) or Hessian (2) at each point.
+
+    With s = g'/g = n/r - q and q = a + 2*b*r,
+        g'' = g * ((n*(n-1)/r - 2*n*q)/r + q^2 - 2*b),
+    which is g * (s^2 - n/r^2 - 2*b) without its cancellation for n = 1.
+    """
+    d, r = _separation(t.centers, pts)
+    g = _radial(t.c, t.a, t.b, t.n, r)
+    if order == 0:
+        return np.add.reduce(g, axis=0)
+    at_center = r < CENTER_EPS
+    centered = np.count_nonzero(at_center) > 0
+    if centered:
+        hit = np.flatnonzero(np.any(at_center, axis=1) & t.singular)
+        if len(hit):
+            raise AtCuspSingularity(f"derivatives undefined at cusped center {t.centers[hit[0]].tolist()}")
+        r = np.where(at_center, 1.0, r)  # smooth terms at their own center, patched below
+    q = t.a + 2.0 * t.b * r
+    slope = g * (t.n / r - q) / r  # g'/r
+    if centered:
+        slope = np.where(at_center, 0.0, slope)
+    if order == 1:
+        return np.add.reduce(slope[:, :, None] * d, axis=0)
+    g2 = g * ((t.n * (t.n - 1.0) / r - 2.0 * t.n * q) / r + q * q - 2.0 * t.b)
+    radial = (g2 - slope) / (r * r)
+    if centered:
+        radial = np.where(at_center, 0.0, radial)
+        # g''(0) of a smooth term at its own center: -2*c*b for n = 0, 2*c for n = 2
+        slope = np.where(at_center, t.c * (2.0 * (t.n == 2) - 2.0 * t.b * (t.n == 0)), slope)
+    return np.einsum("tp,tpi,tpj->pij", radial, d, d) + np.add.reduce(slope, axis=0)[:, None, None] * np.eye(3)
+
+
 def evaluate_many(model: DensityModel, points) -> np.ndarray:
     """Density at a batch of points (M, 3) -> (M,)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(len(pts))
-    for center, prim in model.terms:
-        r = np.linalg.norm(pts - center, axis=1)
-        out += prim.radial_value(r)
-    return out
+    return _chunked(lambda pts: _term_sum(model._arrays, pts, 0), points)
 
 
 def evaluate(model: DensityModel, point) -> float:
@@ -259,25 +274,14 @@ def evaluate(model: DensityModel, point) -> float:
 
 
 def gradient(model: DensityModel, point) -> np.ndarray:
-    """Analytic gradient of the mixture at a point.
+    """Analytic gradient of the mixture at a point (3,) or a batch (M, 3).
 
     Raises AtCuspSingularity within 1e-12 bohr of the center of any term
     whose radial slope does not vanish there (Slater power 0 or 1, Gaussian
     power 1): the direction of the gradient is undefined at such points.
     """
-    x = np.asarray(point, dtype=float).reshape(3)
-    g = np.zeros(3)
-    for center, prim in model.terms:
-        d = x - center
-        r = float(np.linalg.norm(d))
-        if r < CENTER_EPS:
-            if prim.gradient_singular:
-                raise AtCuspSingularity(
-                    f"gradient undefined at cusped center {center.tolist()}"
-                )
-            continue  # smooth terms contribute zero gradient at their center
-        g += float(prim.radial_derivative(r)) * d / r
-    return g
+    g = _chunked(lambda pts: _term_sum(model._arrays, pts, 1), point)
+    return g[0] if np.ndim(point) == 1 else g
 
 
 def hessian(model: DensityModel, point) -> np.ndarray:
@@ -287,24 +291,13 @@ def hessian(model: DensityModel, point) -> np.ndarray:
     u = (x - C)/r.  Terms smooth at their center contribute g''(0) * I
     when evaluated exactly there; singular terms raise as in gradient().
     """
-    x = np.asarray(point, dtype=float).reshape(3)
-    h = np.zeros((3, 3))
-    eye = np.eye(3)
-    for center, prim in model.terms:
-        d = x - center
-        r = float(np.linalg.norm(d))
-        if r < CENTER_EPS:
-            if prim.gradient_singular:
-                raise AtCuspSingularity(
-                    f"hessian undefined at cusped center {center.tolist()}"
-                )
-            h += prim.hessian_center_limit() * eye
-            continue
-        u = d / r
-        g1 = float(prim.radial_derivative(r))
-        g2 = float(prim.radial_second_derivative(r))
-        h += (g2 - g1 / r) * np.outer(u, u) + (g1 / r) * eye
-    return h
+    return _term_sum(model._arrays, np.asarray(point, dtype=float).reshape(1, 3), 2)[0]
+
+
+def on_cusp(model: DensityModel, points) -> np.ndarray:
+    """(M,) mask of the points where gradient and hessian raise AtCuspSingularity."""
+    cusps = model._arrays.centers[model._arrays.singular]
+    return _chunked(lambda pts: np.any(_separation(cusps, pts)[1] < CENTER_EPS, axis=0), points)
 
 
 def total_integral(model: DensityModel) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .density import DensityModel, evaluate, gradient, hessian
+from .density import DensityModel, evaluate, gradient, hessian, on_cusp
 from .errors import AtCuspSingularity, EmptyResult, ZeroCenterValue
 from .spherical import radial_derivative_at_center
 
@@ -103,17 +103,14 @@ def _fibonacci_directions(n: int) -> np.ndarray:
 
 
 def _gradient_norm_floor(model: DensityModel, position: np.ndarray) -> float:
-    """Infimum of |grad rho| over small punctured spheres about position."""
+    """Infimum of |grad rho| over small punctured spheres about position,
+    skipping probe points on a cusp singularity; 0.0 when none remain."""
     dirs = _fibonacci_directions(_N_FLOOR_DIRECTIONS)
-    floor = np.inf
-    for radius in _FLOOR_RADII:
-        for u in dirs:
-            try:
-                g = gradient(model, position + radius * u)
-            except AtCuspSingularity:
-                continue
-            floor = min(floor, float(np.linalg.norm(g)))
-    return floor if np.isfinite(floor) else 0.0
+    probes = np.concatenate([position + radius * dirs for radius in _FLOOR_RADII])
+    probes = probes[~on_cusp(model, probes)]
+    if not len(probes):
+        return 0.0
+    return float(np.min(np.linalg.norm(gradient(model, probes), axis=1)))
 
 
 def classify(

@@ -344,7 +344,7 @@ def test_usage_errors_exit_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 1
-    assert "error: " in capsys.readouterr().err
+    assert f"rho2v {argv[0]}: error: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rho2v.density import (
@@ -23,6 +25,7 @@ from rho2v.density import (
     hydrogenic_model,
     model_from_frame,
     normalize,
+    on_cusp,
     total_integral,
     translate,
 )
@@ -66,8 +69,13 @@ def fd_gradient(model, x, h=1e-4):
     return (100.0 * fd(h / 10) - fd(h)) / 99.0
 
 
-def fd_hessian(model, x, h=1e-4):
-    """Second central differences at h and h/2, Richardson-combined."""
+def fd_hessian(model, x, h=1e-3):
+    """Second central differences at h and h/2, Richardson-combined.
+
+    At h = 1e-4 the h/2 differences sit in the round-off regime: the worst
+    error over test_hessian_matches_finite_differences was 9.77e-7 against
+    its 1e-6 gate.  At h = 1e-3 it is 9.5e-9.
+    """
     def fd(step):
         m = np.zeros((3, 3))
         f0 = evaluate(model, x)
@@ -330,3 +338,93 @@ def test_model_from_frame_charge_scaled():
     assert evaluate(model, (0, 0, 0)) == pytest.approx(
         81.0 / math.pi + (1.0 / math.pi) * math.exp(-6.0), rel=1e-12
     )
+
+
+# --- the batched kernel --------------------------------------------------------
+
+def test_batched_gradient_equals_stacked_single_points():
+    rng = np.random.default_rng(21)
+    model = random_model(rng, n_terms=6)
+    pts = rng.uniform(-3, 3, size=(50, 3))
+    stacked = np.array([gradient(model, p) for p in pts])
+    # numpy's r**2 squares on some loops and calls pow() on others: an ulp apart
+    np.testing.assert_allclose(gradient(model, pts), stacked, rtol=1e-15, atol=1e-300)
+
+
+def test_evaluate_many_across_chunk_boundary_equals_pieces():
+    rng = np.random.default_rng(22)
+    model = random_model(rng, n_terms=5)
+    pts = rng.uniform(-4, 4, size=(20000, 3))  # more than two 8192-point chunks
+    pieces = np.concatenate([evaluate_many(model, pts[lo : lo + 3000]) for lo in range(0, len(pts), 3000)])
+    np.testing.assert_allclose(evaluate_many(model, pts), pieces, rtol=1e-15, atol=0)
+
+
+def test_term_order_does_not_change_results():
+    rng = np.random.default_rng(23)
+    model = random_model(rng, n_terms=8)
+    shuffled = DensityModel(terms=tuple(model.terms[i] for i in rng.permutation(len(model.terms))))
+    pts = rng.uniform(-3, 3, size=(200, 3))
+    np.testing.assert_allclose(evaluate_many(shuffled, pts), evaluate_many(model, pts), rtol=1e-14, atol=0)
+    for p in pts[:20]:
+        g, g_s = gradient(model, p), gradient(shuffled, p)
+        assert np.linalg.norm(g_s - g) <= 1e-14 * np.linalg.norm(g)
+        h, h_s = hessian(model, p), hessian(shuffled, p)
+        assert np.linalg.norm(h_s - h) <= 1e-14 * np.linalg.norm(h)
+
+
+def rotation(q):
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+coordinate = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1),
+    shift=st.tuples(coordinate, coordinate, coordinate),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rigid_motion_invariance(q, shift, seed):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_terms=4)
+    rot, shift = rotation(q), np.asarray(shift)
+    moved = DensityModel(terms=tuple((rot @ c + shift, p) for c, p in model.terms))
+    pts = rng.uniform(-3, 3, size=(30, 3))
+    moved_pts = pts @ rot.T + shift
+    np.testing.assert_allclose(evaluate_many(moved, moved_pts), evaluate_many(model, pts), rtol=1e-12, atol=1e-300)
+    keep = ~on_cusp(model, pts)
+    g, g_moved = gradient(model, pts[keep]), gradient(moved, moved_pts[keep])
+    scale = np.max(np.linalg.norm(g, axis=1)) + 1e-300
+    assert np.max(np.linalg.norm(g_moved - g @ rot.T, axis=1)) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("kind", list(PrimitiveKind))
+@pytest.mark.parametrize("power", [0, 1, 2, 3])
+def test_cusp_singularity_raised_exactly_at_singular_centers(kind, power):
+    center = np.array([0.4, -1.1, 0.7])
+    other = (np.array([1.0, 1.0, 1.0]), gauss(0.5, 0.9))
+    model = DensityModel(terms=(other, (center, RadialPrimitive(kind, 1.3, 0.8, power))))
+    singular = power == 1 or (power == 0 and kind is PrimitiveKind.SLATER_S)
+    batch = np.array([[2.0, 0.0, 0.0], center])
+    assert on_cusp(model, batch).tolist() == [False, singular]
+    for at in (center, center + 1e-13):
+        if singular:
+            with pytest.raises(AtCuspSingularity):
+                gradient(model, at)
+            with pytest.raises(AtCuspSingularity):
+                hessian(model, at)
+        else:
+            assert np.all(np.isfinite(hessian(model, at)))
+    if singular:
+        with pytest.raises(AtCuspSingularity):
+            gradient(model, batch)
+    else:
+        # smooth at its own center: only the other term pulls
+        assert np.array_equal(gradient(model, center), gradient(DensityModel(terms=(other,)), center))
+

@@ -20,7 +20,7 @@ from rho2v.density import (
 )
 from rho2v.errors import UnsupportedOrder, ZeroCenterValue
 from rho2v.lebedev import SUPPORTED_ORDERS
-from rho2v.spherical import radial_derivative_at_center, spherical_average
+from rho2v.spherical import DEFAULT_ORDER, radial_derivative_at_center, spherical_average
 
 
 def dense_angular_average(model, center, radius, n_theta=400, n_phi=800):
@@ -155,3 +155,74 @@ def test_converged_flag_tracks_uncertainty():
     assert est.converged and est.uncertainty <= 1e-8
     hopeless = radial_derivative_at_center(hydrogenic_model(5.0), (0, 0, 0), max_levels=2, tol=1e-14)
     assert not hopeless.converged
+
+
+# --- exact cusp-slope oracle for the ladder -------------------------------------
+#
+# Averaging kills the odd harmonics of every term not centred at x0, so the
+# one-sided slope of rho_av at x0 comes only from the terms centred there:
+# Slater power 0 gives -2*zeta*c, Slater or Gaussian power 1 gives +c, and
+# every other term is smooth at x0 and gives 0.
+
+def exact_cusp_slope(model, x0):
+    total = 0.0
+    for center, prim in model.terms:
+        if np.linalg.norm(center - x0) > 1e-12:
+            continue
+        if prim.kind is PrimitiveKind.SLATER_S and prim.power == 0:
+            total -= 2.0 * prim.exponent * prim.coefficient
+        elif prim.power == 1:
+            total += prim.coefficient
+    return total
+
+
+def cusped_center(x0, zeta):
+    """A nucleus plus one term of every other kind and power 0-2 at x0."""
+    return [
+        (x0, RadialPrimitive(PrimitiveKind.SLATER_S, zeta**3 / math.pi, zeta, 0)),
+        (x0, RadialPrimitive(PrimitiveKind.SLATER_S, 0.3, 0.8 * zeta, 1)),
+        (x0, RadialPrimitive(PrimitiveKind.GAUSSIAN, 0.2, 0.9, 1)),
+        (x0, RadialPrimitive(PrimitiveKind.GAUSSIAN, 0.5, 0.6, 0)),
+        (x0, RadialPrimitive(PrimitiveKind.SLATER_S, 0.4, 1.1, 2)),
+    ]
+
+
+def two_center_model(za, zb, sep):
+    a = np.zeros(3)
+    b = sep * np.array([0.3, -0.4, 1.0]) / np.linalg.norm([0.3, -0.4, 1.0])
+    tail = RadialPrimitive(PrimitiveKind.SLATER_S, zb**3 / math.pi, zb, 0)
+    return DensityModel(terms=tuple(cusped_center(a, za)) + ((b, tail),)), [a, b]
+
+
+def three_center_model(sep):
+    a, b, c = np.zeros(3), np.array([sep, 0.0, 0.0]), np.array([0.5 * sep, 0.8 * sep, 0.2])
+    terms = cusped_center(a, 2.0) + cusped_center(b, 1.0) + [
+        (c, RadialPrimitive(PrimitiveKind.SLATER_S, 1.0 / math.pi, 1.0, 0)),
+        (c, RadialPrimitive(PrimitiveKind.GAUSSIAN, 0.7, 1.3, 1)),
+    ]
+    return DensityModel(terms=tuple(terms)), [a, b, c]
+
+
+def oracle_error(model, x0, order=DEFAULT_ORDER):
+    est = radial_derivative_at_center(model, x0, order=order)
+    exact = exact_cusp_slope(model, x0)
+    assert est.converged
+    return abs(est.derivative - exact) / abs(exact)
+
+
+def test_hydrogenic_cusp_slope_oracle_z_1_to_50():
+    # worst measured relative error before the vectorised kernel: 1.1e-12
+    worst = max(oracle_error(hydrogenic_model(float(z)), np.zeros(3)) for z in range(1, 51))
+    assert worst < 2e-11
+
+
+@pytest.mark.parametrize("order", [26, 50, 110, 194])
+def test_cusp_slope_oracle_with_tail_contamination(order):
+    # worst measured relative errors before the vectorised kernel, over all
+    # four orders: 9.9e-12 (two centers) and 2.2e-11 (three centers)
+    cases = [two_center_model(za, zb, sep) for za, zb in ((1.0, 1.0), (3.0, 1.0), (1.0, 3.0), (6.0, 2.0)) for sep in (1.0, 2.0, 4.0)]
+    two = max(oracle_error(model, x0, order) for model, centers in cases for x0 in centers)
+    assert two < 1e-10
+    cases = [three_center_model(sep) for sep in (1.5, 3.0)]
+    three = max(oracle_error(model, x0, order) for model, centers in cases for x0 in centers)
+    assert three < 3e-10

@@ -16,13 +16,19 @@ from rho2v.density import (
     PrimitiveKind,
     RadialPrimitive,
     evaluate,
+    gradient,
     hydrogenic_model,
     model_from_frame,
+    on_cusp,
     translate,
 )
-from rho2v.errors import EmptyResult
+from rho2v.errors import AtCuspSingularity, EmptyResult
 from rho2v.topology import (
+    _FLOOR_RADII,
+    _N_FLOOR_DIRECTIONS,
     CriticalKind,
+    _fibonacci_directions,
+    _gradient_norm_floor,
     classify,
     default_search_box,
     find_critical_points,
@@ -171,3 +177,20 @@ def test_default_search_box_contains_centers(dimer):
     # margin of three decay lengths (zeta = 1 -> 3 bohr)
     assert box[0][2] == pytest.approx(-1.2 - 3.0)
     assert box[1][2] == pytest.approx(1.2 + 3.0)
+
+
+def test_gradient_norm_floor_skips_probe_on_cusp():
+    position = np.array([0.2, -0.3, 0.5])
+    dirs = _fibonacci_directions(_N_FLOOR_DIRECTIONS)
+    probes = np.concatenate([position + radius * dirs for radius in _FLOOR_RADII])
+    cusp = RadialPrimitive(PrimitiveKind.SLATER_S, 0.2, 1.5, 0)
+    smooth = (position, RadialPrimitive(PrimitiveKind.GAUSSIAN, 1.0, 0.7, 0))
+    model = DensityModel(terms=(smooth, (probes[3], cusp)))
+    assert on_cusp(model, probes).tolist() == [i == 3 for i in range(len(probes))]
+    with pytest.raises(AtCuspSingularity):
+        gradient(model, probes[3])
+    others = [np.linalg.norm(gradient(model, p)) for i, p in enumerate(probes) if i != 3]
+    assert _gradient_norm_floor(model, position) == pytest.approx(min(others), rel=1e-15)
+    # every probe on a cusp: nothing left to measure
+    covered = DensityModel(terms=(smooth,) + tuple((p, cusp) for p in probes))
+    assert _gradient_norm_floor(covered, position) == 0.0
