@@ -38,6 +38,7 @@ __all__ = [
     "evaluate_many",
     "gradient",
     "hessian",
+    "gradient_and_hessian",
     "on_cusp",
     "total_integral",
     "normalize",
@@ -231,7 +232,8 @@ def _chunked(fn, points) -> np.ndarray:
 
 
 def _term_sum(t: _TermArrays, pts: np.ndarray, order: int) -> np.ndarray:
-    """Sum over terms of the value (order 0), gradient (1) or Hessian (2) at each point.
+    """Sum over terms of the value (order 0), the gradient (1), or the gradient
+    stacked on the Hessian (2, shape (P, 4, 3)) at each point.
 
     With s = g'/g = n/r - q and q = a + 2*b*r,
         g'' = g * ((n*(n-1)/r - 2*n*q)/r + q^2 - 2*b),
@@ -252,15 +254,17 @@ def _term_sum(t: _TermArrays, pts: np.ndarray, order: int) -> np.ndarray:
     slope = g * (t.n / r - q) / r  # g'/r
     if centered:
         slope = np.where(at_center, 0.0, slope)
+    grad = np.add.reduce(slope[:, :, None] * d, axis=0)
     if order == 1:
-        return np.add.reduce(slope[:, :, None] * d, axis=0)
+        return grad
     g2 = g * ((t.n * (t.n - 1.0) / r - 2.0 * t.n * q) / r + q * q - 2.0 * t.b)
     radial = (g2 - slope) / (r * r)
     if centered:
         radial = np.where(at_center, 0.0, radial)
         # g''(0) of a smooth term at its own center: -2*c*b for n = 0, 2*c for n = 2
         slope = np.where(at_center, t.c * (2.0 * (t.n == 2) - 2.0 * t.b * (t.n == 0)), slope)
-    return np.einsum("tp,tpi,tpj->pij", radial, d, d) + np.add.reduce(slope, axis=0)[:, None, None] * np.eye(3)
+    hess = np.einsum("tp,tpi,tpj->pij", radial, d, d) + np.add.reduce(slope, axis=0)[:, None, None] * np.eye(3)
+    return np.concatenate([grad[:, None, :], hess], axis=1)
 
 
 def evaluate_many(model: DensityModel, points) -> np.ndarray:
@@ -284,14 +288,22 @@ def gradient(model: DensityModel, point) -> np.ndarray:
     return g[0] if np.ndim(point) == 1 else g
 
 
+def gradient_and_hessian(model: DensityModel, points) -> tuple:
+    """Gradients (M, 3) and Hessians (M, 3, 3) at a batch of points (M, 3),
+    from one kernel pass; raises as gradient() does."""
+    gh = _chunked(lambda pts: _term_sum(model._arrays, pts, 2), points)
+    return gh[:, 0], gh[:, 1:]
+
+
 def hessian(model: DensityModel, point) -> np.ndarray:
-    """Analytic Hessian (symmetric 3x3) of the mixture at a point.
+    """Analytic Hessian (symmetric 3x3) of the mixture at a point (3,) or a batch (M, 3).
 
     For a radial term g(r):  H = (g'' - g'/r) u u^T + (g'/r) I  with
     u = (x - C)/r.  Terms smooth at their center contribute g''(0) * I
     when evaluated exactly there; singular terms raise as in gradient().
     """
-    return _term_sum(model._arrays, np.asarray(point, dtype=float).reshape(1, 3), 2)[0]
+    h = gradient_and_hessian(model, point)[1]
+    return h[0] if np.ndim(point) == 1 else h
 
 
 def on_cusp(model: DensityModel, points) -> np.ndarray:

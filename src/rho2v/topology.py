@@ -4,29 +4,35 @@ Two families of stationary features are distinguished:
 
   * cusp maxima -- kinks of the mixture at Slater centers, detected by a
     strictly negative one-sided log-derivative of the spherical average;
-    the gradient is undefined there, so localization is derivative-free
-    (simplex search plus a gradient-direction ray pursuit: away from the
-    kink the gradient of the dominant cusped term points almost exactly
-    at the center, so a 1D line maximization per step converges fast);
+    the gradient is undefined at the kink itself, so the ascent stops on
+    it and a gradient-direction ray pursuit refines the position (away
+    from the kink the gradient of the dominant cusped term points almost
+    exactly at the center, so a 1D line maximization per step converges
+    fast);
   * smooth critical points (non-nuclear maxima, saddles, minima), found
     by safeguarded Newton iteration on grad rho = 0 and classified by the
     rank and signature of the Hessian spectrum.
 
-Search is multistart over a uniform seed grid; results are deduplicated
-within a position tolerance and returned in canonical lexicographic order,
-so the output is independent of seed enumeration order.
+Search is multistart over a uniform seed grid, and every seed moves at
+once: one batched gradient ascent with a step length per seed, then one
+batched Newton iteration whose Hessians are solved as a stack.  A seed
+that meets a cusp, a singular Hessian or the edge of the box drops out
+alone.  Results are deduplicated within a position tolerance and returned
+in a canonical order of their rounded positions, so the output is
+independent of seed enumeration order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 
-from .density import DensityModel, evaluate, gradient, hessian, on_cusp
+from .density import DensityModel, evaluate, evaluate_many, gradient, gradient_and_hessian, hessian, on_cusp
 from .errors import AtCuspSingularity, EmptyResult, ZeroCenterValue
 from .spherical import radial_derivative_at_center
 
@@ -88,10 +94,6 @@ def default_search_box(model: DensityModel, margin_factor: float = 3.0) -> np.nd
         raise EmptyResult("model has no terms to search")
     margin = margin_factor * model.max_decay_length
     return np.array([centers.min(axis=0) - margin, centers.max(axis=0) + margin])
-
-
-def _inside(box: np.ndarray, x: np.ndarray, slack: float = 1e-6) -> bool:
-    return bool(np.all(x >= box[0] - slack) and np.all(x <= box[1] + slack))
 
 
 def _fibonacci_directions(n: int) -> np.ndarray:
@@ -162,21 +164,49 @@ def classify(
     )
 
 
-def _simplex_maximize(model, seed, box, maxfev=2000, xatol=1e-7):
-    scale = 0.05 * float(np.max(box[1] - box[0]))
-    res = minimize(
-        lambda x: -evaluate(model, x),
-        seed,
-        method="Nelder-Mead",
-        options={
-            "xatol": xatol,
-            "fatol": np.inf,  # terminate on simplex size only
-            "maxfev": maxfev,
-            "initial_simplex": np.vstack([seed, seed + scale * np.eye(3)]),
-        },
-    )
-    x = np.asarray(res.x, dtype=float)
-    return x if _inside(box, x) else None
+def _rows_inside(box: np.ndarray, x: np.ndarray, slack: float = 1e-6) -> np.ndarray:
+    """(S,) mask of the rows of x (S, 3) inside the box widened by slack."""
+    return np.all((x >= box[0] - slack) & (x <= box[1] + slack), axis=1)
+
+
+def _ascend(model, seeds, box, min_step=1e-8, max_iter=500):
+    """Gradient ascent from every seed at once; (endpoints (S, 3), kept (S,)).
+
+    Each seed steps along its normalized gradient with its own step length,
+    starting at 0.05 box widths, doubled after an uphill step and halved
+    after a rejected one.  A seed stops when its step falls below min_step,
+    when it sits on a cusp (where the gradient is undefined) or where its
+    gradient vanishes.  Endpoints outside the box or at zero density are
+    not kept.
+    """
+    x = np.array(seeds, dtype=float)
+    f = evaluate_many(model, x)
+    step = np.full(len(x), 0.05 * float(np.max(box[1] - box[0])))
+    u = np.zeros_like(x)
+    active = np.ones(len(x), dtype=bool)
+    fresh = np.arange(len(x))
+    for _ in range(max_iter):
+        # seeds that moved (or just started) need a new direction
+        cusp = on_cusp(model, x[fresh])
+        active[fresh[cusp]] = False
+        fresh = fresh[~cusp]
+        if len(fresh):
+            g = gradient(model, x[fresh])
+            norm = np.linalg.norm(g, axis=1)
+            active[fresh[norm == 0.0]] = False
+            moving = norm > 0.0
+            u[fresh[moving]] = g[moving] / norm[moving, None]
+        idx = np.flatnonzero(active)
+        if not len(idx):
+            break
+        trial = x[idx] + step[idx, None] * u[idx]
+        f_trial = evaluate_many(model, trial)
+        up = f_trial > f[idx]
+        fresh = idx[up]
+        x[fresh], f[fresh] = trial[up], f_trial[up]
+        step[idx] *= np.where(up, 2.0, 0.5)
+        active[idx[step[idx] < min_step]] = False
+    return x, _rows_inside(box, x) & (f > 0.0)
 
 
 def _pursue_cusp(model, x0, initial_scale=1e-2, max_iter=60):
@@ -214,44 +244,63 @@ def _pursue_cusp(model, x0, initial_scale=1e-2, max_iter=60):
     return x
 
 
-def _newton_stationary(model, seed, box, cusp_positions, g_tol, max_iter=80):
-    """Safeguarded Newton on grad rho = 0; None when not cleanly converged."""
-    x = np.asarray(seed, dtype=float)
+def _solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked solve h x = rhs; rows whose matrix is singular come back NaN."""
+    try:
+        return np.linalg.solve(h, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        for i in range(len(h)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[i] = np.linalg.solve(h[i], rhs[i])
+        return out
+
+
+def _newton(model, seeds, box, cusp_positions, g_tol, max_iter=80):
+    """Safeguarded Newton on grad rho = 0 from every seed at once.
+
+    Returns (points (S, 3), converged (S,)).  A seed is dropped when it
+    leaves the box (0.5 bohr slack), enters the CUSP_EXCLUSION ball of a
+    detected cusp, lands on a cusp singularity, or meets a singular Hessian
+    or a non-finite step; steps are capped at a quarter box width.  A seed
+    converges when its step falls below 1e-12 relative and the gradient
+    there is at most g_tol inside the box.
+    """
+    x = np.array(seeds, dtype=float).reshape(-1, 3)
+    cusps = np.asarray(cusp_positions, dtype=float).reshape(-1, 3)
     step_cap = 0.25 * float(np.max(box[1] - box[0]))
+    active = np.ones(len(x), dtype=bool)
+    converged = np.zeros(len(x), dtype=bool)
     for _ in range(max_iter):
-        if not _inside(box, x, slack=0.5):
-            return None
-        for c in cusp_positions:
-            if np.linalg.norm(x - c) < CUSP_EXCLUSION:
-                return None
-        try:
-            g = gradient(model, x)
-            h = hessian(model, x)
-        except AtCuspSingularity:
-            return None
-        try:
-            step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        norm = float(np.linalg.norm(step))
-        if norm > step_cap:
-            step *= step_cap / norm
-            norm = step_cap
-        x = x + step
-        if norm < 1e-12 * (1.0 + float(np.linalg.norm(x))):
-            try:
-                ok = float(np.linalg.norm(gradient(model, x))) <= g_tol
-            except AtCuspSingularity:
-                return None
-            return x if (ok and _inside(box, x)) else None
-    return None
+        idx = np.flatnonzero(active)
+        ok = _rows_inside(box, x[idx], slack=0.5)
+        ok &= np.all(np.linalg.norm(x[idx, None] - cusps, axis=2) >= CUSP_EXCLUSION, axis=1)
+        ok[ok] = ~on_cusp(model, x[idx[ok]])
+        active[idx[~ok]] = False
+        idx = idx[ok]
+        if not len(idx):
+            break
+        g, h = gradient_and_hessian(model, x[idx])
+        step = _solve(h, -g)
+        ok = np.all(np.isfinite(step), axis=1)
+        active[idx[~ok]] = False
+        idx, step = idx[ok], step[ok]
+        norm = np.linalg.norm(step, axis=1)
+        capped = norm > step_cap
+        step[capped] *= (step_cap / norm[capped])[:, None]
+        norm[capped] = step_cap
+        x[idx] += step
+        done = idx[norm < 1e-12 * (1.0 + np.linalg.norm(x[idx], axis=1))]
+        active[done] = False
+        good = _rows_inside(box, x[done]) & ~on_cusp(model, x[done])
+        good[good] = np.linalg.norm(gradient(model, x[done[good]]), axis=1) <= g_tol
+        converged[done[good]] = True
+    return x, converged
 
 
 def _dedupe(candidates, model, radius):
     """Keep the highest-density representative per cluster, canonically."""
-    scored = [(evaluate(model, x), x) for x in candidates]
+    scored = list(zip(evaluate_many(model, np.reshape(candidates, (-1, 3))), candidates))
     scored.sort(key=lambda s: (-s[0], s[1][0], s[1][1], s[1][2]))
     kept: list[np.ndarray] = []
     for _, x in scored:
@@ -271,12 +320,17 @@ def find_critical_points(
 ) -> list[CriticalPoint]:
     """Multistart search for all maxima and stationary points of the density.
 
-    From every seed of a uniform grid over the search box, a derivative-free
-    simplex ascent collects maxima (cusped or smooth) and a safeguarded
-    Newton iteration collects smooth stationary points; Newton is kept out
-    of a 1e-2 bohr exclusion ball around each detected cusp.  Survivors are
-    deduplicated within dedupe_radius (highest density wins, ties broken by
-    lexicographic position) and classified.
+    From every seed of a uniform grid over the search box at once, a batched
+    gradient ascent collects maxima.  Maxima whose spherical average has a
+    negative one-sided slope are cusps, refined by ray pursuit; the others
+    are polished by Newton.  A batched safeguarded Newton iteration from the
+    grid seeds and from seeds between every pair of maxima then collects
+    the smooth stationary points; it is kept out of a 1e-2 bohr exclusion
+    ball around each cusp.  Survivors are deduplicated within dedupe_radius
+    (highest density wins, ties broken by lexicographic position),
+    classified, and sorted on their positions rounded to multiples of
+    dedupe_radius, ties broken by the raw positions, so that roundoff in
+    a coordinate near zero cannot flip the order.
 
     Raises EmptyResult when no seed converges to anything (flat model).
     """
@@ -291,18 +345,14 @@ def find_critical_points(
     axes = [np.linspace(box[0][i], box[1][i], seeds_per_axis) for i in range(3)]
     seeds = np.array(np.meshgrid(*axes, indexing="ij")).reshape(3, -1).T
 
-    maxima = []
-    for seed in seeds:
-        x = _simplex_maximize(model, seed, box)
-        if x is not None:
-            maxima.append(x)
-    if not maxima:
+    ends, kept = _ascend(model, seeds, box)
+    if not kept.any():
         raise EmptyResult("no seed converged; model appears flat or degenerate")
 
     # probe cusp-ness of each candidate maximum cluster, then polish
     cusps: list[np.ndarray] = []
-    smooth: list[np.ndarray] = []
-    for x in _dedupe(maxima, model, radius=max(dedupe_radius, 1e-3)):
+    maxima: list[np.ndarray] = []
+    for x in _dedupe(ends[kept], model, radius=max(dedupe_radius, 1e-3)):
         try:
             probe = radial_derivative_at_center(model, x, **(derivative_options or {}))
             cusp_like = probe.log_derivative < -tau_cusp
@@ -311,8 +361,9 @@ def find_critical_points(
         if cusp_like:
             cusps.append(_pursue_cusp(model, x))
         else:
-            polished = _newton_stationary(model, x, box, cusps, g_tol)
-            smooth.append(polished if polished is not None else x)
+            maxima.append(x)
+    polished, ok = _newton(model, maxima, box, cusps, g_tol)
+    smooth = list(np.where(ok[:, None], polished, np.reshape(maxima, (-1, 3))))
 
     # stationary points between maxima (bond-region saddles) have narrow
     # Newton basins a coarse grid can miss; seed the segment between every
@@ -324,10 +375,8 @@ def find_critical_points(
         for b in extremum_reps[i + 1 :]
         for w in (0.5, 1.0 / 3.0, 2.0 / 3.0)
     ]
-    for seed in list(seeds) + pair_seeds:
-        x = _newton_stationary(model, seed, box, cusps, g_tol)
-        if x is not None:
-            smooth.append(x)
+    found, ok = _newton(model, np.concatenate([seeds, np.reshape(pair_seeds, (-1, 3))]), box, cusps, g_tol)
+    smooth.extend(found[ok])
 
     points = []
     for x in _dedupe(cusps + smooth, model, radius=dedupe_radius):
@@ -337,5 +386,5 @@ def find_critical_points(
     if not points:
         raise EmptyResult("no critical points survived classification")
 
-    points.sort(key=lambda p: (p.position[0], p.position[1], p.position[2]))
+    points.sort(key=lambda p: (*np.round(p.position / dedupe_radius), *p.position))
     return points

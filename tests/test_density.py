@@ -21,6 +21,7 @@ from rho2v.density import (
     evaluate,
     evaluate_many,
     gradient,
+    gradient_and_hessian,
     hessian,
     hydrogenic_model,
     model_from_frame,
@@ -349,6 +350,37 @@ def test_batched_gradient_equals_stacked_single_points():
     stacked = np.array([gradient(model, p) for p in pts])
     # numpy's r**2 squares on some loops and calls pow() on others: an ulp apart
     np.testing.assert_allclose(gradient(model, pts), stacked, rtol=1e-15, atol=1e-300)
+
+
+def test_fused_gradient_and_hessian_equal_separate_calls():
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        model = random_model(rng, n_terms=int(rng.integers(1, 7)))
+        smooth = [c for c, _ in model.terms if not on_cusp(model, c[None])[0]]
+        pts = np.concatenate([rng.uniform(-3, 3, size=(40, 3))] + [np.reshape(smooth, (-1, 3))])
+        g, h = gradient_and_hessian(model, pts)
+        np.testing.assert_allclose(g, gradient(model, pts), rtol=1e-15, atol=1e-300)
+        stacked = np.array([hessian(model, p) for p in pts])
+        np.testing.assert_allclose(h, stacked, rtol=1e-15, atol=1e-300)
+
+
+@pytest.mark.parametrize("kind", list(PrimitiveKind))
+@pytest.mark.parametrize("power", [0, 1, 2])
+def test_fused_kernel_raises_where_gradient_raises(kind, power):
+    center = np.array([0.4, -1.1, 0.7])
+    other = (np.array([1.0, 1.0, 1.0]), slater(0.5, 0.9))
+    model = DensityModel(terms=(other, (center, RadialPrimitive(kind, 1.3, 0.8, power))))
+    for at in (center, other[0], center + 1e-13, np.array([2.0, 0.0, 0.0])):
+        batch = np.array([[-1.0, 0.5, 0.0], at])
+        try:
+            gradient(model, batch)
+        except AtCuspSingularity:
+            with pytest.raises(AtCuspSingularity):
+                gradient_and_hessian(model, batch)
+            with pytest.raises(AtCuspSingularity):
+                hessian(model, batch)
+        else:
+            assert np.all(np.isfinite(gradient_and_hessian(model, batch)[1]))
 
 
 def test_evaluate_many_across_chunk_boundary_equals_pieces():

@@ -6,6 +6,7 @@ internuclear axis at 1e-3 bohr spacing, independent of the search code.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rho2v.density import (
     RadialPrimitive,
     evaluate,
     gradient,
+    hessian,
     hydrogenic_model,
     model_from_frame,
     on_cusp,
@@ -25,10 +27,14 @@ from rho2v.density import (
 from rho2v.errors import AtCuspSingularity, EmptyResult
 from rho2v.topology import (
     _FLOOR_RADII,
+    DEDUPE_RADIUS,
     _N_FLOOR_DIRECTIONS,
+    GRAD_TOL,
     CriticalKind,
+    _ascend,
     _fibonacci_directions,
     _gradient_norm_floor,
+    _newton,
     classify,
     default_search_box,
     find_critical_points,
@@ -107,7 +113,9 @@ def test_gaussian_only_model_has_no_cusp_maxima():
 
 
 def test_output_canonically_sorted_and_deterministic(dimer, dimer_points):
-    keys = [tuple(p.position) for p in dimer_points]
+    # positions rounded to the dedupe radius first, so that roundoff in a
+    # coordinate near zero cannot flip the order; raw positions break ties
+    keys = [(*np.round(p.position / DEDUPE_RADIUS), *p.position) for p in dimer_points]
     assert keys == sorted(keys)
     again = find_critical_points(dimer, seeds_per_axis=6)
     assert len(again) == len(dimer_points)
@@ -194,3 +202,125 @@ def test_gradient_norm_floor_skips_probe_on_cusp():
     # every probe on a cusp: nothing left to measure
     covered = DensityModel(terms=(smooth,) + tuple((p, cusp) for p in probes))
     assert _gradient_norm_floor(covered, position) == 0.0
+
+
+# --- batched seed search: a bad seed drops only itself ----------------------
+
+def grid_seeds(box, per_axis):
+    axes = [np.linspace(box[0][i], box[1][i], per_axis) for i in range(3)]
+    return np.array(np.meshgrid(*axes, indexing="ij")).reshape(3, -1).T
+
+
+def run_without_warnings(search, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return search(*args)
+
+
+def bad_seed_result(search, model, seeds, bad, box, *args):
+    """Result of the bad seed, after checking that every other seed's result
+    equals a run without it."""
+    x, ok = run_without_warnings(search, model, np.vstack([seeds, bad]), box, *args)
+    x0, ok0 = run_without_warnings(search, model, seeds, box, *args)
+    assert np.array_equal(x[:-1], x0) and np.array_equal(ok[:-1], ok0)
+    assert ok0.any()
+    return x[-1], ok[-1]
+
+
+@pytest.fixture(scope="module")
+def peak_and_cusp():
+    """Gaussian peak at the origin, a weak Slater cusp at x = 2.5, and Newton
+    seeds near the peak, most of which converge to it."""
+    cusp = (np.array([2.5, 0.0, 0.0]), RadialPrimitive(PrimitiveKind.SLATER_S, 0.05, 1.0, 0))
+    model = DensityModel(terms=((np.zeros(3), RadialPrimitive(PrimitiveKind.GAUSSIAN, 1.0, 0.8, 0)), cusp))
+    box = default_search_box(model)
+    return model, box, grid_seeds(box, 4) * 0.1
+
+
+def test_seed_on_a_cusp_center_drops_only_itself(peak_and_cusp):
+    model = hydrogenic_model(1.0)
+    box = default_search_box(model)
+    seeds = grid_seeds(box, 5)
+    on_center = np.all(seeds == 0.0, axis=1)
+    assert on_center.sum() == 1  # the 5-per-axis grid holds the nucleus itself
+    # the ascent stops there, at the maximum
+    x, ok = bad_seed_result(_ascend, model, seeds[~on_center], np.zeros(3), box)
+    assert ok and np.array_equal(x, np.zeros(3))
+    # Newton cannot take a step there; no cusp is excluded, so on_cusp must catch it
+    model, box, seeds = peak_and_cusp
+    _, ok = bad_seed_result(_newton, model, seeds, np.array([2.5, 0.0, 0.0]), box, [], GRAD_TOL)
+    assert not ok
+
+
+def test_far_field_seed_with_zero_hessian_drops_only_itself(peak_and_cusp):
+    far = np.array([900.0, 0.0, 0.0])
+    big = np.array([[-1000.0] * 3, [1000.0] * 3])
+    model = hydrogenic_model(1.0)
+    assert evaluate(model, far) == 0.0
+    _, ok = bad_seed_result(_ascend, model, grid_seeds(default_search_box(model), 4), far, big)
+    assert not ok
+    model, _, seeds = peak_and_cusp
+    assert not np.any(hessian(model, far))  # the stacked solve raises LinAlgError
+    _, ok = bad_seed_result(_newton, model, seeds, far, big, [], GRAD_TOL)
+    assert not ok
+
+
+def test_seed_that_leaves_the_box_drops_only_itself(dimer, peak_and_cusp):
+    box = default_search_box(dimer)
+    box[1][2] = 0.5  # the upper nucleus at z = 1.2 lies outside
+    seeds = grid_seeds(np.array([box[0], [box[1][0], box[1][1], -0.5]]), 4)
+    x, ok = bad_seed_result(_ascend, dimer, seeds, np.array([0.0, 0.0, 0.4]), box)
+    assert not ok and x[2] > box[1][2]
+    # Newton steps outward from the outer flank of the Gaussian peak
+    model, box, seeds = peak_and_cusp
+    x, ok = bad_seed_result(_newton, model, seeds, np.array([0.0, 2.0, 0.0]), box, [], GRAD_TOL)
+    assert not ok and x[1] > box[1][1] + 0.5
+
+
+def newton_one_seed(model, seed, box, cusp_positions, g_tol, max_iter=80):
+    """Reference: the safeguarded Newton iteration for a single seed, one
+    gradient and one Hessian call per step; None when not cleanly converged."""
+    inside = lambda x, slack: np.all(x >= box[0] - slack) and np.all(x <= box[1] + slack)
+    x = np.asarray(seed, dtype=float)
+    step_cap = 0.25 * float(np.max(box[1] - box[0]))
+    for _ in range(max_iter):
+        if not inside(x, 0.5) or any(np.linalg.norm(x - c) < 1e-2 for c in cusp_positions):
+            return None
+        try:
+            step = np.linalg.solve(hessian(model, x), -gradient(model, x))
+        except (AtCuspSingularity, np.linalg.LinAlgError):
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        norm = float(np.linalg.norm(step))
+        if norm > step_cap:
+            step *= step_cap / norm
+            norm = step_cap
+        x = x + step
+        if norm < 1e-12 * (1.0 + float(np.linalg.norm(x))):
+            try:
+                ok = float(np.linalg.norm(gradient(model, x))) <= g_tol
+            except AtCuspSingularity:
+                return None
+            return x if (ok and inside(x, 1e-6)) else None
+    return None
+
+
+def test_batched_newton_matches_one_seed_at_a_time(dimer):
+    three = model_from_frame(NuclearFrame(np.array([[0.0, 0.0, 0.0], [0.0, 0.2, 2.4], [2.1, -0.3, 0.6]]), np.array([2.0, 1.0, 1.5])))
+    rng = np.random.default_rng(5)
+    for model in (dimer, three):
+        box = default_search_box(model)
+        # grid seeds, plus jittered seeds along each internuclear segment,
+        # where the saddles' narrow Newton basins lie
+        centers = model.centers
+        w = np.linspace(0.05, 0.95, 19)[:, None]
+        between = [(1 - w) * a + w * b for i, a in enumerate(centers) for b in centers[i + 1 :]]
+        seeds = np.concatenate([grid_seeds(box, 6), *between])
+        seeds += rng.normal(scale=0.05, size=seeds.shape)
+        cusps = [c for c, _ in model.terms[:1]]
+        x, ok = _newton(model, seeds, box, cusps, GRAD_TOL)
+        reference = [newton_one_seed(model, s, box, cusps, GRAD_TOL) for s in seeds]
+        assert ok.tolist() == [r is not None for r in reference]
+        assert ok.sum() >= 10
+        np.testing.assert_allclose(x[ok], [r for r in reference if r is not None], rtol=0, atol=1e-12)
