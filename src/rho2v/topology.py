@@ -187,10 +187,10 @@ def _ascend(model, seeds, box, min_step=1e-8, max_iter=500):
     fresh = np.arange(len(x))
     for _ in range(max_iter):
         # seeds that moved (or just started) need a new direction
-        cusp = on_cusp(model, x[fresh])
-        active[fresh[cusp]] = False
-        fresh = fresh[~cusp]
         if len(fresh):
+            cusp = on_cusp(model, x[fresh])
+            active[fresh[cusp]] = False
+            fresh = fresh[~cusp]
             g = gradient(model, x[fresh])
             norm = np.linalg.norm(g, axis=1)
             active[fresh[norm == 0.0]] = False
@@ -292,9 +292,10 @@ def _newton(model, seeds, box, cusp_positions, g_tol, max_iter=80):
         x[idx] += step
         done = idx[norm < 1e-12 * (1.0 + np.linalg.norm(x[idx], axis=1))]
         active[done] = False
-        good = _rows_inside(box, x[done]) & ~on_cusp(model, x[done])
-        good[good] = np.linalg.norm(gradient(model, x[done[good]]), axis=1) <= g_tol
-        converged[done[good]] = True
+        if len(done):
+            good = _rows_inside(box, x[done]) & ~on_cusp(model, x[done])
+            good[good] = np.linalg.norm(gradient(model, x[done[good]]), axis=1) <= g_tol
+            converged[done[good]] = True
     return x, converged
 
 
