@@ -300,6 +300,20 @@ def cmd_lst(args) -> int:
     return EXIT_OK
 
 
+# cube values: 6 per row in %13.5E, formatted a block of whole rows at a time
+CUBE_ROW = "%13.5E" * 6 + "\n"
+CUBE_BLOCK = 6 * 1365
+
+
+def _cube_rows(values):
+    """The cube's value rows as text, one string per CUBE_BLOCK values."""
+    for start in range(0, len(values), CUBE_BLOCK):
+        block = values[start : start + CUBE_BLOCK].tolist()
+        rows, rest = divmod(len(block), 6)
+        template = CUBE_ROW * rows + ("%13.5E" * rest + "\n" if rest else "")
+        yield template % tuple(block)
+
+
 def cmd_grid_export(args) -> int:
     counts = args.counts
     if any(c < 2 for c in counts):
@@ -328,10 +342,8 @@ def cmd_grid_export(args) -> int:
     idx = np.stack([ix.ravel(), iy.ravel(), iz.ravel()], axis=1)  # z fastest
     points = origin[None, :] + idx @ steps
     values = evaluate_many(model, points)
-    for start in range(0, len(values), 6):
-        chunk = values[start : start + 6]
-        lines.append("".join(f"{v:13.5E}" for v in chunk))
-    _write_output("\n".join(lines) + "\n", args.output)
+    header = "\n".join(lines) + "\n"
+    _write_output("".join([header, *_cube_rows(values)]), args.output)
     return EXIT_OK
 
 

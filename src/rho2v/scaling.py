@@ -8,8 +8,10 @@ is the unique monotone match of cumulative radial charges,
 
     Q_target(f(r)) = Q_source(r),    Q(r) = int_0^r 4 pi s^2 rho(s) ds,
 
-which is what gets solved here (bracketed bisection plus Newton polish per
-grid point); f' is then recovered algebraically from the Jacobian relation.
+which is what gets solved here, for all radii at once: one masked
+bracket-doubling pass, one safeguarded Newton-bisection iteration and one
+Newton polish over the whole grid, each calling the density callables on
+arrays; f' is then recovered algebraically from the Jacobian relation.
 Cumulative matching is unconditionally stable and monotone, unlike direct
 integration of the nonlinear ODE.
 
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc
 
 from .density import DensityModel, PrimitiveKind, RadialPrimitive
@@ -65,7 +66,8 @@ def _term_cumulative(prim: RadialPrimitive, r, complement: bool) -> np.ndarray:
 class RadialDensity:
     """Spherical density with its cumulative charge profile.
 
-    rho, cumulative, and complement are callables of r (scalar or array);
+    rho, cumulative, and complement are callables of r, scalar or array
+    (the solver passes 1-d arrays);
     complement(r) = electron_count - cumulative(r) evaluated in a form that
     stays relatively accurate in the tail.
     """
@@ -114,49 +116,99 @@ class RadialDensity:
         return cls(rho=rho, cumulative=cumulative, complement=complement, electron_count=electron_count)
 
 
-def _match_radius(source: RadialDensity, target: RadialDensity, r: float) -> float:
-    """Solve Q_target(f) = Q_source(r) for one radius."""
-    n_half = 0.5 * source.electron_count
-    q = float(source.cumulative(r))
-    use_complement = q > n_half
-    qc = float(source.complement(r)) if use_complement else None
+def _match_radii(source: RadialDensity, target: RadialDensity, r: np.ndarray) -> np.ndarray:
+    """Solve Q_target(f) = Q_source(r) for every radius of the 1-d array r at once.
 
-    if use_complement:
-        h = lambda x: qc - float(target.complement(x))  # increasing in x
-    else:
-        h = lambda x: float(target.cumulative(x)) - q
+    Each point matches on the cumulative, or on the complement where its
+    source charge is above N/2; either way the residual h(x) increases in x
+    with slope 4 pi x^2 rho_target(x).  The bracket (0, hi) comes from
+    doubling hi from max(r, 1e-6), the root from a masked Newton iteration
+    that bisects when a step is not finite, leaves the bracket or is more
+    than half the step before last, and a 4-step Newton polish ends it.
+    """
+    q = np.asarray(source.cumulative(r), dtype=float)
+    upper = q > 0.5 * source.electron_count
+    qc = np.asarray(source.complement(r), dtype=float)
 
-    hi = max(r, 1e-6)
+    def h(x, idx):
+        """Residual at the points idx, one callable call per representation."""
+        out = np.empty(len(idx))
+        up = upper[idx]
+        if up.any():
+            out[up] = qc[idx[up]] - np.asarray(target.complement(x[up]), dtype=float)
+        if not up.all():
+            low = ~up
+            out[low] = np.asarray(target.cumulative(x[low]), dtype=float) - q[idx[low]]
+        return out
+
+    def slope(x):
+        return 4.0 * math.pi * x * x * np.asarray(target.rho(x), dtype=float)
+
+    points = np.arange(len(r))
+    hi = np.maximum(r, 1e-6)
+    h_hi = np.empty(len(r))
+    pending = points
     for _ in range(200):
-        if h(hi) >= 0.0:
+        h_hi[pending] = h(hi[pending], pending)
+        pending = pending[~(h_hi[pending] >= 0.0)]
+        if pending.size == 0:
             break
-        hi *= 2.0
+        hi[pending] *= 2.0
     else:
         raise NonMonotoneCumulative(
-            f"target cumulative never reaches the source charge at r = {r:g}"
+            f"target cumulative never reaches the source charge at r = {r[pending[0]]:g}"
         )
-    if h(0.0) > 0.0:
-        raise NonMonotoneCumulative(f"no bracket below r = {r:g}; cumulative not increasing from 0")
+    h_0 = h(np.zeros(len(r)), points)
+    if np.any(h_0 > 0.0):
+        bad = r[np.argmax(h_0 > 0.0)]
+        raise NonMonotoneCumulative(f"no bracket below r = {bad:g}; cumulative not increasing from 0")
 
-    f = brentq(h, 0.0, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps, maxiter=200)
+    lo = np.zeros(len(r))
+    f = np.where(h_0 == 0.0, 0.0, np.where(h_hi == 0.0, hi, 0.5 * hi))
+    last_step = hi.copy()
+    step_before = hi.copy()  # the step before last_step
+    active = points[(h_0 != 0.0) & (h_hi != 0.0)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(200):
+            if active.size == 0:
+                break
+            x, a, b = f[active], lo[active], hi[active]
+            hx = h(x, active)
+            below = hx < 0.0
+            a, b = np.where(below, x, a), np.where(below, b, x)
+            newton = hx / slope(x)
+            x_new = x - newton
+            # far below the root on an exponential tail Newton creeps about one
+            # decay length per step; bisect unless steps shrink fast enough
+            slow = ~(np.abs(newton) <= 0.5 * step_before[active])
+            bisect = ~((a < x_new) & (x_new < b)) | slow
+            x_new = np.where(bisect, 0.5 * (a + b), x_new)
+            taken = np.abs(x_new - x)
+            done = (hx == 0.0) | (taken <= 1e-15 + 4.0 * np.finfo(float).eps * np.abs(x_new))
+            f[active] = np.where(hx == 0.0, x, x_new)
+            lo[active], hi[active] = a, b
+            step_before[active], last_step[active] = last_step[active], taken
+            active = active[~done]
 
-    # Newton polish on the same representation
-    for _ in range(4):
-        slope = 4.0 * math.pi * f * f * float(target.rho(f))
-        if slope <= 0.0:
-            break
-        step = h(f) / slope
-        if not math.isfinite(step) or abs(step) > 0.5 * max(f, 1e-6):
-            break
-        f -= step
-        if abs(step) <= 1e-16 * max(f, 1e-300):
-            break
+        # Newton polish on the same representation
+        active = points
+        for _ in range(4):
+            x = f[active]
+            s = slope(x)
+            newton = h(x, active) / s
+            ok = (s > 0.0) & np.isfinite(newton) & (np.abs(newton) <= 0.5 * np.maximum(x, 1e-6))
+            x = x - np.where(ok, newton, 0.0)
+            f[active] = x
+            active = active[ok & (np.abs(newton) > 1e-16 * np.maximum(x, 1e-300))]
+            if active.size == 0:
+                break
 
-    if float(target.rho(f)) == 0.0:
+    hole = np.asarray(target.rho(f), dtype=float) == 0.0
+    if np.any(hole):
         raise NonMonotoneCumulative(
-            f"target density vanishes at f = {f:g} (flat cumulative: density hole)"
+            f"target density vanishes at f = {f[np.argmax(hole)]:g} (flat cumulative: density hole)"
         )
-    return float(f)
+    return f
 
 
 @dataclass(frozen=True)
@@ -179,9 +231,9 @@ class LocalScalingMap:
 
     def map_at(self, r) -> np.ndarray:
         """Evaluate the deformation at arbitrary radii by re-solving."""
-        rs = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.array([_match_radius(self.source, self.target, float(x)) for x in rs])
-        return out[0] if np.ndim(r) == 0 else out
+        rs = np.asarray(r, dtype=float)
+        out = _match_radii(self.source, self.target, np.atleast_1d(rs))
+        return out[0] if rs.ndim == 0 else out
 
 
 def solve_scaling_map(source: RadialDensity, target: RadialDensity, grid=None) -> LocalScalingMap:
@@ -198,7 +250,7 @@ def solve_scaling_map(source: RadialDensity, target: RadialDensity, grid=None) -
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be positive and strictly increasing")
 
-    f = np.array([_match_radius(source, target, float(r)) for r in grid])
+    f = _match_radii(source, target, grid)
 
     rho_s = np.asarray(source.rho(grid), dtype=float)
     rho_t = np.asarray(target.rho(f), dtype=float)

@@ -9,6 +9,7 @@ import pytest
 from rho2v import cli
 from rho2v.audit import CUSP_CHECK_SEEDS
 from rho2v.cli import main
+from rho2v.density import evaluate_many
 from rho2v.errors import (
     EmptyResult,
     MassMismatch,
@@ -19,6 +20,7 @@ from rho2v.errors import (
     SpecError,
 )
 from rho2v.scaling import Q_RESIDUAL_TARGET
+from rho2v.specio import load_spec
 
 HYDROGEN = {
     "electron_count": 1,
@@ -252,6 +254,23 @@ def test_lst_identity(tmp_path):
         assert row["f"] == pytest.approx(row["r"], abs=1e-10)
 
 
+@pytest.mark.parametrize("power", [0, 2])
+def test_lst_gaussian_exponent_ratio(tmp_path, power):
+    # normalized Gaussians: Q depends on r only through alpha*r^2
+    def gaussian(alpha):
+        term = {"kind": "gaussian", "center": [0, 0, 0], "coefficient": 1.0, "exponent": alpha, "power": power}
+        return {"electron_count": 1, "terms": [term], "normalize": True}
+
+    s1 = write_spec(tmp_path, "g1.json", gaussian(0.3))
+    s2 = write_spec(tmp_path, "g2.json", gaussian(0.75))
+    out = tmp_path / "m.json"
+    assert run(["lst", s1, s2, "--output", str(out)]) == 0
+    rows = json.loads(out.read_text())["result"]["table"]
+    r = np.array([row["r"] for row in rows])
+    f = np.array([row["f"] for row in rows])
+    assert np.max(np.abs(f / (r * math.sqrt(0.3 / 0.75)) - 1.0)) <= 1e-10
+
+
 def test_lst_mass_mismatch_exit_4(tmp_path, capsys):
     s1 = write_spec(tmp_path, "n1.json", z_spec(1.0))
     s2 = write_spec(tmp_path, "n2.json", z_spec(1.0, electrons=2))
@@ -299,6 +318,22 @@ def test_grid_export_zero_density(tmp_path):
     lines = cube.read_text().splitlines()
     values = [float(v) for line in lines[6:] for v in line.split()]
     assert values == [0.0] * 8
+
+
+@pytest.mark.parametrize("counts", [(2, 2, 5), (17, 23, 21)])
+def test_grid_export_matches_per_value_formatting(tmp_path, counts):
+    # 20 values end in a partial row; 8211 cross a CUBE_BLOCK boundary and end in one
+    spec = write_spec(tmp_path, "h.json", z_spec(1.3, center=(0.2, -0.1, 0.4)))
+    cube = tmp_path / "m.cube"
+    origin, step = (-1.0, -1.5, -2.0), (0.25, 0.125, 0.2)
+    argv = ["grid-export", spec, "--counts", *map(str, counts), "--output", str(cube)]
+    assert run(argv + ["--origin", *map(str, origin), "--step", *map(str, step)]) == 0
+    idx = np.indices(counts).reshape(3, -1).T  # z fastest
+    values = evaluate_many(load_spec(spec)[0], np.asarray(origin) + idx * np.asarray(step))
+    rows = ["".join(f"{v:13.5E}" for v in values[i : i + 6]) for i in range(0, len(values), 6)]
+    text = cube.read_text()
+    assert text.splitlines()[7:] == rows
+    assert text.endswith(rows[-1] + "\n")
 
 
 def test_grid_export_counts_too_small(tmp_path):

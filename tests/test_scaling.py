@@ -2,16 +2,20 @@
 
 Hydrogenic oracle: Q_Z depends on r only through Z*r, so matching Z=1 onto
 Z=2 forces f(r) = r/2 exactly, and the transported Z=2 ground state is the
-Z=1 ground state in closed form.
+Z=1 ground state in closed form.  Likewise a normalized Gaussian's Q depends
+on r only through alpha*r^2, so between two of them f(r) = r*sqrt(a_s/a_t).
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from rho2v.density import PrimitiveKind, RadialPrimitive
 from rho2v.errors import MassMismatch, NonMonotoneCumulative
 from rho2v.scaling import (
+    Q_RESIDUAL_TARGET,
     RadialDensity,
     default_grid,
     solve_scaling_map,
@@ -47,6 +51,13 @@ def test_hydrogenic_map_is_half(map_1_to_2):
     assert np.max(m.q_residuals) <= 1e-10
 
 
+def test_steep_source_onto_wide_target():
+    # f reaches 300 bohr, deep in the target's tail, where a plain Newton step
+    # on the complement advances only about 1/(2 Z_target) per iteration
+    m = solve_scaling_map(RadialDensity.hydrogenic(15.0), RadialDensity.hydrogenic(1.0))
+    assert np.max(np.abs(m.f / (15.0 * m.grid) - 1.0)) <= 1e-10
+
+
 def test_identity_map():
     rd = RadialDensity.hydrogenic(1.3)
     m = solve_scaling_map(rd, RadialDensity.hydrogenic(1.3))
@@ -60,13 +71,68 @@ def test_map_starts_at_zero(map_1_to_2):
 
 
 def mixture_density(spec):
-    from rho2v.density import PrimitiveKind, RadialPrimitive
+    """Normalized concentric mixture of (coefficient, exponent, power) Slater
+    terms; an entry that leads with a PrimitiveKind is a term of that kind."""
+    spec = [entry if len(entry) == 4 else (PrimitiveKind.SLATER_S, *entry) for entry in spec]
+    prims = [RadialPrimitive(k, c, z, n) for k, c, z, n in spec]
+    scale = 1.0 / RadialDensity.from_primitives(prims).electron_count
+    return RadialDensity.from_primitives(RadialPrimitive(k, c * scale, z, n) for k, c, z, n in spec)
 
-    prims = [RadialPrimitive(PrimitiveKind.SLATER_S, c, z, n) for c, z, n in spec]
-    rd = RadialDensity.from_primitives(prims)
-    scale = 1.0 / rd.electron_count
-    prims = [RadialPrimitive(PrimitiveKind.SLATER_S, c * scale, z, n) for c, z, n in spec]
-    return RadialDensity.from_primitives(prims)
+
+def scalar_match_radius(source, target, r):
+    """Reference solver: one scalar brentq bracket solve plus Newton polish per radius."""
+    q = float(source.cumulative(r))
+    if q > 0.5 * source.electron_count:
+        qc = float(source.complement(r))
+        h = lambda x: qc - float(target.complement(x))
+    else:
+        h = lambda x: float(target.cumulative(x)) - q
+    hi = max(r, 1e-6)
+    while h(hi) < 0.0:
+        hi *= 2.0
+    f = brentq(h, 0.0, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps, maxiter=200)
+    for _ in range(4):
+        slope = 4.0 * math.pi * f * f * float(target.rho(f))
+        if slope <= 0.0:
+            break
+        step = h(f) / slope
+        if not math.isfinite(step) or abs(step) > 0.5 * max(f, 1e-6):
+            break
+        f -= step
+        if abs(step) <= 1e-16 * max(f, 1e-300):
+            break
+    return f
+
+
+def test_batched_solver_matches_scalar_reference():
+    slater, gauss = PrimitiveKind.SLATER_S, PrimitiveKind.GAUSSIAN
+    source = mixture_density(
+        [(slater, 1.0, 1.6, 0), (slater, 0.3, 0.9, 1), (slater, 0.2, 2.4, 2),
+         (gauss, 0.4, 0.8, 0), (gauss, 0.2, 1.7, 1), (gauss, 0.1, 0.5, 2)]
+    )
+    target = mixture_density(
+        [(slater, 0.7, 1.1, 0), (slater, 0.5, 2.0, 1), (slater, 0.1, 0.7, 2),
+         (gauss, 0.3, 1.2, 0), (gauss, 0.3, 0.6, 1), (gauss, 0.2, 2.2, 2)]
+    )
+    grid = default_grid(1e-3, 20.0, 2048)
+    m = solve_scaling_map(source, target, grid)
+    expected = np.array([scalar_match_radius(source, target, r) for r in grid])
+    assert np.max(np.abs(m.f - expected) / expected) <= 1e-14
+    assert np.all(m.q_residuals <= Q_RESIDUAL_TARGET)
+    assert np.array_equal(m.map_at(grid), m.f)
+    at_one = m.map_at(1.0)
+    assert np.ndim(at_one) == 0 and isinstance(at_one, float)
+    assert at_one == m.map_at(np.array([1.0]))[0]
+
+
+@pytest.mark.parametrize("power", [0, 2])
+def test_gaussian_map_is_exponent_ratio(power):
+    alpha_s, alpha_t = 0.3, 0.75
+    source = mixture_density([(PrimitiveKind.GAUSSIAN, 1.0, alpha_s, power)])
+    target = mixture_density([(PrimitiveKind.GAUSSIAN, 1.0, alpha_t, power)])
+    m = solve_scaling_map(source, target)
+    exact = m.grid * math.sqrt(alpha_s / alpha_t)
+    assert np.max(np.abs(m.f / exact - 1.0)) <= 1e-10
 
 
 def test_group_law():
@@ -124,8 +190,6 @@ def test_uniqueness_witness(map_1_to_2):
 
 def test_mass_mismatch():
     one = RadialDensity.hydrogenic(1.0)
-    from rho2v.density import PrimitiveKind, RadialPrimitive
-
     two = RadialDensity.from_primitives(
         [RadialPrimitive(PrimitiveKind.SLATER_S, 2.0 / math.pi, 1.0, 0)]
     )
@@ -150,3 +214,15 @@ def test_density_hole_raises():
     holed = RadialDensity.from_callables(rho, cumulative, 1.0)
     with pytest.raises(NonMonotoneCumulative):
         solve_scaling_map(holed, holed, grid=np.array([0.5, 1.5, 2.5]))
+
+
+def test_target_that_never_reaches_the_charge_raises():
+    # claims one electron, but its cumulative levels off at half of that
+    def rho(r):
+        r = np.asarray(r, dtype=float)
+        return 0.5 * np.exp(-r) / (4.0 * math.pi * r * r)
+
+    short = RadialDensity.from_callables(rho, lambda r: 0.5 * -np.expm1(-np.asarray(r, dtype=float)), 1.0)
+    # r = 0.5 holds 0.08 of the source's charge and is matched; r = 3 holds 0.94
+    with pytest.raises(NonMonotoneCumulative, match="never reaches the source charge at r = 3"):
+        solve_scaling_map(RadialDensity.hydrogenic(1.0), short, grid=np.array([0.5, 3.0]))
