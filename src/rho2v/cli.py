@@ -289,7 +289,9 @@ def cmd_lst(args) -> int:
         "jacobian_residual": mapping.jacobian_residual,
         "table": [
             {"r": r, "f": f, "f_prime": fp, "q_residual": q}
-            for r, f, fp, q in zip(mapping.grid, mapping.f, mapping.f_prime, mapping.q_residuals)
+            for r, f, fp, q in zip(
+                mapping.grid.tolist(), mapping.f.tolist(), mapping.f_prime.tolist(), mapping.q_residuals.tolist()
+            )
         ],
     }
     doc = make_report("lst", [args.spec_source, args.spec_target], tolerances, result)

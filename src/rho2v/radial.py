@@ -4,12 +4,19 @@ All integrands here decay exponentially (Slater) or super-exponentially
 (Gaussian), so Gauss-Laguerre rules with the weight matched to the
 integrand's own decay are used: for int_0^inf g(r) exp(-beta*r) dr only the
 non-exponential factor g is evaluated at the scaled nodes, which is exact
-whenever g is polynomial.  Gaussian radial moments use the generalized
-(power-weighted) Laguerre rule after t = alpha*r^2.
+whenever g is polynomial.  A Gaussian radial moment from 0 is a Gamma
+function in closed form; from lower > 0 it is a Laguerre integral after
+u = alpha*(r^2 - lower^2).
 
 Coulomb attraction of a spherical charge shell reduces by Newton's theorem
 to the 1/max(r, d) kernel, splitting each center pair into a finite
 Gauss-Legendre piece on [0, d] and a matched-decay tail on [d, inf).
+
+Both rules are built with numpy alone.  Laguerre nodes are the eigenvalues
+of the Jacobi matrix (Golub & Welsch, Math. Comp. 23 (1969) 221-230); one
+pass of the three-term recurrence then gives each node a Newton correction
+and its Christoffel weight 1/sum_k L_k(x)^2.  Legendre nodes come from a
+vectorised Newton iteration started at the asymptotic cosine guesses.
 """
 
 from __future__ import annotations
@@ -18,8 +25,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import roots_legendre
 
 from .density import DensityModel, NuclearFrame, PrimitiveKind, RadialPrimitive
 from .errors import QuadratureNotConverged
@@ -36,33 +41,68 @@ __all__ = [
 
 DEFAULT_NODES = 200
 CONVERGENCE_TOL = 1e-8
+# beyond this node e^(-x/2), the scale the recurrence starts from, nears
+# underflow; the weight e^(-x)/sum(...) there is 0 in double precision anyway
+_LAGUERRE_MAX_NODE = 1400.0
 
 
 @lru_cache(maxsize=64)
-def _genlaguerre(n: int, alpha: float = 0.0):
-    """Generalized Gauss-Laguerre nodes/weights by Golub-Welsch.
+def _genlaguerre(n: int):
+    """Gauss-Laguerre nodes/weights (weight e^-x on [0, inf)) by Golub-Welsch.
 
-    Built from the symmetric tridiagonal Jacobi matrix (diagonal
-    2i+alpha+1, off-diagonal sqrt(i(i+alpha))), which stays stable at node
-    counts where the recurrence-based evaluation overflows; tail weights
-    underflow harmlessly to zero.
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
+    (diagonal 2k+1, off-diagonal k).  One vectorised pass of the recurrence
+    (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}, carried with the factor
+    e^(-x/2) so that nothing overflows, then gives each node a Newton step
+    L_n / L_n' (with x L_n' = n (L_n - L_{n-1})) and its Christoffel weight
+    1 / sum_{k<n} L_k(x)^2.  Nodes above _LAGUERRE_MAX_NODE get weight 0.
     """
-    i = np.arange(n)
-    diag = 2.0 * i + alpha + 1.0
-    off = np.sqrt((i[1:]) * (i[1:] + alpha))
-    nodes, vectors = eigh_tridiagonal(diag, off)
-    weights = math.gamma(alpha + 1.0) * vectors[0, :] ** 2
+    jacobi = np.zeros((n, n))
+    jacobi.flat[:: n + 1] = 2.0 * np.arange(n) + 1.0
+    jacobi.flat[n :: n + 1] = -np.arange(1.0, n)
+    nodes = np.linalg.eigvalsh(jacobi, UPLO="L")
+    weights = np.zeros(n)
+    kept = nodes <= _LAGUERRE_MAX_NODE
+    x = nodes[kept]
+    k = np.arange(1.0, n)[:, None]
+    grow, fade = (2.0 * k + 1.0 - x) / (k + 1.0), (k / (k + 1.0)).ravel()
+    table = np.empty((n + 1, len(x)))  # row k: e^(-x/2) L_k(x)
+    table[0] = np.exp(-0.5 * x)
+    table[1] = (1.0 - x) * table[0]
+    for i in range(1, n):
+        np.multiply(grow[i - 1], table[i], out=table[i + 1])
+        table[i + 1] -= fade[i - 1] * table[i - 1]
+    weights[kept] = np.exp(-x) / np.einsum("ij,ij->j", table[:n], table[:n])
+    nodes[kept] = x - x * table[n] / (n * (table[n] - table[n - 1]))
     return nodes, weights
 
 
 @lru_cache(maxsize=64)
 def _legendre(n: int):
-    return roots_legendre(n)
+    """Gauss-Legendre nodes/weights on [-1, 1], ascending, by Newton.
+
+    Every node iterates at once from x = (1 - (n-1)/(8 n^3)) cos(pi (k - 1/4)
+    / (n + 1/2)) with P_n from the three-term recurrence and
+    (1 - x^2) P_n' = n (P_{n-1} - x P_n), until no node moves by more than
+    1e-15; weights are 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    x = (1.0 - 0.125 * (n - 1.0) / n**3) * np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        prev, cur = np.ones_like(x), x.copy()
+        for j in range(2, n + 1):
+            prev, cur = cur, ((2.0 * j - 1.0) * x * cur - (j - 1.0) * prev) / j
+        one_minus_sq = (1.0 - x) * (1.0 + x)
+        slope = n * (prev - x * cur) / one_minus_sq
+        step = cur / slope
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    return x, 2.0 / (one_minus_sq * slope * slope)
 
 
 def integrate_decaying(g, beta: float, nodes: int = DEFAULT_NODES) -> float:
     """int_0^inf g(r) exp(-beta*r) dr with the weight matched to beta."""
-    x, w = _genlaguerre(nodes, 0.0)
+    x, w = _genlaguerre(nodes)
     return float(np.dot(w, g(x / beta)) / beta)
 
 
@@ -85,11 +125,10 @@ def radial_moment(prim: RadialPrimitive, m: int, nodes: int = DEFAULT_NODES, low
     alpha = prim.exponent
     if lower == 0.0:
         # t = alpha r^2:  (c / (2 alpha^{(p+1)/2})) int t^{(p-1)/2} e^{-t} dt
-        x, w = _genlaguerre(nodes, 0.5 * (p - 1))
-        return float(c / (2.0 * alpha ** (0.5 * (p + 1))) * np.sum(w))
+        return c * math.gamma(0.5 * (p + 1)) / (2.0 * alpha ** (0.5 * (p + 1)))
     # u = alpha (r^2 - lower^2); integrand analytic for lower > 0
     shift = math.exp(-alpha * lower * lower)
-    x, w = _genlaguerre(nodes, 0.0)
+    x, w = _genlaguerre(nodes)
     rsq = lower * lower + x / alpha
     return float(shift / (2.0 * alpha) * np.dot(w, c * rsq ** (0.5 * (p - 1))))
 

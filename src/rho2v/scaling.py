@@ -18,7 +18,11 @@ integration of the nonlinear ODE.
 Numerics: in the upper tail Q saturates at N in floating point, so the
 matching is performed on the complementary cumulative N - Q there (both
 sides are computed from relatively accurate incomplete-gamma forms), which
-keeps f at full relative precision across the whole grid.
+keeps f at full relative precision across the whole grid.  The regularized
+incomplete gamma functions are computed here with numpy: a power series for
+P below x = a, and from there on the finite sum Q = e^-x sum_{k<a} x^k/k!
+for integer orders (Slater terms, Gaussian terms of odd power) or
+erfc(sqrt x) plus the half-integer sum (Gaussian terms of even power).
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
 from .density import DensityModel, PrimitiveKind, RadialPrimitive
 from .errors import MassMismatch, NonMonotoneCumulative
@@ -48,18 +51,81 @@ def default_grid(r_min: float = 1e-3, r_max: float = 20.0, points: int = 256) ->
     return np.geomspace(r_min, r_max, points)
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _upper_sum(a: float, x: np.ndarray) -> np.ndarray:
+    """Q(a, x) for integer or half-integer a >= 1/2 from the finite sum
+
+        Q(a, x) = Q(s0, x) + e^-x x^s0 sum_{s0 <= s < a} x^(s - s0) / Gamma(s + 1),
+
+    with s0 = 0 and Q(0, x) = 0 for integer a, s0 = 1/2 and
+    Q(1/2, x) = erfc(sqrt x) otherwise; every term is positive."""
+    half = a != math.floor(a)
+    s0 = 0.5 if half else 0.0
+    total = np.ones_like(x)  # Horner form of the sum, innermost term first
+    for s in np.arange(a - 1.0, s0, -1.0):
+        total *= x / s
+        total += 1.0
+    if not half:
+        return np.exp(-x) * total
+    root = np.sqrt(x)
+    return _erfc(root).astype(float) + np.exp(-x) * root * total / math.gamma(1.5)
+
+
+def _lower_series(a: float, x: np.ndarray) -> np.ndarray:
+    """P(a, x) = x^a e^-x / Gamma(a + 1) * sum_k x^k / ((a + 1) ... (a + k)).
+
+    The sum runs in Horner form to the term count that the largest x
+    needs (it converges last); every coefficient is positive."""
+    x_max, coefficients, term = float(x.max()), [1.0], 1.0
+    while term > 1e-17:  # term: the last coefficient times x_max^k
+        k = len(coefficients)
+        coefficients.append(coefficients[-1] / (a + k))
+        term *= x_max / (a + k)
+    total = np.full_like(x, coefficients.pop())
+    for c in reversed(coefficients):
+        total *= x
+        total += c
+    return x**a * np.exp(-x) * total / math.gamma(a + 1.0)
+
+
+def _regularized_gamma(a: float, x, complement: bool) -> np.ndarray:
+    """Q(a, x) if complement else P(a, x), for integer or half-integer a and x >= 0.
+
+    Below x = a the series gives P accurately and Q = 1 - P stays above
+    about 0.4; from x = a on the finite sum gives Q, and P = 1 - Q stays
+    above about 0.5.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    low = flat < a
+    n_low = np.count_nonzero(low)
+    if n_low == 0:
+        q = _upper_sum(a, flat)
+        out = q if complement else 1.0 - q
+    elif n_low == len(flat):
+        p = _lower_series(a, flat)
+        out = 1.0 - p if complement else p
+    else:
+        out = np.empty_like(flat)
+        p, q = _lower_series(a, flat[low]), _upper_sum(a, flat[~low])
+        out[low] = 1.0 - p if complement else p
+        out[~low] = q if complement else 1.0 - q
+    return out.reshape(x.shape)
+
+
 def _term_cumulative(prim: RadialPrimitive, r, complement: bool) -> np.ndarray:
     """int over the ball (or its complement) of one radial primitive."""
     r = np.asarray(r, dtype=float)
     c, n = prim.coefficient, prim.power
-    inc = gammaincc if complement else gammainc
     if prim.kind is PrimitiveKind.SLATER_S:
         b = 2.0 * prim.exponent
         a = n + 3
-        return 4.0 * math.pi * c * math.gamma(a) * inc(a, b * r) / b**a
+        return 4.0 * math.pi * c * math.gamma(a) * _regularized_gamma(a, b * r, complement) / b**a
     alpha = prim.exponent
     a = 0.5 * (n + 3)
-    return 4.0 * math.pi * c * math.gamma(a) * inc(a, alpha * r * r) / (2.0 * alpha**a)
+    return 4.0 * math.pi * c * math.gamma(a) * _regularized_gamma(a, alpha * r * r, complement) / (2.0 * alpha**a)
 
 
 @dataclass(frozen=True)
@@ -116,6 +182,26 @@ class RadialDensity:
         return cls(rho=rho, cumulative=cumulative, complement=complement, electron_count=electron_count)
 
 
+def _source_charges(source: RadialDensity, r: np.ndarray):
+    """(Q_source(r), N - Q_source(r), upper) where upper marks the radii matched
+    on the complement: those whose source charge is above N/2."""
+    q = np.asarray(source.cumulative(r), dtype=float)
+    return q, np.asarray(source.complement(r), dtype=float), q > 0.5 * source.electron_count
+
+
+def _residual(target: RadialDensity, x: np.ndarray, q, qc, upper) -> np.ndarray:
+    """Q_target(x) - q, or (N - q) - (N - Q_target(x)) where upper; increasing in x.
+
+    One callable call per representation."""
+    out = np.empty(len(x))
+    if upper.any():
+        out[upper] = qc[upper] - np.asarray(target.complement(x[upper]), dtype=float)
+    if not upper.all():
+        low = ~upper
+        out[low] = np.asarray(target.cumulative(x[low]), dtype=float) - q[low]
+    return out
+
+
 def _match_radii(source: RadialDensity, target: RadialDensity, r: np.ndarray) -> np.ndarray:
     """Solve Q_target(f) = Q_source(r) for every radius of the 1-d array r at once.
 
@@ -126,20 +212,10 @@ def _match_radii(source: RadialDensity, target: RadialDensity, r: np.ndarray) ->
     that bisects when a step is not finite, leaves the bracket or is more
     than half the step before last, and a 4-step Newton polish ends it.
     """
-    q = np.asarray(source.cumulative(r), dtype=float)
-    upper = q > 0.5 * source.electron_count
-    qc = np.asarray(source.complement(r), dtype=float)
+    q, qc, upper = _source_charges(source, r)
 
     def h(x, idx):
-        """Residual at the points idx, one callable call per representation."""
-        out = np.empty(len(idx))
-        up = upper[idx]
-        if up.any():
-            out[up] = qc[idx[up]] - np.asarray(target.complement(x[up]), dtype=float)
-        if not up.all():
-            low = ~up
-            out[low] = np.asarray(target.cumulative(x[low]), dtype=float) - q[idx[low]]
-        return out
+        return _residual(target, x, q[idx], qc[idx], upper[idx])
 
     def slope(x):
         return 4.0 * math.pi * x * x * np.asarray(target.rho(x), dtype=float)
@@ -181,7 +257,9 @@ def _match_radii(source: RadialDensity, target: RadialDensity, r: np.ndarray) ->
             # far below the root on an exponential tail Newton creeps about one
             # decay length per step; bisect unless steps shrink fast enough
             slow = ~(np.abs(newton) <= 0.5 * step_before[active])
-            bisect = ~((a < x_new) & (x_new < b)) | slow
+            # a step below the float spacing leaves x_new on the bracket end
+            # x just became: that is convergence, not an escape
+            bisect = ~(((a < x_new) & (x_new < b)) | (x_new == x)) | slow
             x_new = np.where(bisect, 0.5 * (a + b), x_new)
             taken = np.abs(x_new - x)
             done = (hx == 0.0) | (taken <= 1e-15 + 4.0 * np.finfo(float).eps * np.abs(x_new))
@@ -218,7 +296,9 @@ class LocalScalingMap:
     f_prime comes from the Jacobian relation; jacobian_residual instead
     differentiates the solved f numerically, so it measures how well the
     discrete map satisfies the defining ODE (a consistency diagnostic, not
-    an error bound on f).
+    an error bound on f).  q_residuals is the relative mismatch of the
+    matched charges, |Q_target(f) - Q_source(r)| / Q_source(r), or the same
+    for the complements N - Q where a radius was matched on the complement.
     """
 
     source: RadialDensity
@@ -257,9 +337,12 @@ def solve_scaling_map(source: RadialDensity, target: RadialDensity, grid=None) -
     with np.errstate(divide="ignore", invalid="ignore"):
         f_prime = np.where(rho_t > 0.0, grid**2 * rho_s / (f**2 * rho_t), np.inf)
 
-    q_residuals = np.abs(
-        np.asarray(target.cumulative(f), dtype=float) - np.asarray(source.cumulative(grid), dtype=float)
-    )
+    # relative, in the representation each radius was matched on: in the
+    # upper tail both cumulatives round to N and only the complements show
+    # an error in f, and near either end the charge itself is tiny
+    q, qc, upper = _source_charges(source, grid)
+    matched = np.where(upper, qc, q)
+    q_residuals = np.abs(_residual(target, f, q, qc, upper)) / np.where(matched > 0.0, matched, 1.0)
 
     # ODE-consistency diagnostic with an independent (finite-difference)
     # derivative of the solved map, taken in log r for uniform stencils

@@ -164,15 +164,13 @@ def _sha256(path) -> str:
 
 
 def _jsonable(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     return str(obj)
 
@@ -188,5 +186,46 @@ def make_report(command: str, input_paths, tolerances: dict, result: dict) -> di
     }
 
 
+# stands in for result["table"] while json dumps the rest of the report
+_TABLE = "\0table"
+
+
+def _json_float(x: float) -> str:
+    if math.isnan(x):
+        return "NaN"
+    return repr(x) if math.isfinite(x) else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _float_rows(rows) -> bool:
+    """rows is a nonempty list of dicts with the same keys and float values."""
+    if not isinstance(rows, list) or not rows or not isinstance(rows[0], dict):
+        return False
+    keys = rows[0].keys()
+    return all(
+        isinstance(row, dict) and row.keys() == keys and all(type(v) is float for v in row.values())
+        for row in rows
+    )
+
+
 def render_report(report: dict, indent: int = 2) -> str:
-    return json.dumps(report, indent=indent, sort_keys=True) + "\n"
+    """json.dumps(report, indent=indent, sort_keys=True) and a newline, byte for byte.
+
+    With an indent json runs its pure-Python encoder, which is slow on long
+    tables.  So a result "table" of float rows (lst) is filled into one row
+    template, as the cube text is, and put in place of a marker in the dump
+    of the rest of the report.
+    """
+    result = report.get("result")
+    rows = result.get("table") if isinstance(result, dict) else None
+    if not isinstance(indent, int) or not _float_rows(rows):
+        return json.dumps(report, indent=indent, sort_keys=True) + "\n"
+    keys = sorted(rows[0])
+    values = [row[k] for row in rows for k in keys]
+    if not all(map(math.isfinite, values)):
+        values = [_json_float(v) for v in values]
+    step = " " * indent  # as json spells an int indent; items of the table sit 3 levels deep
+    item, field = "\n" + step * 3, "\n" + step * 4
+    row = item + "{" + ",".join(f"{field}{json.dumps(k).replace('%', '%%')}: %s" for k in keys) + item + "}"
+    table = "[" + ",".join([row] * len(rows)) % tuple(values) + "\n" + step * 2 + "]"
+    text = json.dumps({**report, "result": {**result, "table": _TABLE}}, indent=indent, sort_keys=True)
+    return text.replace(json.dumps(_TABLE), table, 1) + "\n"

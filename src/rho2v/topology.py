@@ -4,11 +4,10 @@ Two families of stationary features are distinguished:
 
   * cusp maxima -- kinks of the mixture at Slater centers, detected by a
     strictly negative one-sided log-derivative of the spherical average;
-    the gradient is undefined at the kink itself, so the ascent stops on
-    it and a gradient-direction ray pursuit refines the position (away
-    from the kink the gradient of the dominant cusped term points almost
-    exactly at the center, so a 1D line maximization per step converges
-    fast);
+    the gradient is undefined at the kink itself, so the ascent stops
+    next to it, and a batched compass search (six axis steps per point,
+    halved when none is uphill) settles every cusp onto its kink down to a
+    1e-14 bohr step;
   * smooth critical points (non-nuclear maxima, saddles, minima), found
     by safeguarded Newton iteration on grad rho = 0 and classified by the
     rank and signature of the Hessian spectrum.
@@ -30,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .density import DensityModel, evaluate, evaluate_many, gradient, gradient_and_hessian, hessian, on_cusp
 from .errors import AtCuspSingularity, EmptyResult, ZeroCenterValue
@@ -55,6 +53,10 @@ GRAD_TOL = 1e-6
 DEFAULT_SEEDS = 8
 MIN_SEEDS = 4
 DEDUPE_RADIUS = 1e-4
+# the seed ascent stops below this step; on cusps a compass search goes on to the next
+ASCENT_MIN_STEP = 1e-8
+CUSP_MIN_STEP = 1e-14
+_AXES = np.concatenate([np.eye(3), -np.eye(3)])
 # Newton is disabled this close to a detected non-smooth point
 CUSP_EXCLUSION = 1e-2
 # relative Hessian eigenvalue floor for rank counting
@@ -169,7 +171,7 @@ def _rows_inside(box: np.ndarray, x: np.ndarray, slack: float = 1e-6) -> np.ndar
     return np.all((x >= box[0] - slack) & (x <= box[1] + slack), axis=1)
 
 
-def _ascend(model, seeds, box, min_step=1e-8, max_iter=500):
+def _ascend(model, seeds, box, min_step=ASCENT_MIN_STEP, max_iter=500):
     """Gradient ascent from every seed at once; (endpoints (S, 3), kept (S,)).
 
     Each seed steps along its normalized gradient with its own step length,
@@ -209,38 +211,27 @@ def _ascend(model, seeds, box, min_step=1e-8, max_iter=500):
     return x, _rows_inside(box, x) & (f > 0.0)
 
 
-def _pursue_cusp(model, x0, initial_scale=1e-2, max_iter=60):
-    """Refine a cusp position by repeated line maximization along the gradient.
+def _settle(model, points, step, min_step, max_iter=2000):
+    """Compass search from every point at once; the settled points (S, 3).
 
-    Near a kink the gradient of the cusped term dominates and points at the
-    center, so each bounded 1D maximization along it lands nearly on top of
-    the cusp; iteration is superlinear in the remaining distance.
-    """
-    x = np.asarray(x0, dtype=float)
-    scale = initial_scale
+    Each point moves to the best uphill one of its six axis steps, or halves
+    its step when none is uphill, until the step is below min_step.  Needing
+    no gradient, it goes on inside the CENTER_EPS ball of a cusp."""
+    x = np.array(points, dtype=float).reshape(-1, 3)
+    f = evaluate_many(model, x)
+    h = np.full(len(x), float(step))
+    idx = np.arange(len(x))
     for _ in range(max_iter):
-        try:
-            g = gradient(model, x)
-        except AtCuspSingularity:
-            return x  # sitting on the center itself
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
-            return x
-        u = g / gn
-        res = minimize_scalar(
-            lambda t: -evaluate(model, x + t * u),
-            bounds=(0.0, 2.0 * scale),
-            method="bounded",
-            options={"xatol": 1e-14},
-        )
-        t = float(res.x)
-        if t >= 1.9 * scale:  # maximum beyond the bracket; widen and retry
-            scale *= 4.0
-            continue
-        if t <= 1e-13:
-            return x
-        x = x + t * u
-        scale = max(t * 0.5, 1e-12)
+        if not len(idx):
+            break
+        trial = x[idx, None] + h[idx, None, None] * _AXES
+        f_trial = evaluate_many(model, trial.reshape(-1, 3)).reshape(-1, len(_AXES))
+        best = np.argmax(f_trial, axis=1)
+        f_best = f_trial[np.arange(len(idx)), best]
+        up = f_best > f[idx]
+        x[idx[up]], f[idx[up]] = trial[up, best[up]], f_best[up]
+        h[idx[~up]] *= 0.5
+        idx = idx[h[idx] >= min_step]
     return x
 
 
@@ -300,13 +291,19 @@ def _newton(model, seeds, box, cusp_positions, g_tol, max_iter=80):
 
 
 def _dedupe(candidates, model, radius):
-    """Keep the highest-density representative per cluster, canonically."""
-    scored = list(zip(evaluate_many(model, np.reshape(candidates, (-1, 3))), candidates))
-    scored.sort(key=lambda s: (-s[0], s[1][0], s[1][1], s[1][2]))
-    kept: list[np.ndarray] = []
-    for _, x in scored:
-        if all(np.linalg.norm(x - y) > radius for y in kept):
-            kept.append(x)
+    """Keep the highest-density representative per cluster, canonically.
+
+    In rank order (-density, x, y, z) a candidate is kept when it is farther
+    than radius from every candidate kept before it."""
+    x = np.reshape(candidates, (-1, 3))
+    rank = np.lexsort((x[:, 2], x[:, 1], x[:, 0], -evaluate_many(model, x)))
+    x = x[rank]
+    alive = np.ones(len(x), dtype=bool)
+    kept = []
+    while alive.any():
+        best = int(np.argmax(alive))
+        kept.append(x[best])
+        alive &= np.linalg.norm(x - x[best], axis=1) > radius
     return kept
 
 
@@ -323,9 +320,10 @@ def find_critical_points(
 
     From every seed of a uniform grid over the search box at once, a batched
     gradient ascent collects maxima.  Maxima whose spherical average has a
-    negative one-sided slope are cusps, refined by ray pursuit; the others
-    are polished by Newton.  A batched safeguarded Newton iteration from the
-    grid seeds and from seeds between every pair of maxima then collects
+    negative one-sided slope are cusps, settled onto the kink by a compass
+    search down to a CUSP_MIN_STEP step; the others are polished by Newton.
+    A batched safeguarded Newton iteration from the grid seeds and from
+    seeds between every pair of maxima then collects
     the smooth stationary points; it is kept out of a 1e-2 bohr exclusion
     ball around each cusp.  Survivors are deduplicated within dedupe_radius
     (highest density wins, ties broken by lexicographic position),
@@ -350,7 +348,8 @@ def find_critical_points(
     if not kept.any():
         raise EmptyResult("no seed converged; model appears flat or degenerate")
 
-    # probe cusp-ness of each candidate maximum cluster, then polish
+    # probe cusp-ness of each candidate maximum cluster, then polish: a
+    # compass search from the ascent's last step on the cusps, Newton on the rest
     cusps: list[np.ndarray] = []
     maxima: list[np.ndarray] = []
     for x in _dedupe(ends[kept], model, radius=max(dedupe_radius, 1e-3)):
@@ -359,10 +358,8 @@ def find_critical_points(
             cusp_like = probe.log_derivative < -tau_cusp
         except ZeroCenterValue:
             cusp_like = False
-        if cusp_like:
-            cusps.append(_pursue_cusp(model, x))
-        else:
-            maxima.append(x)
+        (cusps if cusp_like else maxima).append(x)
+    cusps = list(_settle(model, cusps, ASCENT_MIN_STEP, CUSP_MIN_STEP))
     polished, ok = _newton(model, maxima, box, cusps, g_tol)
     smooth = list(np.where(ok[:, None], polished, np.reshape(maxima, (-1, 3))))
 

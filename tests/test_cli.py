@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rho2v
 from rho2v import cli
 from rho2v.audit import CUSP_CHECK_SEEDS
 from rho2v.cli import main
@@ -20,7 +25,7 @@ from rho2v.errors import (
     SpecError,
 )
 from rho2v.scaling import Q_RESIDUAL_TARGET
-from rho2v.specio import load_spec
+from rho2v.specio import load_spec, render_report
 
 HYDROGEN = {
     "electron_count": 1,
@@ -428,3 +433,61 @@ def test_report_round_trips(tmp_path):
     assert run(["verify-cusp", spec, "--output", str(out)]) == 0
     text = out.read_text()
     assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+
+
+GAUSSIAN = {
+    "electron_count": 1,
+    "terms": [{"kind": "gaussian", "center": [0, 0, 0], "coefficient": 1.0, "exponent": 0.8}],
+}
+MIXTURE = {
+    "electron_count": 1,
+    "normalize": True,
+    "terms": [
+        {"kind": "slater_s", "center": [0, 0, 0], "coefficient": 0.7, "exponent": 1.3},
+        {"kind": "gaussian", "center": [0, 0, 0], "coefficient": 0.2, "exponent": 0.6, "power": 2},
+    ],
+}
+
+
+@pytest.mark.parametrize("indent", [0, 2, 4])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("invert", "h", "--seeds", "5"),
+        ("invert", "g", "--seeds", "5"),
+        ("verify-cusp", "h"),
+        ("audit", "h", "z2"),
+        ("lst", "h", "z2", "--grid-points", "64"),
+        ("lst", "mix", "h", "--grid-points", "64"),
+    ],
+)
+def test_reports_are_json_dumps_byte_for_byte(tmp_path, command, indent):
+    specs = {"h": HYDROGEN, "g": GAUSSIAN, "z2": z_spec(2.0), "mix": MIXTURE}
+    argv = [write_spec(tmp_path, f"{a}.json", specs[a]) if a in specs else a for a in command]
+    out = tmp_path / "report.json"
+    assert run([*argv, "--json-indent", str(indent), "--output", str(out)]) in (0, 2)
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=indent, sort_keys=True) + "\n"
+
+
+def test_lst_table_rendering_spells_non_finite_values_as_json():
+    rows = [
+        {"r": r, "f": 0.5 * r, "f_prime": fp, "q_residual": 1e-16 * r}
+        for r, fp in zip([0.1, 0.2, 0.3, 0.4], [0.5, math.inf, -math.inf, math.nan])
+    ]
+    report = {"tool": "rho2v", "command": "lst", "result": {"electron_count": 1.0, "table": rows}}
+    for indent in (0, 2, 4):
+        text = render_report(report, indent)
+        assert text == json.dumps(report, indent=indent, sort_keys=True) + "\n"
+        assert "Infinity" in text and "NaN" in text
+    # rows that are not all floats under the same keys go through json as they are
+    rows[1] = {"r": 1, "f": 0.5}
+    assert render_report(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, rho2v.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(rho2v.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ expected contamination of every Z estimate is computable in closed form.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -260,3 +261,17 @@ def test_slater_vs_matched_gaussian():
     assert verdict.failure2 is not None  # Gaussian side has no cusp signature
     assert verdict.report2 is None
     assert verdict.case == "II"
+
+
+@pytest.mark.parametrize("index", range(len(RIGID_FRAMES)))
+def test_reconstruction_ignores_term_order(index):
+    base = rigid_base_report(index)
+    model = model_from_frame(NuclearFrame(*map(np.array, RIGID_FRAMES[index])))
+    for order in list(itertools.permutations(range(len(model.terms))))[1:]:
+        shuffled = DensityModel(
+            terms=tuple(model.terms[i] for i in order), electron_count=model.electron_count, frame=model.frame
+        )
+        report = reconstruct_potential(shuffled)
+        assert len(report.charges) == len(base.charges)
+        assert np.max(np.abs(report.positions - base.positions)) <= 1e-12
+        assert np.max(np.abs(report.charges / base.charges - 1.0)) <= 1e-9

@@ -11,8 +11,10 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import gammainc, gammaincc
 
 from rho2v.density import PrimitiveKind, RadialPrimitive
+from rho2v import scaling
 from rho2v.errors import MassMismatch, NonMonotoneCumulative
 from rho2v.scaling import (
     Q_RESIDUAL_TARGET,
@@ -226,3 +228,29 @@ def test_target_that_never_reaches_the_charge_raises():
     # r = 0.5 holds 0.08 of the source's charge and is matched; r = 3 holds 0.94
     with pytest.raises(NonMonotoneCumulative, match="never reaches the source charge at r = 3"):
         solve_scaling_map(RadialDensity.hydrogenic(1.0), short, grid=np.array([0.5, 3.0]))
+
+
+@pytest.mark.parametrize("a", np.arange(1.5, 6.5, 0.5))
+def test_regularized_gamma_matches_scipy(a):
+    x = np.concatenate([np.geomspace(1e-6, 200.0, 2000), [a - 1e-12, a, a + 1e-12]])
+    p, q = scaling._regularized_gamma(a, x, False), scaling._regularized_gamma(a, x, True)
+    tiny = np.finfo(float).tiny
+    assert np.max(np.abs(p - gammainc(a, x)) / np.maximum(gammainc(a, x), tiny)) <= 1e-13
+    assert np.max(np.abs(q - gammaincc(a, x)) / np.maximum(gammaincc(a, x), tiny)) <= 1e-13
+    assert scaling._regularized_gamma(a, 0.0, False) == 0.0 and scaling._regularized_gamma(a, 0.0, True) == 1.0
+
+
+def test_q_residual_sees_an_upper_tail_error(monkeypatch):
+    # out to r = 40 the source complement falls below 1e-30, so both plain
+    # cumulatives round to N there and cannot show an error in f
+    source, target = RadialDensity.hydrogenic(1.0), RadialDensity.hydrogenic(2.0)
+    grid = default_grid(1e-3, 40.0, 256)
+    assert np.all(solve_scaling_map(source, target, grid).q_residuals <= Q_RESIDUAL_TARGET)
+    upper = source.cumulative(grid) > 0.5
+    saturated = upper & (target.cumulative(grid / 2.0) == 1.0)
+    assert saturated.sum() > 10
+    solve = scaling._match_radii
+    monkeypatch.setattr(scaling, "_match_radii", lambda s, t, r: solve(s, t, r) * np.where(upper, 1.0 + 1e-9, 1.0))
+    m = solve_scaling_map(source, target, grid)
+    assert np.all(m.q_residuals[upper] > Q_RESIDUAL_TARGET)
+    assert np.all(m.q_residuals[~upper] <= Q_RESIDUAL_TARGET)

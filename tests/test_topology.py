@@ -17,6 +17,7 @@ from rho2v.density import (
     PrimitiveKind,
     RadialPrimitive,
     evaluate,
+    evaluate_many,
     gradient,
     hessian,
     hydrogenic_model,
@@ -32,6 +33,7 @@ from rho2v.topology import (
     GRAD_TOL,
     CriticalKind,
     _ascend,
+    _dedupe,
     _fibonacci_directions,
     _gradient_norm_floor,
     _newton,
@@ -324,3 +326,28 @@ def test_batched_newton_matches_one_seed_at_a_time(dimer):
         assert ok.tolist() == [r is not None for r in reference]
         assert ok.sum() >= 10
         np.testing.assert_allclose(x[ok], [r for r in reference if r is not None], rtol=0, atol=1e-12)
+
+
+def dedupe_by_loop(candidates, model, radius):
+    """The rank-order pass that _dedupe replaces: keep each candidate farther
+    than radius from every candidate kept before it."""
+    scored = list(zip(evaluate_many(model, np.reshape(candidates, (-1, 3))), candidates))
+    scored.sort(key=lambda s: (-s[0], s[1][0], s[1][1], s[1][2]))
+    kept = []
+    for _, x in scored:
+        if all(np.linalg.norm(x - y) > radius for y in kept):
+            kept.append(x)
+    return kept
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_dedupe_keeps_the_winners_of_the_rank_order_pass(seed):
+    rng = np.random.default_rng(seed)
+    model = hydrogenic_model(1.0)  # spherical: mirror images tie on density
+    radius = 10.0 ** rng.uniform(-4, -1)
+    centers = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 8)), 3))
+    points = centers[rng.integers(0, len(centers), 60)] + rng.normal(0.0, radius, (60, 3))
+    points = np.concatenate([points, -points[:10], points[:10]])  # density ties, exact duplicates
+    points = points[rng.permutation(len(points))]
+    kept, expected = _dedupe(points, model, radius), dedupe_by_loop(points, model, radius)
+    assert np.array_equal(np.reshape(kept, (-1, 3)), np.reshape(expected, (-1, 3)))
