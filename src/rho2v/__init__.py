@@ -32,7 +32,6 @@ from .audit import (  # noqa: F401
     audit_pair,
     cross_energy,
     difference_integral,
-    ground_energy,
     potential_from_wavefunction,
 )
 from .inversion import (  # noqa: F401

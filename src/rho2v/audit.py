@@ -10,11 +10,12 @@ quadrature:
     difference integrals     int (v_1 - v_2) rho
 
 together with the identity cross = E_own + difference-integral that links
-them.  Constant potential shifts are carried as an explicit tagged offset
-so that "equal up to an additive constant" is testable exactly.  The audit
-classifies each pair into the four-way case split (I: same state, II: all
-different, III: structurally impossible, IV: same density under genuinely
-different potentials) and, in case IV, cross-checks the cusp machinery.
+them (the ground energy by quadrature is cross_energy(s, s)).  Constant
+potential shifts are carried as an explicit tagged offset so that "equal
+up to an additive constant" is testable exactly.  The audit classifies
+each pair into the four-way case split (I: same state, II: all different,
+III: structurally impossible, IV: same density under genuinely different
+potentials) and, in case IV, cross-checks the cusp machinery.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .density import DensityModel, NuclearFrame, hydrogenic_model
 from .errors import NodeEncountered
 from .inversion import IncompatibilityVerdict, incompatibility_check
-from .radial import DEFAULT_NODES, converged, frame_attraction, integrate_decaying, model_moment
+from .radial import converged, frame_attraction, integrate_decaying, model_moment
 
 __all__ = [
     "ExponentialWavefunction",
@@ -35,7 +36,6 @@ __all__ = [
     "OneElectronSystem",
     "PotentialTable",
     "HKAuditReport",
-    "ground_energy",
     "cross_energy",
     "difference_integral",
     "potential_from_wavefunction",
@@ -124,32 +124,19 @@ def _kinetic(system: OneElectronSystem, nodes: int) -> float:
     return integrate_decaying(lambda r: 2.0 * math.pi * z * z * a2 * r * r, 2.0 * z, nodes)
 
 
-def ground_energy(system: OneElectronSystem, method: str = "analytic", nodes: int = DEFAULT_NODES) -> float:
-    """Ground-state energy -Z^2/2 + offset; quadrature path for validation."""
-    if method == "analytic":
-        return system.energy
-    if method == "quadrature":
-        return converged(
-            lambda n: _kinetic(system, n) + frame_attraction(system.density, system.frame, n),
-            nodes,
-            label="ground energy",
-        ) + system.offset
-    raise ValueError(f"unknown method {method!r}")
-
-
-def cross_energy(psi_system: OneElectronSystem, potential_system: OneElectronSystem, nodes: int = DEFAULT_NODES) -> float:
+def cross_energy(psi_system: OneElectronSystem, potential_system: OneElectronSystem) -> float:
     """<psi_A | T + v_B | psi_A> by matched radial quadrature.
 
     For concentric hydrogenic pairs this equals Z_A^2/2 - Z_B*Z_A (plus
     B's offset).  Raises QuadratureNotConverged if doubling the node count
-    moves the result by more than 1e-8.
+    moves the result by more than radial.CONVERGENCE_TOL.
     """
     rho_a = psi_system.density
 
     def compute(n):
         return _kinetic(psi_system, n) + frame_attraction(rho_a, potential_system.frame, n)
 
-    return converged(compute, nodes, label="cross energy") + potential_system.offset
+    return converged(compute, label="cross energy") + potential_system.offset
 
 
 def difference_integral(
@@ -158,7 +145,6 @@ def difference_integral(
     rho: DensityModel,
     offset1: float = 0.0,
     offset2: float = 0.0,
-    nodes: int = DEFAULT_NODES,
 ) -> float:
     """int [v1(x) - v2(x)] rho(x) d^3x, offsets contributing (c1-c2)*N."""
 
@@ -167,7 +153,7 @@ def difference_integral(
         electrons = 4.0 * math.pi * model_moment(rho, 2, n)
         return attraction + (offset1 - offset2) * electrons
 
-    return converged(compute, nodes, label="difference integral")
+    return converged(compute, label="difference integral")
 
 
 @dataclass(frozen=True)
@@ -242,8 +228,8 @@ def audit_pair(system1: OneElectronSystem, system2: OneElectronSystem, tol: floa
     case IV finding triggers the cusp-machinery cross-check on the two
     densities.
     """
-    e1 = ground_energy(system1)
-    e2 = ground_energy(system2)
+    e1 = system1.energy
+    e2 = system2.energy
     cross12 = cross_energy(system2, system1)
     cross21 = cross_energy(system1, system2)
     rho1 = system1.density
@@ -269,7 +255,16 @@ def audit_pair(system1: OneElectronSystem, system2: OneElectronSystem, tol: floa
 
     notes = []
     cusp_check = None
-    if psi_eq and rho_eq:
+    # equal densities under different potentials is case IV whatever the
+    # wavefunctions say: at a loose tol they can pass as equal as well
+    if rho_eq and not pot_eq:
+        case = "IV"
+        cusp_check = incompatibility_check(rho1, rho2, seeds_per_axis=CUSP_CHECK_SEEDS)
+        notes.append(
+            "equal densities under potentials differing beyond a constant; "
+            "cusp reconstruction cross-check attached"
+        )
+    elif psi_eq and rho_eq:
         case = "I"
         if abs(system1.offset - system2.offset) > 0.0:
             notes.append(
@@ -281,13 +276,6 @@ def audit_pair(system1: OneElectronSystem, system2: OneElectronSystem, tol: floa
         notes.append(
             "structurally impossible: a wavefunction determines its density "
             "uniquely, so equal wavefunctions cannot carry different densities"
-        )
-    elif rho_eq and not pot_eq:
-        case = "IV"
-        cusp_check = incompatibility_check(rho1, rho2, seeds_per_axis=CUSP_CHECK_SEEDS)
-        notes.append(
-            "equal densities under potentials differing beyond a constant; "
-            "cusp reconstruction cross-check attached"
         )
     elif not rho_eq:
         case = "II"

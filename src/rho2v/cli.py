@@ -50,7 +50,16 @@ from .audit import AUDIT_TOL, CUSP_CHECK_SEEDS, OneElectronSystem, audit_pair
 from .inversion import CUSP_TOL, reconstruct_potential, verify_cusp_conditions
 from .lebedev import SUPPORTED_ORDERS
 from .radial import DEFAULT_NODES
-from .scaling import MASS_TOL, Q_RESIDUAL_TARGET, RadialDensity, default_grid, solve_scaling_map
+from .scaling import (
+    GRID_MAX,
+    GRID_MIN,
+    GRID_POINTS,
+    MASS_TOL,
+    Q_RESIDUAL_TARGET,
+    RadialDensity,
+    default_grid,
+    solve_scaling_map,
+)
 from .specio import load_spec, make_report, render_report, spec_offset
 from .spherical import DEFAULT_LEVELS, DEFAULT_ORDER, DEFAULT_R0, DEFAULT_SHRINK, DEFAULT_TOL
 from .topology import DEDUPE_RADIUS, DEFAULT_SEEDS, GRAD_TOL, MIN_SEEDS, TAU_CUSP
@@ -128,16 +137,12 @@ def cmd_invert(args) -> int:
     if args.seeds < MIN_SEEDS:
         raise OptionError(f"--seeds must be >= {MIN_SEEDS}")
     model, _ = load_spec(args.spec)
-    derivative_options = {"order": args.lebedev_order}
     tolerances = _tolerances(
         "radial_derivative", "topology", lebedev_order=args.lebedev_order, seeds=args.seeds
     )
     try:
         report = reconstruct_potential(
-            model,
-            seeds_per_axis=args.seeds,
-            snap_charges=args.snap_charges,
-            derivative_options=derivative_options,
+            model, seeds_per_axis=args.seeds, snap_charges=args.snap_charges, order=args.lebedev_order
         )
     except NoCuspsFound as err:
         result = {
@@ -191,9 +196,7 @@ def cmd_verify_cusp(args) -> int:
     model, _ = load_spec(args.spec)
     if model.frame is None:
         raise SpecError("frame: required by verify-cusp but missing from the spec")
-    verification = verify_cusp_conditions(
-        model, model.frame, tol=args.tol, derivative_options={"order": args.lebedev_order}
-    )
+    verification = verify_cusp_conditions(model, model.frame, tol=args.tol, order=args.lebedev_order)
     tolerances = _tolerances(
         "radial_derivative", "cusp_verification", lebedev_order=args.lebedev_order, cusp_tol=args.tol
     )
@@ -408,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec_source")
     p.add_argument("spec_target")
     _report_flags(p)
-    p.add_argument("--grid-min", type=float, default=1e-3)
-    p.add_argument("--grid-max", type=float, default=20.0)
-    p.add_argument("--grid-points", type=int, default=256)
+    p.add_argument("--grid-min", type=float, default=GRID_MIN)
+    p.add_argument("--grid-max", type=float, default=GRID_MAX)
+    p.add_argument("--grid-points", type=int, default=GRID_POINTS)
     p.add_argument("--table", default=None, help="also write a plain two-column r/f table")
     p.set_defaults(func=cmd_lst)
 

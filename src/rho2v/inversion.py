@@ -20,7 +20,7 @@ import numpy as np
 from .density import DensityModel, NuclearFrame, evaluate, evaluate_many
 from .errors import NoCuspsFound
 from .lebedev import lebedev_grid
-from .spherical import radial_derivative_at_center
+from .spherical import DEFAULT_ORDER, radial_derivative_at_center
 from .topology import DEFAULT_SEEDS, CriticalPoint, find_critical_points
 
 __all__ = [
@@ -41,6 +41,8 @@ __all__ = [
 MATCH_GATE = 0.5
 # relative residual allowed between the two sides of the cusp relation
 CUSP_TOL = 1e-2
+# max |rho1 - rho2| on the probe grid for "equal" densities
+DENSITY_TOL = 1e-6
 
 _PROBE_RADII = (0.1, 0.5, 1.0, 2.0, 4.0)
 _PROBE_ORDER = 26
@@ -94,8 +96,8 @@ class ReconstructionReport:
         return self.estimated_frame.potential(point, offset)
 
 
-def _match_centers(positions, charges, frame: NuclearFrame, gate: float = MATCH_GATE):
-    """Greedy nearest-neighbor assignment within a distance gate."""
+def _match_centers(positions, charges, frame: NuclearFrame):
+    """Greedy nearest-neighbor assignment within MATCH_GATE."""
     pairs = sorted(
         (float(np.linalg.norm(positions[i] - frame.positions[j])), i, j)
         for i in range(len(charges))
@@ -105,7 +107,7 @@ def _match_centers(positions, charges, frame: NuclearFrame, gate: float = MATCH_
     used_true: set[int] = set()
     matches = []
     for dist, i, j in pairs:
-        if dist > gate:
+        if dist > MATCH_GATE:
             break
         if i in used_est or j in used_true:
             continue
@@ -129,18 +131,19 @@ def _match_centers(positions, charges, frame: NuclearFrame, gate: float = MATCH_
 
 def reconstruct_potential(
     model: DensityModel,
-    search_box=None,
     seeds_per_axis: int = DEFAULT_SEEDS,
     snap_charges: bool = False,
-    **search_options,
+    order: int = DEFAULT_ORDER,
 ) -> ReconstructionReport:
     """Locate cusps, read off charges, and assemble the Coulomb frame.
 
-    Raises NoCuspsFound (carrying the smooth critical points that were
-    located) when the density has no cusp maxima: a cusp-free density
-    admits no Coulomb reconstruction.
+    The cusp search runs on a seeds_per_axis^3 grid and reads every charge
+    off a spherical average of Lebedev order `order`.  Raises NoCuspsFound
+    (carrying the smooth critical points that were located) when the
+    density has no cusp maxima: a cusp-free density admits no Coulomb
+    reconstruction.
     """
-    points = find_critical_points(model, search_box, seeds_per_axis, **search_options)
+    points = find_critical_points(model, seeds_per_axis, order)
     cusps = [p for p in points if p.is_cusp]
     skipped = tuple(
         SkippedPoint(
@@ -211,17 +214,18 @@ def verify_cusp_conditions(
     model: DensityModel,
     frame: NuclearFrame,
     tol: float = CUSP_TOL,
-    derivative_options: dict | None = None,
+    order: int = DEFAULT_ORDER,
 ) -> CuspVerification:
     """Check rho_av'(R_a) = -2 Z_a rho(R_a) at every claimed nucleus.
 
-    Failures are recorded in the per-center checks, never raised.
+    rho_av is averaged at Lebedev order `order`.  Failures are recorded in
+    the per-center checks, never raised.
     """
     if len(frame) == 0:
         raise ValueError("frame must contain at least one center")
     checks = []
     for pos, z in zip(frame.positions, frame.charges):
-        est = radial_derivative_at_center(model, pos, **(derivative_options or {}))
+        est = radial_derivative_at_center(model, pos, order=order)
         lhs = est.derivative
         rhs = -2.0 * float(z) * evaluate(model, pos)
         residual = abs(lhs - rhs)
@@ -258,7 +262,6 @@ class IncompatibilityVerdict:
     failure1: str | None
     failure2: str | None
     center_agreement: tuple = ()
-    tol: float = 1e-6
 
 
 def _detected_maxima(report: ReconstructionReport | None, failure_points) -> list[np.ndarray]:
@@ -280,18 +283,14 @@ def _probe_grid(centers) -> np.ndarray:
 
 
 def incompatibility_check(
-    model1: DensityModel,
-    model2: DensityModel,
-    search_box=None,
-    tol: float = 1e-6,
-    seeds_per_axis: int = DEFAULT_SEEDS,
-    **search_options,
+    model1: DensityModel, model2: DensityModel, seeds_per_axis: int = DEFAULT_SEEDS
 ) -> IncompatibilityVerdict:
     """Compare densities on a probe grid, then compare reconstructed frames.
 
     The probe grid is the union of small Lebedev shells around every
     detected maximum of both models, which concentrates the comparison
-    where either density is non-negligible.  A per-model reconstruction
+    where either density is non-negligible; the densities are equal when
+    they differ by at most DENSITY_TOL there.  A per-model reconstruction
     failure (NoCuspsFound) is recorded rather than raised.
     """
     reports: list[ReconstructionReport | None] = []
@@ -299,9 +298,7 @@ def incompatibility_check(
     failure_points = []
     for model in (model1, model2):
         try:
-            reports.append(
-                reconstruct_potential(model, search_box, seeds_per_axis, **search_options)
-            )
+            reports.append(reconstruct_potential(model, seeds_per_axis))
             failures.append(None)
             failure_points.append([])
         except NoCuspsFound as err:
@@ -315,7 +312,7 @@ def incompatibility_check(
     probes = _probe_grid(centers)
     diff = np.abs(evaluate_many(model1, probes) - evaluate_many(model2, probes))
     max_diff = float(diff.max()) if len(diff) else 0.0
-    densities_equal = max_diff <= tol
+    densities_equal = max_diff <= DENSITY_TOL
 
     agreement: tuple = ()
     if densities_equal and reports[0] is not None and reports[1] is not None:
@@ -363,5 +360,4 @@ def incompatibility_check(
         failure1=failures[0],
         failure2=failures[1],
         center_agreement=agreement,
-        tol=tol,
     )

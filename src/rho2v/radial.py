@@ -39,6 +39,8 @@ __all__ = [
     "converged",
 ]
 
+# converged() integrates at DEFAULT_NODES and twice that, and the two must
+# agree to CONVERGENCE_TOL; audit reports record the node count
 DEFAULT_NODES = 200
 CONVERGENCE_TOL = 1e-8
 # beyond this node e^(-x/2), the scale the recurrence starts from, nears
@@ -164,12 +166,13 @@ def frame_attraction(model: DensityModel, frame: NuclearFrame, nodes: int = DEFA
     return total
 
 
-def converged(compute, nodes: int = DEFAULT_NODES, tol: float = CONVERGENCE_TOL, label: str = "integral") -> float:
-    """Evaluate compute(nodes); doubling nodes must not move the result."""
-    coarse = compute(nodes)
-    fine = compute(2 * nodes)
-    if abs(fine - coarse) > tol:
+def converged(compute, label: str = "integral") -> float:
+    """compute(2 * DEFAULT_NODES), which must be within CONVERGENCE_TOL of
+    compute(DEFAULT_NODES); raises QuadratureNotConverged otherwise."""
+    coarse = compute(DEFAULT_NODES)
+    fine = compute(2 * DEFAULT_NODES)
+    if abs(fine - coarse) > CONVERGENCE_TOL:
         raise QuadratureNotConverged(
-            f"{label} moved by {abs(fine - coarse):.3e} when doubling nodes from {nodes}"
+            f"{label} moved by {abs(fine - coarse):.3e} when doubling nodes from {DEFAULT_NODES}"
         )
     return fine

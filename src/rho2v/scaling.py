@@ -45,9 +45,14 @@ __all__ = [
 
 MASS_TOL = 1e-10
 Q_RESIDUAL_TARGET = 1e-12
+# the default radial grid: GRID_POINTS radii spaced geometrically from
+# GRID_MIN to GRID_MAX bohr (also the defaults of `rho2v lst`)
+GRID_MIN = 1e-3
+GRID_MAX = 20.0
+GRID_POINTS = 256
 
 
-def default_grid(r_min: float = 1e-3, r_max: float = 20.0, points: int = 256) -> np.ndarray:
+def default_grid(r_min: float = GRID_MIN, r_max: float = GRID_MAX, points: int = GRID_POINTS) -> np.ndarray:
     return np.geomspace(r_min, r_max, points)
 
 

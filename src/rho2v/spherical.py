@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 194
+# the Richardson ladder: first radius, shrink factor, level cap and stopping
+# tolerance; fixed, and recorded under "radial_derivative" in every report
 DEFAULT_R0 = 1e-2
 DEFAULT_SHRINK = 0.5
 DEFAULT_LEVELS = 20
@@ -65,46 +67,35 @@ class RadialDerivativeEstimate:
     levels_used: int
 
 
-def radial_derivative_at_center(
-    model: DensityModel,
-    center,
-    r0: float = DEFAULT_R0,
-    shrink: float = DEFAULT_SHRINK,
-    max_levels: int = DEFAULT_LEVELS,
-    tol: float = DEFAULT_TOL,
-    order: int = DEFAULT_ORDER,
-) -> RadialDerivativeEstimate:
+def radial_derivative_at_center(model: DensityModel, center, order: int = DEFAULT_ORDER) -> RadialDerivativeEstimate:
     """Estimate d/dr rho_av(center; r) at r -> 0+ by Richardson extrapolation.
 
     Divided differences d_k = (rho_av(r_k) - rho(center)) / r_k satisfy
-    d_k = a1 + a2*r_k + a3*r_k^2 + ..., so with r_k = r0 * s^k successive
+    d_k = a1 + a2*r_k + a3*r_k^2 + ..., so with r_k = r0 * s^k (r0 =
+    DEFAULT_R0, s = DEFAULT_SHRINK, at most DEFAULT_LEVELS levels) successive
     powers of r are eliminated by
 
         T[k][j] = (T[k][j-1] - s^j * T[k-1][j-1]) / (1 - s^j).
 
-    Stops as soon as consecutive diagonal entries agree to tol relative to
-    rho(center) (equivalently: the log-derivative moves by less than tol);
-    early stopping also keeps the ladder away from the cancellation noise
-    floor of the divided differences.  When the diagonal differences start
-    growing instead (which happens once r_k shrinks to the scale of any
-    uncertainty in the center position), the ladder stops and the best
-    diagonal entry seen so far is returned.  If no pair of levels agrees to
-    tol the best estimate is returned with converged=False rather than
-    raising.
+    Stops as soon as consecutive diagonal entries agree to tol = DEFAULT_TOL
+    relative to rho(center) (equivalently: the log-derivative moves by less
+    than tol); early stopping also keeps the ladder away from the
+    cancellation noise floor of the divided differences.  When the diagonal
+    differences start growing instead (which happens once r_k shrinks to
+    the scale of any uncertainty in the center position), the ladder stops
+    and the best diagonal entry seen so far is returned.  If no pair of
+    levels agrees to tol the best estimate is returned with converged=False
+    rather than raising.
 
     Raises ZeroCenterValue when rho(center) <= 1e-30: the log-derivative
     is numerically meaningless there.
     """
-    if r0 <= 0.0:
-        raise ValueError(f"r0 must be > 0, got {r0}")
-    if not 0.0 < shrink < 1.0:
-        raise ValueError(f"shrink factor must lie in (0, 1), got {shrink}")
     c = np.asarray(center, dtype=float).reshape(3)
     rho0 = evaluate(model, c)
     if rho0 <= ZERO_VALUE_FLOOR:
         raise ZeroCenterValue(f"density at center is {rho0:g}; log-derivative undefined")
 
-    s = shrink
+    s = DEFAULT_SHRINK
     tableau: list[list[float]] = []
     best = 0.0
     best_uncertainty = np.inf
@@ -112,8 +103,8 @@ def radial_derivative_at_center(
     rising = 0
     prev_diff = np.inf
     k = 0
-    for k in range(max_levels):
-        r_k = r0 * s**k
+    for k in range(DEFAULT_LEVELS):
+        r_k = DEFAULT_R0 * s**k
         d_k = (spherical_average(model, c, r_k, order) - rho0) / r_k
         row = [d_k]
         for j in range(1, k + 1):
@@ -129,7 +120,7 @@ def radial_derivative_at_center(
         if diff < best_uncertainty:
             best = tableau[k][k]
             best_uncertainty = diff
-        if diff <= tol:
+        if diff <= DEFAULT_TOL:
             converged = True
             break
         # guard against the divided differences blowing up once the ladder

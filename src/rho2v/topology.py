@@ -32,7 +32,7 @@ import numpy as np
 
 from .density import DensityModel, evaluate, evaluate_many, gradient, gradient_and_hessian, hessian, on_cusp
 from .errors import AtCuspSingularity, EmptyResult, ZeroCenterValue
-from .spherical import radial_derivative_at_center
+from .spherical import DEFAULT_ORDER, radial_derivative_at_center
 
 __all__ = [
     "CriticalKind",
@@ -44,15 +44,22 @@ __all__ = [
     "find_critical_points",
 ]
 
+# TAU_CUSP, GRAD_TOL and DEDUPE_RADIUS are fixed; every report that ran the
+# search records them under "topology".
 # |log_derivative| above this marks a cusp: true nuclear cusps have
 # |2 Z| >= 2 while smooth maxima extrapolate to ~1e-9, six orders below.
 TAU_CUSP = 1e-3
-
+# a smooth point is stationary when |grad rho| is at most this
 GRAD_TOL = 1e-6
 # seed grid points per axis of the multistart search box
 DEFAULT_SEEDS = 8
 MIN_SEEDS = 4
+# candidates closer than this are one point
 DEDUPE_RADIUS = 1e-4
+# ascent end points closer than this are one maximum
+MAXIMA_MERGE_RADIUS = 1e-3
+# the search box is the centers' bounding box widened by this many decay lengths
+SEARCH_MARGIN = 3.0
 # the seed ascent stops below this step; on cusps a compass search goes on to the next
 ASCENT_MIN_STEP = 1e-8
 CUSP_MIN_STEP = 1e-14
@@ -89,12 +96,12 @@ class CriticalPoint:
         return self.kind is CriticalKind.CUSP_MAXIMUM
 
 
-def default_search_box(model: DensityModel, margin_factor: float = 3.0) -> np.ndarray:
-    """Bounding box of the term centers inflated by three decay lengths."""
+def default_search_box(model: DensityModel) -> np.ndarray:
+    """Bounding box of the term centers inflated by SEARCH_MARGIN decay lengths."""
     centers = model.centers
     if len(centers) == 0:
         raise EmptyResult("model has no terms to search")
-    margin = margin_factor * model.max_decay_length
+    margin = SEARCH_MARGIN * model.max_decay_length
     return np.array([centers.min(axis=0) - margin, centers.max(axis=0) + margin])
 
 
@@ -117,32 +124,34 @@ def _gradient_norm_floor(model: DensityModel, position: np.ndarray) -> float:
     return float(np.min(np.linalg.norm(gradient(model, probes), axis=1)))
 
 
-def classify(
-    model: DensityModel,
-    position,
-    tau_cusp: float = TAU_CUSP,
-    derivative_options: dict | None = None,
-) -> CriticalPoint:
+def _cusp_reading(model: DensityModel, x, order: int) -> tuple[float, bool]:
+    """(log-derivative of the spherical average at x, whether it marks a cusp).
+
+    A cusp has a log-derivative below -TAU_CUSP; where the density vanishes
+    the log-derivative reads 0.0, which is no cusp."""
+    try:
+        log_derivative = radial_derivative_at_center(model, x, order=order).log_derivative
+    except ZeroCenterValue:
+        log_derivative = 0.0
+    return log_derivative, log_derivative < -TAU_CUSP
+
+
+def classify(model: DensityModel, position, order: int = DEFAULT_ORDER) -> CriticalPoint:
     """Full diagnostic of the density at a point.
 
     kind is CUSP_MAXIMUM iff the one-sided log-derivative of the spherical
-    average is below -tau_cusp; rank/signature come from the Hessian
-    spectrum and are reported only for smooth points.
+    average (Lebedev order `order`) is below -TAU_CUSP; rank/signature come
+    from the Hessian spectrum and are reported only for smooth points.
     """
     x = np.asarray(position, dtype=float).reshape(3)
     rho = evaluate(model, x)
-    try:
-        est = radial_derivative_at_center(model, x, **(derivative_options or {}))
-        log_derivative = est.log_derivative
-    except ZeroCenterValue:
-        log_derivative = 0.0
+    log_derivative, is_cusp = _cusp_reading(model, x, order)
 
     try:
         grad_norm = float(np.linalg.norm(gradient(model, x)))
     except AtCuspSingularity:
         grad_norm = None
 
-    is_cusp = log_derivative < -tau_cusp
     rank = signature = None
     if not is_cusp:
         try:
@@ -171,15 +180,15 @@ def _rows_inside(box: np.ndarray, x: np.ndarray, slack: float = 1e-6) -> np.ndar
     return np.all((x >= box[0] - slack) & (x <= box[1] + slack), axis=1)
 
 
-def _ascend(model, seeds, box, min_step=ASCENT_MIN_STEP, max_iter=500):
+def _ascend(model, seeds, box, max_iter=500):
     """Gradient ascent from every seed at once; (endpoints (S, 3), kept (S,)).
 
     Each seed steps along its normalized gradient with its own step length,
     starting at 0.05 box widths, doubled after an uphill step and halved
-    after a rejected one.  A seed stops when its step falls below min_step,
-    when it sits on a cusp (where the gradient is undefined) or where its
-    gradient vanishes.  Endpoints outside the box or at zero density are
-    not kept.
+    after a rejected one.  A seed stops when its step falls below
+    ASCENT_MIN_STEP, when it sits on a cusp (where the gradient is
+    undefined) or where its gradient vanishes.  Endpoints outside the box or
+    at zero density are not kept.
     """
     x = np.array(seeds, dtype=float)
     f = evaluate_many(model, x)
@@ -207,19 +216,20 @@ def _ascend(model, seeds, box, min_step=ASCENT_MIN_STEP, max_iter=500):
         fresh = idx[up]
         x[fresh], f[fresh] = trial[up], f_trial[up]
         step[idx] *= np.where(up, 2.0, 0.5)
-        active[idx[step[idx] < min_step]] = False
+        active[idx[step[idx] < ASCENT_MIN_STEP]] = False
     return x, _rows_inside(box, x) & (f > 0.0)
 
 
-def _settle(model, points, step, min_step, max_iter=2000):
+def _settle(model, points, max_iter=2000):
     """Compass search from every point at once; the settled points (S, 3).
 
-    Each point moves to the best uphill one of its six axis steps, or halves
-    its step when none is uphill, until the step is below min_step.  Needing
-    no gradient, it goes on inside the CENTER_EPS ball of a cusp."""
+    Each point moves to the best uphill one of its six axis steps, starting
+    at ASCENT_MIN_STEP, or halves its step when none is uphill, until the
+    step is below CUSP_MIN_STEP.  Needing no gradient, it goes on inside the
+    CENTER_EPS ball of a cusp."""
     x = np.array(points, dtype=float).reshape(-1, 3)
     f = evaluate_many(model, x)
-    h = np.full(len(x), float(step))
+    h = np.full(len(x), ASCENT_MIN_STEP)
     idx = np.arange(len(x))
     for _ in range(max_iter):
         if not len(idx):
@@ -231,7 +241,7 @@ def _settle(model, points, step, min_step, max_iter=2000):
         up = f_best > f[idx]
         x[idx[up]], f[idx[up]] = trial[up, best[up]], f_best[up]
         h[idx[~up]] *= 0.5
-        idx = idx[h[idx] >= min_step]
+        idx = idx[h[idx] >= CUSP_MIN_STEP]
     return x
 
 
@@ -247,7 +257,7 @@ def _solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _newton(model, seeds, box, cusp_positions, g_tol, max_iter=80):
+def _newton(model, seeds, box, cusp_positions, max_iter=80):
     """Safeguarded Newton on grad rho = 0 from every seed at once.
 
     Returns (points (S, 3), converged (S,)).  A seed is dropped when it
@@ -255,7 +265,7 @@ def _newton(model, seeds, box, cusp_positions, g_tol, max_iter=80):
     detected cusp, lands on a cusp singularity, or meets a singular Hessian
     or a non-finite step; steps are capped at a quarter box width.  A seed
     converges when its step falls below 1e-12 relative and the gradient
-    there is at most g_tol inside the box.
+    there is at most GRAD_TOL inside the box.
     """
     x = np.array(seeds, dtype=float).reshape(-1, 3)
     cusps = np.asarray(cusp_positions, dtype=float).reshape(-1, 3)
@@ -285,7 +295,7 @@ def _newton(model, seeds, box, cusp_positions, g_tol, max_iter=80):
         active[done] = False
         if len(done):
             good = _rows_inside(box, x[done]) & ~on_cusp(model, x[done])
-            good[good] = np.linalg.norm(gradient(model, x[done[good]]), axis=1) <= g_tol
+            good[good] = np.linalg.norm(gradient(model, x[done[good]]), axis=1) <= GRAD_TOL
             converged[done[good]] = True
     return x, converged
 
@@ -308,28 +318,22 @@ def _dedupe(candidates, model, radius):
 
 
 def find_critical_points(
-    model: DensityModel,
-    search_box=None,
-    seeds_per_axis: int = DEFAULT_SEEDS,
-    g_tol: float = GRAD_TOL,
-    tau_cusp: float = TAU_CUSP,
-    dedupe_radius: float = DEDUPE_RADIUS,
-    derivative_options: dict | None = None,
+    model: DensityModel, seeds_per_axis: int = DEFAULT_SEEDS, order: int = DEFAULT_ORDER
 ) -> list[CriticalPoint]:
     """Multistart search for all maxima and stationary points of the density.
 
-    From every seed of a uniform grid over the search box at once, a batched
-    gradient ascent collects maxima.  Maxima whose spherical average has a
-    negative one-sided slope are cusps, settled onto the kink by a compass
-    search down to a CUSP_MIN_STEP step; the others are polished by Newton.
-    A batched safeguarded Newton iteration from the grid seeds and from
-    seeds between every pair of maxima then collects
-    the smooth stationary points; it is kept out of a 1e-2 bohr exclusion
-    ball around each cusp.  Survivors are deduplicated within dedupe_radius
-    (highest density wins, ties broken by lexicographic position),
-    classified, and sorted on their positions rounded to multiples of
-    dedupe_radius, ties broken by the raw positions, so that roundoff in
-    a coordinate near zero cannot flip the order.
+    From every seed of a seeds_per_axis^3 grid over default_search_box at
+    once, a batched gradient ascent collects maxima.  Maxima whose spherical
+    average (Lebedev order `order`) has a negative one-sided slope are
+    cusps, settled onto the kink by a compass search down to a CUSP_MIN_STEP
+    step; the others are polished by Newton.  A batched safeguarded Newton
+    iteration from the grid seeds and from seeds between every pair of
+    maxima then collects the smooth stationary points; it is kept out of a
+    1e-2 bohr exclusion ball around each cusp.  Survivors are deduplicated
+    within DEDUPE_RADIUS (highest density wins, ties broken by lexicographic
+    position), classified, and sorted on their positions rounded to
+    multiples of DEDUPE_RADIUS, ties broken by the raw positions, so that
+    roundoff in a coordinate near zero cannot flip the order.
 
     Raises EmptyResult when no seed converges to anything (flat model).
     """
@@ -337,9 +341,7 @@ def find_critical_points(
         raise ValueError(f"seeds_per_axis must be >= {MIN_SEEDS}, got {seeds_per_axis}")
     if not model.terms:
         raise EmptyResult("model has no terms")
-    box = np.asarray(search_box, dtype=float) if search_box is not None else default_search_box(model)
-    if box.shape != (2, 3):
-        raise ValueError("search_box must have shape (2, 3): [mins, maxs]")
+    box = default_search_box(model)
 
     axes = [np.linspace(box[0][i], box[1][i], seeds_per_axis) for i in range(3)]
     seeds = np.array(np.meshgrid(*axes, indexing="ij")).reshape(3, -1).T
@@ -352,15 +354,10 @@ def find_critical_points(
     # compass search from the ascent's last step on the cusps, Newton on the rest
     cusps: list[np.ndarray] = []
     maxima: list[np.ndarray] = []
-    for x in _dedupe(ends[kept], model, radius=max(dedupe_radius, 1e-3)):
-        try:
-            probe = radial_derivative_at_center(model, x, **(derivative_options or {}))
-            cusp_like = probe.log_derivative < -tau_cusp
-        except ZeroCenterValue:
-            cusp_like = False
-        (cusps if cusp_like else maxima).append(x)
-    cusps = list(_settle(model, cusps, ASCENT_MIN_STEP, CUSP_MIN_STEP))
-    polished, ok = _newton(model, maxima, box, cusps, g_tol)
+    for x in _dedupe(ends[kept], model, radius=MAXIMA_MERGE_RADIUS):
+        (cusps if _cusp_reading(model, x, order)[1] else maxima).append(x)
+    cusps = list(_settle(model, cusps))
+    polished, ok = _newton(model, maxima, box, cusps)
     smooth = list(np.where(ok[:, None], polished, np.reshape(maxima, (-1, 3))))
 
     # stationary points between maxima (bond-region saddles) have narrow
@@ -373,16 +370,16 @@ def find_critical_points(
         for b in extremum_reps[i + 1 :]
         for w in (0.5, 1.0 / 3.0, 2.0 / 3.0)
     ]
-    found, ok = _newton(model, np.concatenate([seeds, np.reshape(pair_seeds, (-1, 3))]), box, cusps, g_tol)
+    found, ok = _newton(model, np.concatenate([seeds, np.reshape(pair_seeds, (-1, 3))]), box, cusps)
     smooth.extend(found[ok])
 
     points = []
-    for x in _dedupe(cusps + smooth, model, radius=dedupe_radius):
-        cp = classify(model, x, tau_cusp=tau_cusp, derivative_options=derivative_options)
-        if cp.is_cusp or (cp.gradient_norm is not None and cp.gradient_norm <= g_tol):
+    for x in _dedupe(cusps + smooth, model, radius=DEDUPE_RADIUS):
+        cp = classify(model, x, order)
+        if cp.is_cusp or (cp.gradient_norm is not None and cp.gradient_norm <= GRAD_TOL):
             points.append(cp)
     if not points:
         raise EmptyResult("no critical points survived classification")
 
-    points.sort(key=lambda p: (*np.round(p.position / dedupe_radius), *p.position))
+    points.sort(key=lambda p: (*np.round(p.position / DEDUPE_RADIUS), *p.position))
     return points

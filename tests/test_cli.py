@@ -215,6 +215,34 @@ def test_audit_constant_offset(tmp_path):
     assert r["E2"] - r["E1"] == pytest.approx(0.25, abs=1e-12)
 
 
+def test_audit_equal_densities_unequal_potentials_is_case_iv(tmp_path):
+    # at --tol 1e-3 both wavefunctions and densities of Z = 0.5 and 0.5015
+    # pass as equal while the charges do not
+    s1 = write_spec(tmp_path, "a.json", z_spec(0.5))
+    s2 = write_spec(tmp_path, "b.json", z_spec(0.5015))
+    out = tmp_path / "r.json"
+    assert run(["audit", s1, s2, "--tol", "1e-3", "--output", str(out)]) == 0
+    r = json.loads(out.read_text())["result"]
+    assert r["wavefunctions_equal"] and r["densities_equal"]
+    assert not r["potentials_equal_mod_const"]
+    assert r["case"] == "IV"
+    assert r["notes"] and "cusp_cross_check" in r
+
+
+def test_audit_case_iv_cusp_cross_check(tmp_path):
+    s1 = write_spec(tmp_path, "a.json", z_spec(0.5))
+    s2 = write_spec(tmp_path, "b.json", z_spec(0.5 + 3e-9))
+    out = tmp_path / "r.json"
+    assert run(["audit", s1, s2, "--tol", "1e-9", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    r = doc["result"]
+    assert r["case"] == "IV"
+    check = r["cusp_cross_check"]
+    assert set(check) == {"case", "densities_equal", "message"}
+    assert check["case"] == "IV" and check["densities_equal"] is True
+    assert doc["tolerances"]["topology"]["seeds_per_axis"] == 5
+
+
 def test_audit_multicenter_exit_3(tmp_path, capsys):
     data = json.loads(json.dumps(HYDROGEN))
     data["frame"].append({"position": [0.0, 0.0, 2.0], "charge": 1.0})

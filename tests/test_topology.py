@@ -250,7 +250,7 @@ def test_seed_on_a_cusp_center_drops_only_itself(peak_and_cusp):
     assert ok and np.array_equal(x, np.zeros(3))
     # Newton cannot take a step there; no cusp is excluded, so on_cusp must catch it
     model, box, seeds = peak_and_cusp
-    _, ok = bad_seed_result(_newton, model, seeds, np.array([2.5, 0.0, 0.0]), box, [], GRAD_TOL)
+    _, ok = bad_seed_result(_newton, model, seeds, np.array([2.5, 0.0, 0.0]), box, [])
     assert not ok
 
 
@@ -263,7 +263,7 @@ def test_far_field_seed_with_zero_hessian_drops_only_itself(peak_and_cusp):
     assert not ok
     model, _, seeds = peak_and_cusp
     assert not np.any(hessian(model, far))  # the stacked solve raises LinAlgError
-    _, ok = bad_seed_result(_newton, model, seeds, far, big, [], GRAD_TOL)
+    _, ok = bad_seed_result(_newton, model, seeds, far, big, [])
     assert not ok
 
 
@@ -275,7 +275,7 @@ def test_seed_that_leaves_the_box_drops_only_itself(dimer, peak_and_cusp):
     assert not ok and x[2] > box[1][2]
     # Newton steps outward from the outer flank of the Gaussian peak
     model, box, seeds = peak_and_cusp
-    x, ok = bad_seed_result(_newton, model, seeds, np.array([0.0, 2.0, 0.0]), box, [], GRAD_TOL)
+    x, ok = bad_seed_result(_newton, model, seeds, np.array([0.0, 2.0, 0.0]), box, [])
     assert not ok and x[1] > box[1][1] + 0.5
 
 
@@ -321,7 +321,7 @@ def test_batched_newton_matches_one_seed_at_a_time(dimer):
         seeds = np.concatenate([grid_seeds(box, 6), *between])
         seeds += rng.normal(scale=0.05, size=seeds.shape)
         cusps = [c for c, _ in model.terms[:1]]
-        x, ok = _newton(model, seeds, box, cusps, GRAD_TOL)
+        x, ok = _newton(model, seeds, box, cusps)
         reference = [newton_one_seed(model, s, box, cusps, GRAD_TOL) for s in seeds]
         assert ok.tolist() == [r is not None for r in reference]
         assert ok.sum() >= 10
