@@ -206,7 +206,6 @@ class HKAuditReport:
     identity_residual_2: float
     case: str
     notes: tuple
-    tol: float
     cusp_verdict: IncompatibilityVerdict | None = None
 
 
@@ -308,6 +307,5 @@ def audit_pair(system1: OneElectronSystem, system2: OneElectronSystem, tol: floa
         identity_residual_2=abs(cross21 - (e1 - d_rho1)),
         case=case,
         notes=tuple(notes),
-        tol=tol,
         cusp_verdict=cusp_check,
     )

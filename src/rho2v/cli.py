@@ -193,6 +193,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_verify_cusp(args) -> int:
+    if not 0.0 <= args.tol < math.inf:
+        raise OptionError("--tol must be finite and >= 0")
     model, _ = load_spec(args.spec)
     if model.frame is None:
         raise SpecError("frame: required by verify-cusp but missing from the spec")
@@ -232,6 +234,8 @@ def _single_center_system(model: DensityModel, offset: float, label: str) -> One
 
 
 def cmd_audit(args) -> int:
+    if not 0.0 <= args.tol < math.inf:
+        raise OptionError("--tol must be finite and >= 0")
     model1, raw1 = load_spec(args.spec1)
     model2, raw2 = load_spec(args.spec2)
     sys1 = _single_center_system(model1, spec_offset(raw1), args.spec1)
@@ -323,6 +327,9 @@ def cmd_grid_export(args) -> int:
     counts = args.counts
     if any(c < 2 for c in counts):
         raise OptionError("--counts must be >= 2 per axis")
+    for flag, values in (("--origin", args.origin), ("--step", args.step)):
+        if not all(map(math.isfinite, values)):
+            raise OptionError(f"{flag} must be finite")
     model, _ = load_spec(args.spec)
     origin = np.asarray(args.origin, dtype=float)
     steps = np.diag(args.step)

@@ -203,7 +203,6 @@ class CuspCheck:
 @dataclass(frozen=True)
 class CuspVerification:
     checks: tuple
-    tol: float
 
     @property
     def all_passed(self) -> bool:
@@ -239,7 +238,7 @@ def verify_cusp_conditions(
                 passed=residual <= tol * max(1.0, abs(rhs)),
             )
         )
-    return CuspVerification(checks=tuple(checks), tol=tol)
+    return CuspVerification(checks=tuple(checks))
 
 
 @dataclass(frozen=True)

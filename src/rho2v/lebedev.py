@@ -1,14 +1,15 @@
 """Lebedev angular quadrature grids on the unit sphere.
 
-Grids are generated from the classic Lebedev-Laikov parameters (as tabulated
-in the public Fortran/C distributions) via the octahedral symmetry orbits:
+Grids are generated from the classic Lebedev-Laikov parameters (Lebedev &
+Laikov, Doklady Math. 59 (1999) 477).  Every orbit of the octahedral group is
+the distinct signed permutations of one generator (x, y, z):
 
-    orbit 'vertex'   (1,0,0)-type                 6 points
-    orbit 'edge'     (1,1,0)/sqrt(2)-type        12 points
-    orbit 'corner'   (1,1,1)/sqrt(3)-type         8 points
-    orbit 'aab'      (a,a,b), b = sqrt(1-2a^2)   24 points
-    orbit 'ab0'      (a,b,0), b = sqrt(1-a^2)    24 points
-    orbit 'abc'      (a,b,c), c = sqrt(1-a^2-b^2) 48 points
+    vertex   (1, 0, 0)                              6 points
+    edge     (a, a, 0), a = sqrt(1/2)              12 points
+    corner   (a, a, a), a = sqrt(1/3)               8 points
+    aab      (a, a, b), b = sqrt(1 - 2a^2)         24 points
+    ab0      (a, b, 0), b = sqrt(1 - a^2)          24 points
+    abc      (a, b, c), c = sqrt(1 - a^2 - b^2)    48 points
 
 Weights are normalized to sum to 1, so sum_i w_i f(u_i) is directly the
 average of f over the sphere.  A grid with N points integrates spherical
@@ -17,6 +18,7 @@ polynomials up to the tabulated algebraic degree exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -31,143 +33,93 @@ _DEGREE = {6: 3, 14: 5, 26: 7, 38: 9, 50: 11, 86: 15, 110: 17, 146: 19, 194: 23}
 
 SUPPORTED_ORDERS = tuple(sorted(_DEGREE))
 
-
-def _orbit_vertex(v):
-    pts = []
-    for axis in range(3):
-        for sign in (1.0, -1.0):
-            p = [0.0, 0.0, 0.0]
-            p[axis] = sign
-            pts.append(p)
-    return np.array(pts), np.full(6, v)
+_VERTEX = (1.0, 0.0, 0.0)
+_EDGE = (math.sqrt(0.5), math.sqrt(0.5), 0.0)
+_CORNER = (math.sqrt(1.0 / 3.0),) * 3
 
 
-def _orbit_edge(v):
-    a = math.sqrt(0.5)
-    pts = []
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        for si in (1.0, -1.0):
-            for sj in (1.0, -1.0):
-                p = [0.0, 0.0, 0.0]
-                p[i] = si * a
-                p[j] = sj * a
-                pts.append(p)
-    return np.array(pts), np.full(12, v)
+def _aab(a):
+    return (a, a, math.sqrt(max(1.0 - 2.0 * a * a, 0.0)))
 
 
-def _orbit_corner(v):
-    a = math.sqrt(1.0 / 3.0)
-    pts = [
-        [sx * a, sy * a, sz * a]
-        for sx in (1.0, -1.0)
-        for sy in (1.0, -1.0)
-        for sz in (1.0, -1.0)
-    ]
-    return np.array(pts), np.full(8, v)
+def _ab0(a):
+    return (a, math.sqrt(max(1.0 - a * a, 0.0)), 0.0)
 
 
-def _signed_permutations(triple):
-    """All coordinate permutations and sign flips of a coordinate triple."""
-    seen = set()
-    pts = []
-    a, b, c = triple
-    for perm in ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
-        for sx in (1.0, -1.0):
-            for sy in (1.0, -1.0):
-                for sz in (1.0, -1.0):
-                    p = (sx * perm[0], sy * perm[1], sz * perm[2])
-                    key = tuple(round(x, 15) for x in p)
-                    if key not in seen:
-                        seen.add(key)
-                        pts.append(p)
-    return np.array(pts)
+def _abc(a, b):
+    return (a, b, math.sqrt(max(1.0 - a * a - b * b, 0.0)))
 
 
-def _orbit_aab(a, v):
-    b = math.sqrt(max(1.0 - 2.0 * a * a, 0.0))
-    pts = _signed_permutations((a, a, b))
-    return pts, np.full(len(pts), v)
+def _orbit(generator):
+    """Distinct signed permutations of generator, each where it first occurs.
+
+    -0.0 == 0.0, and a point first occurs with every zero signed +0.0.
+    """
+    return dict.fromkeys(
+        (sx * x, sy * y, sz * z)
+        for x, y, z in itertools.permutations(generator)
+        for sx, sy, sz in itertools.product((1.0, -1.0), repeat=3)
+    )
 
 
-def _orbit_ab0(a, v):
-    b = math.sqrt(max(1.0 - a * a, 0.0))
-    pts = _signed_permutations((a, b, 0.0))
-    return pts, np.full(len(pts), v)
-
-
-def _orbit_abc(a, b, v):
-    c = math.sqrt(max(1.0 - a * a - b * b, 0.0))
-    pts = _signed_permutations((a, b, c))
-    return pts, np.full(len(pts), v)
-
-
-# Lebedev-Laikov orbit parameters per grid size: (orbit, args..., weight).
+# Lebedev-Laikov orbits per grid size: (generator, weight).
 _TABLES = {
-    6: [("vertex", 0.1666666666666667)],
+    6: [(_VERTEX, 0.1666666666666667)],
     14: [
-        ("vertex", 0.6666666666666667e-1),
-        ("corner", 0.7500000000000000e-1),
+        (_VERTEX, 0.6666666666666667e-1),
+        (_CORNER, 0.7500000000000000e-1),
     ],
     26: [
-        ("vertex", 0.4761904761904762e-1),
-        ("edge", 0.3809523809523810e-1),
-        ("corner", 0.3214285714285714e-1),
+        (_VERTEX, 0.4761904761904762e-1),
+        (_EDGE, 0.3809523809523810e-1),
+        (_CORNER, 0.3214285714285714e-1),
     ],
     38: [
-        ("vertex", 0.9523809523809524e-2),
-        ("corner", 0.3214285714285714e-1),
-        ("ab0", 0.4597008433809831, 0.2857142857142857e-1),
+        (_VERTEX, 0.9523809523809524e-2),
+        (_CORNER, 0.3214285714285714e-1),
+        (_ab0(0.4597008433809831), 0.2857142857142857e-1),
     ],
     50: [
-        ("vertex", 0.1269841269841270e-1),
-        ("edge", 0.2257495590828924e-1),
-        ("corner", 0.2109375000000000e-1),
-        ("aab", 0.3015113445777636, 0.2017333553791887e-1),
+        (_VERTEX, 0.1269841269841270e-1),
+        (_EDGE, 0.2257495590828924e-1),
+        (_CORNER, 0.2109375000000000e-1),
+        (_aab(0.3015113445777636), 0.2017333553791887e-1),
     ],
     86: [
-        ("vertex", 0.1154401154401154e-1),
-        ("corner", 0.1194390908585628e-1),
-        ("aab", 0.3696028464541502, 0.1111055571060340e-1),
-        ("aab", 0.6943540066026664, 0.1187650129453714e-1),
-        ("ab0", 0.3742430390903412, 0.1181230374690448e-1),
+        (_VERTEX, 0.1154401154401154e-1),
+        (_CORNER, 0.1194390908585628e-1),
+        (_aab(0.3696028464541502), 0.1111055571060340e-1),
+        (_aab(0.6943540066026664), 0.1187650129453714e-1),
+        (_ab0(0.3742430390903412), 0.1181230374690448e-1),
     ],
     110: [
-        ("vertex", 0.3828270494937162e-2),
-        ("corner", 0.9793737512487512e-2),
-        ("aab", 0.1851156353447362, 0.8211737283191111e-2),
-        ("aab", 0.6904210483822922, 0.9942814891178103e-2),
-        ("aab", 0.3956894730559419, 0.9595471336070963e-2),
-        ("ab0", 0.4783690288121502, 0.9694996361663028e-2),
+        (_VERTEX, 0.3828270494937162e-2),
+        (_CORNER, 0.9793737512487512e-2),
+        (_aab(0.1851156353447362), 0.8211737283191111e-2),
+        (_aab(0.6904210483822922), 0.9942814891178103e-2),
+        (_aab(0.3956894730559419), 0.9595471336070963e-2),
+        (_ab0(0.4783690288121502), 0.9694996361663028e-2),
     ],
     146: [
-        ("vertex", 0.5996313688621381e-3),
-        ("edge", 0.7372999718620756e-2),
-        ("corner", 0.7210515360144488e-2),
-        ("aab", 0.6764410400114264, 0.7116355493117555e-2),
-        ("aab", 0.4174961227965453, 0.6753829486314477e-2),
-        ("aab", 0.1574676672039082, 0.7574394159054034e-2),
-        ("abc", 0.1403553811713183, 0.4493328323269557, 0.6991087353303262e-2),
+        (_VERTEX, 0.5996313688621381e-3),
+        (_EDGE, 0.7372999718620756e-2),
+        (_CORNER, 0.7210515360144488e-2),
+        (_aab(0.6764410400114264), 0.7116355493117555e-2),
+        (_aab(0.4174961227965453), 0.6753829486314477e-2),
+        (_aab(0.1574676672039082), 0.7574394159054034e-2),
+        (_abc(0.1403553811713183, 0.4493328323269557), 0.6991087353303262e-2),
     ],
     194: [
-        ("vertex", 0.1782340447244611e-2),
-        ("edge", 0.5716905949977102e-2),
-        ("corner", 0.5573383178848738e-2),
-        ("aab", 0.6712973442695226, 0.5608704082587997e-2),
-        ("aab", 0.2892465627575439, 0.5158237711805383e-2),
-        ("aab", 0.4446933178717437, 0.5518771467273614e-2),
-        ("aab", 0.1299335447650067, 0.4106777028169394e-2),
-        ("ab0", 0.3457702197611283, 0.5051846064614808e-2),
-        ("abc", 0.1590417105383530, 0.8360360154824589, 0.5530248916233094e-2),
+        (_VERTEX, 0.1782340447244611e-2),
+        (_EDGE, 0.5716905949977102e-2),
+        (_CORNER, 0.5573383178848738e-2),
+        (_aab(0.6712973442695226), 0.5608704082587997e-2),
+        (_aab(0.2892465627575439), 0.5158237711805383e-2),
+        (_aab(0.4446933178717437), 0.5518771467273614e-2),
+        (_aab(0.1299335447650067), 0.4106777028169394e-2),
+        (_ab0(0.3457702197611283), 0.5051846064614808e-2),
+        (_abc(0.1590417105383530, 0.8360360154824589), 0.5530248916233094e-2),
     ],
-}
-
-_BUILDERS = {
-    "vertex": lambda args: _orbit_vertex(*args),
-    "edge": lambda args: _orbit_edge(*args),
-    "corner": lambda args: _orbit_corner(*args),
-    "aab": lambda args: _orbit_aab(*args),
-    "ab0": lambda args: _orbit_ab0(*args),
-    "abc": lambda args: _orbit_abc(*args),
 }
 
 
@@ -183,14 +135,9 @@ def lebedev_grid(order: int):
     """Unit vectors (order, 3) and weights (order,) summing to 1."""
     if order not in _TABLES:
         raise UnsupportedOrder(f"no Lebedev grid with {order} points; supported: {SUPPORTED_ORDERS}")
-    pts, wts = [], []
-    for entry in _TABLES[order]:
-        kind, args = entry[0], entry[1:]
-        p, w = _BUILDERS[kind](args)
-        pts.append(p)
-        wts.append(w)
-    points = np.vstack(pts)
-    weights = np.concatenate(wts)
+    orbits = [(_orbit(generator), weight) for generator, weight in _TABLES[order]]
+    points = np.array([p for orbit, _ in orbits for p in orbit])
+    weights = np.array([weight for orbit, weight in orbits for _ in orbit])
     if len(points) != order:
         raise AssertionError(f"grid size mismatch: built {len(points)}, expected {order}")
     points.setflags(write=False)

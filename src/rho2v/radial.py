@@ -120,8 +120,6 @@ def radial_moment(prim: RadialPrimitive, m: int, nodes: int = DEFAULT_NODES, low
     p = m + n  # total power of r against the envelope
     if prim.kind is PrimitiveKind.SLATER_S:
         beta = 2.0 * prim.exponent
-        if lower == 0.0:
-            return integrate_decaying(lambda r: c * r**p, beta, nodes)
         shift = math.exp(-beta * lower)
         return shift * integrate_decaying(lambda s: c * (lower + s) ** p, beta, nodes)
     alpha = prim.exponent

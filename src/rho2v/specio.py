@@ -163,27 +163,22 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    return str(obj)
-
-
 def make_report(command: str, input_paths, tolerances: dict, result: dict) -> dict:
     return {
         "tool": "rho2v",
         "version": __version__,
         "command": command,
         "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in input_paths],
-        "tolerances": _jsonable(tolerances),
-        "result": _jsonable(result),
+        "tolerances": tolerances,
+        "result": result,
     }
+
+
+def _numpy_value(obj):
+    """json's default hook: numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # stands in for result["table"] while json dumps the rest of the report
@@ -210,6 +205,9 @@ def _float_rows(rows) -> bool:
 def render_report(report: dict, indent: int = 2) -> str:
     """json.dumps(report, indent=indent, sort_keys=True) and a newline, byte for byte.
 
+    The report may hold numpy arrays and scalars; they are written as the
+    lists and numbers their tolist() gives (np.float64 is a float already).
+
     With an indent json runs its pure-Python encoder, which is slow on long
     tables.  So a result "table" of float rows (lst) is filled into one row
     template, as the cube text is, and put in place of a marker in the dump
@@ -218,7 +216,7 @@ def render_report(report: dict, indent: int = 2) -> str:
     result = report.get("result")
     rows = result.get("table") if isinstance(result, dict) else None
     if not isinstance(indent, int) or not _float_rows(rows):
-        return json.dumps(report, indent=indent, sort_keys=True) + "\n"
+        return json.dumps(report, indent=indent, sort_keys=True, default=_numpy_value) + "\n"
     keys = sorted(rows[0])
     values = [row[k] for row in rows for k in keys]
     if not all(map(math.isfinite, values)):
@@ -227,5 +225,7 @@ def render_report(report: dict, indent: int = 2) -> str:
     item, field = "\n" + step * 3, "\n" + step * 4
     row = item + "{" + ",".join(f"{field}{json.dumps(k).replace('%', '%%')}: %s" for k in keys) + item + "}"
     table = "[" + ",".join([row] * len(rows)) % tuple(values) + "\n" + step * 2 + "]"
-    text = json.dumps({**report, "result": {**result, "table": _TABLE}}, indent=indent, sort_keys=True)
+    text = json.dumps(
+        {**report, "result": {**result, "table": _TABLE}}, indent=indent, sort_keys=True, default=_numpy_value
+    )
     return text.replace(json.dumps(_TABLE), table, 1) + "\n"

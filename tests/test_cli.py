@@ -384,12 +384,24 @@ def test_grid_export_counts_too_small(tmp_path):
         ["lst", "{z1}", "{z2}", "--grid-min", "0"],
         ["lst", "{z1}", "{z2}", "--grid-min", "5", "--grid-max", "1"],
         ["lst", "{z1}", "{z2}", "--grid-max", "inf"],
+        # float flags are checked before any spec is read
+        ["verify-cusp", "{missing}", "--tol", "nan"],
+        ["verify-cusp", "{missing}", "--tol", "inf"],
+        ["verify-cusp", "{missing}", "--tol", "-0.001"],
+        ["audit", "{missing}", "{missing}", "--tol", "nan"],
+        ["audit", "{missing}", "{missing}", "--tol", "inf"],
+        ["audit", "{missing}", "{missing}", "--tol", "-1"],
+        ["grid-export", "{missing}", "--counts", "2", "2", "2", "--origin", "nan", "0", "0"],
+        ["grid-export", "{missing}", "--counts", "2", "2", "2", "--origin", "0", "0", "inf"],
+        ["grid-export", "{missing}", "--counts", "2", "2", "2", "--step", "1", "nan", "1"],
+        ["grid-export", "{missing}", "--counts", "2", "2", "2", "--step", "inf", "1", "1"],
     ],
 )
 def test_out_of_range_flag_values_exit_1(tmp_path, capsys, argv):
     paths = {
         "z1": write_spec(tmp_path, "z1.json", z_spec(1.0)),
         "z2": write_spec(tmp_path, "z2.json", z_spec(2.0)),
+        "missing": str(tmp_path / "missing.json"),
     }
     assert run([a.format(**paths) for a in argv]) == 1
     err = capsys.readouterr().err

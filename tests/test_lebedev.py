@@ -7,6 +7,8 @@ The oracle for monomial averages over the sphere is the closed form
 and zero whenever any exponent is odd.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,16 @@ def test_degree_beyond_order_fails():
     pts, wts = lebedev_grid(6)
     val = float(np.sum(wts * pts[:, 0] ** 4))
     assert abs(val - monomial_average(4, 0, 0)) > 1e-3
+
+
+def test_grids_are_pinned_bit_for_bit():
+    # points, their order and weights of every grid, as first tabulated; the
+    # reports' bytes depend on all three
+    digest = hashlib.sha256()
+    for order in SUPPORTED_ORDERS:
+        pts, wts = lebedev_grid(order)
+        digest.update(pts.tobytes() + wts.tobytes())
+    assert digest.hexdigest() == "fa7aff710923882afa1277c42b918fc59c61806c7b316ea22c06ce656eeb298e"
 
 
 def test_unsupported_order_raises():

@@ -1,14 +1,14 @@
 """Program names that the perfbench harness reaches by name.
 
 perfbench/tracer.py binds each find_critical_points call to count the seeds
-it ran, and perfbench/test_perfbench.py asserts that the radial quadrature
-and its memo caches are traced.  A rename here breaks the benchmark, so it
-fails this suite first.
+it ran and observes specio.render_report by name, and perfbench clears the
+Lebedev grid cache and the radial quadrature memo caches between jobs.  A
+rename here breaks the benchmark, so it fails this suite first.
 """
 
 import inspect
 
-from rho2v import radial
+from rho2v import lebedev, radial, specio
 from rho2v.density import hydrogenic_model
 from rho2v.topology import DEFAULT_SEEDS, find_critical_points
 
@@ -29,3 +29,8 @@ def test_radial_names_the_benchmark_traces_exist():
     # the harness clears these memo caches between jobs
     for rule in (radial._genlaguerre, radial._legendre):
         assert callable(rule.cache_clear)
+
+
+def test_report_and_grid_names_the_benchmark_reaches_exist():
+    assert "render_report" in specio.__all__
+    assert callable(lebedev.lebedev_grid.cache_clear)
