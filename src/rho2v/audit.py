@@ -2,15 +2,17 @@
 
 For a single nucleus of charge Z the ground state is psi = sqrt(Z^3/pi)
 exp(-Z r) with energy -Z^2/2, so every ingredient of the uniqueness
-argument's inequality chain is available both analytically and by radial
-quadrature:
+argument's inequality chain has a closed form:
 
     ground energies          E_a = <psi_a | T + v_a | psi_a>
     cross energies           <psi_b | T + v_a | psi_b>
     difference integrals     int (v_1 - v_2) rho
 
 together with the identity cross = E_own + difference-integral that links
-them (the ground energy by quadrature is cross_energy(s, s)).  Constant
+them (the ground energy computed as a cross energy is cross_energy(s, s)).
+Cross energies and difference integrals are assembled from closed-form
+primitive radial moments (rho2v.radial) and Newton's shell theorem; only a
+displaced center's inner segment [0, d] takes quadrature.  Constant
 potential shifts are carried as an explicit tagged offset so that "equal
 up to an additive constant" is testable exactly.  The audit classifies
 each pair into the four-way case split (I: same state, II: all different,
@@ -25,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, NuclearFrame, hydrogenic_model
+from .density import DensityModel, NuclearFrame, hydrogenic_model, total_integral
 from .errors import NodeEncountered
 from .inversion import IncompatibilityVerdict, incompatibility_check
-from .radial import converged, frame_attraction, integrate_decaying, model_moment
+from .radial import converged, frame_attraction
 
 __all__ = [
     "ExponentialWavefunction",
@@ -117,24 +119,19 @@ class OneElectronSystem:
         return -0.5 * self.charge**2 + self.offset
 
 
-def _kinetic(system: OneElectronSystem, nodes: int) -> float:
-    """<T> = (1/2) int |psi'|^2 4 pi r^2 dr with the matched-weight rule."""
-    z = system.charge
-    a2 = z**3 / math.pi
-    return integrate_decaying(lambda r: 2.0 * math.pi * z * z * a2 * r * r, 2.0 * z, nodes)
-
-
 def cross_energy(psi_system: OneElectronSystem, potential_system: OneElectronSystem) -> float:
-    """<psi_A | T + v_B | psi_A> by matched radial quadrature.
+    """<psi_A | T + v_B | psi_A> from radial moments and the shell theorem.
 
     For concentric hydrogenic pairs this equals Z_A^2/2 - Z_B*Z_A (plus
     B's offset).  Raises QuadratureNotConverged if doubling the node count
     moves the result by more than radial.CONVERGENCE_TOL.
     """
     rho_a = psi_system.density
+    # <T> = (1/2) int |psi'|^2 d^3x = (Z^2/2) int psi^2 d^3x, as psi' = -Z psi
+    kinetic = 0.5 * psi_system.charge**2 * total_integral(rho_a)
 
     def compute(n):
-        return _kinetic(psi_system, n) + frame_attraction(rho_a, potential_system.frame, n)
+        return kinetic + frame_attraction(rho_a, potential_system.frame, n)
 
     return converged(compute, label="cross energy") + potential_system.offset
 
@@ -150,8 +147,7 @@ def difference_integral(
 
     def compute(n):
         attraction = frame_attraction(rho, v1, n) - frame_attraction(rho, v2, n)
-        electrons = 4.0 * math.pi * model_moment(rho, 2, n)
-        return attraction + (offset1 - offset2) * electrons
+        return attraction + (offset1 - offset2) * total_integral(rho)
 
     return converged(compute, label="difference integral")
 
@@ -287,7 +283,7 @@ def audit_pair(system1: OneElectronSystem, system2: OneElectronSystem, tol: floa
 
     # strict variational gaps, with an equality band so that identical
     # systems (gap exactly zero in exact arithmetic) are not promoted to
-    # "strict" by quadrature rounding
+    # "strict" by rounding
     band1 = 1e-10 * max(1.0, abs(e1))
     band2 = 1e-10 * max(1.0, abs(e2))
 

@@ -47,9 +47,9 @@ from .errors import (
     SpecError,
 )
 from .audit import AUDIT_TOL, CUSP_CHECK_SEEDS, OneElectronSystem, audit_pair
-from .inversion import CUSP_TOL, reconstruct_potential, verify_cusp_conditions
+from .inversion import CUSP_TOL, DENSITY_TOL, reconstruct_potential, verify_cusp_conditions
 from .lebedev import SUPPORTED_ORDERS
-from .radial import DEFAULT_NODES
+from .radial import CONVERGENCE_TOL, DEFAULT_NODES
 from .scaling import (
     GRID_MAX,
     GRID_MIN,
@@ -103,7 +103,12 @@ def _tolerances(
             "dedupe_radius": DEDUPE_RADIUS,
         },
         "cusp_verification": {"tol": cusp_tol},
-        "audit": {"tol": audit_tol, "quadrature_nodes": DEFAULT_NODES},
+        "audit": {
+            "tol": audit_tol,
+            "quadrature_nodes": DEFAULT_NODES,
+            "convergence_tol": CONVERGENCE_TOL,
+            "cross_check_density_tol": DENSITY_TOL,
+        },
         "local_scaling": {"mass_tol": MASS_TOL, "q_residual": Q_RESIDUAL_TARGET},
         "supported_lebedev_orders": list(SUPPORTED_ORDERS),
     }

@@ -1,16 +1,16 @@
-"""Radial quadrature for atomic-style integrals.
+"""Radial moments and Coulomb integrals of atomic-style densities.
 
-All integrands here decay exponentially (Slater) or super-exponentially
-(Gaussian), so Gauss-Laguerre rules with the weight matched to the
-integrand's own decay are used: for int_0^inf g(r) exp(-beta*r) dr only the
-non-exponential factor g is evaluated at the scaled nodes, which is exact
-whenever g is polynomial.  A Gaussian radial moment from 0 is a Gamma
-function in closed form; from lower > 0 it is a Laguerre integral after
-u = alpha*(r^2 - lower^2).
+A Slater radial moment int_lower^inf c r^p exp(-beta*r) dr is the finite
+sum c e^(-beta lower) sum_k (p!/k!) lower^k / beta^(p-k+1), every term
+positive, and a Gaussian moment from 0 is a Gamma function, both in closed
+form.  The one moment without a closed form is a Gaussian tail above
+lower > 0: a Gauss-Laguerre integral after u = alpha*(r^2 - lower^2), whose
+rule carries the integrand's own decay as its weight.
 
 Coulomb attraction of a spherical charge shell reduces by Newton's theorem
-to the 1/max(r, d) kernel, splitting each center pair into a finite
-Gauss-Legendre piece on [0, d] and a matched-decay tail on [d, inf).
+to the 1/max(r, d) kernel: a same-center pair (d = 0) is one moment, and a
+displaced pair splits into a Gauss-Legendre piece on [0, d] and a moment
+on [d, inf).
 
 Both rules are built with numpy alone.  Laguerre nodes are the eigenvalues
 of the Jacobi matrix (Golub & Welsch, Math. Comp. 23 (1969) 221-230); one
@@ -31,10 +31,8 @@ from .errors import QuadratureNotConverged
 
 __all__ = [
     "DEFAULT_NODES",
-    "integrate_decaying",
     "radial_moment",
     "primitive_attraction",
-    "model_moment",
     "frame_attraction",
     "converged",
 ]
@@ -102,12 +100,6 @@ def _legendre(n: int):
     return x, 2.0 / (one_minus_sq * slope * slope)
 
 
-def integrate_decaying(g, beta: float, nodes: int = DEFAULT_NODES) -> float:
-    """int_0^inf g(r) exp(-beta*r) dr with the weight matched to beta."""
-    x, w = _genlaguerre(nodes)
-    return float(np.dot(w, g(x / beta)) / beta)
-
-
 def _segment(f, a: float, b: float, nodes: int) -> float:
     x, w = _legendre(nodes)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -115,13 +107,20 @@ def _segment(f, a: float, b: float, nodes: int) -> float:
 
 
 def radial_moment(prim: RadialPrimitive, m: int, nodes: int = DEFAULT_NODES, lower: float = 0.0) -> float:
-    """int_lower^inf r^m * g_prim(r) dr by matched-weight quadrature."""
+    """int_lower^inf r^m * g_prim(r) dr; only a Gaussian tail above lower > 0
+    takes the nodes-point Laguerre rule, every other case is closed-form."""
     c, n = prim.coefficient, prim.power
     p = m + n  # total power of r against the envelope
     if prim.kind is PrimitiveKind.SLATER_S:
+        # term k is c e^(-x) (p!/k!) lower^k / beta^(p-k+1) with x = beta lower;
+        # a factor e^(-x) that underflows zeroes every term
         beta = 2.0 * prim.exponent
-        shift = math.exp(-beta * lower)
-        return shift * integrate_decaying(lambda s: c * (lower + s) ** p, beta, nodes)
+        x = beta * lower
+        term = total = c * math.exp(-x) * math.factorial(p) / beta ** (p + 1)
+        for k in range(1, p + 1):
+            term *= x / k
+            total += term
+        return total
     alpha = prim.exponent
     if lower == 0.0:
         # t = alpha r^2:  (c / (2 alpha^{(p+1)/2})) int t^{(p-1)/2} e^{-t} dt
@@ -147,11 +146,6 @@ def primitive_attraction(prim: RadialPrimitive, d: float, nodes: int = DEFAULT_N
     inner = _segment(lambda r: r * r * prim.radial_value(r), 0.0, d, nodes)
     outer = radial_moment(prim, 1, nodes, lower=d)
     return 4.0 * math.pi * (inner / d + outer)
-
-
-def model_moment(model: DensityModel, m: int, nodes: int = DEFAULT_NODES) -> float:
-    """Sum of per-term radial moments; m = 2 gives int rho / 4 pi."""
-    return sum(radial_moment(prim, m, nodes) for _, prim in model.terms)
 
 
 def frame_attraction(model: DensityModel, frame: NuclearFrame, nodes: int = DEFAULT_NODES) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rho2v
-from rho2v import cli
+from rho2v import cli, radial
 from rho2v.audit import CUSP_CHECK_SEEDS
 from rho2v.cli import main
 from rho2v.density import evaluate_many
@@ -24,6 +24,7 @@ from rho2v.errors import (
     QuadratureNotConverged,
     SpecError,
 )
+from rho2v.inversion import DENSITY_TOL
 from rho2v.scaling import Q_RESIDUAL_TARGET
 from rho2v.specio import load_spec, render_report
 
@@ -192,6 +193,9 @@ def test_audit_z1_z2(tmp_path):
     tolerances = json.loads(out.read_text())["tolerances"]
     assert set(tolerances) == {"audit", "radial_derivative", "topology"}
     assert tolerances["audit"]["tol"] == 1e-9
+    # the quadrature gate and the case-IV cross-check's own density gate
+    assert tolerances["audit"]["convergence_tol"] == radial.CONVERGENCE_TOL == 1e-8
+    assert tolerances["audit"]["cross_check_density_tol"] == DENSITY_TOL == 1e-6
     # the seed count the case-IV cusp cross-check runs with
     assert tolerances["topology"]["seeds_per_axis"] == CUSP_CHECK_SEEDS
 
@@ -241,6 +245,16 @@ def test_audit_case_iv_cusp_cross_check(tmp_path):
     assert set(check) == {"case", "densities_equal", "message"}
     assert check["case"] == "IV" and check["densities_equal"] is True
     assert doc["tolerances"]["topology"]["seeds_per_axis"] == 5
+
+
+def test_concentric_audit_builds_no_quadrature_rule(tmp_path):
+    s1 = write_spec(tmp_path, "a.json", z_spec(1.0))
+    s2 = write_spec(tmp_path, "b.json", z_spec(2.0, offset=0.25))
+    radial._genlaguerre.cache_clear()
+    radial._legendre.cache_clear()
+    assert run(["audit", s1, s2, "--output", str(tmp_path / "r.json")]) == 0
+    assert radial._genlaguerre.cache_info().currsize == 0
+    assert radial._legendre.cache_info().currsize == 0
 
 
 def test_audit_multicenter_exit_3(tmp_path, capsys):
