@@ -10,9 +10,9 @@ argument's inequality chain has a closed form:
 
 together with the identity cross = E_own + difference-integral that links
 them (the ground energy computed as a cross energy is cross_energy(s, s)).
-Cross energies and difference integrals are assembled from closed-form
-primitive radial moments (rho2v.radial) and Newton's shell theorem; only a
-displaced center's inner segment [0, d] takes quadrature.  Constant
+Cross energies and difference integrals are closed-form frame attractions
+(rho2v.radial: incomplete gamma functions and Newton's shell theorem), for
+concentric and displaced centers alike.  Constant
 potential shifts are carried as an explicit tagged offset so that "equal
 up to an additive constant" is testable exactly.  The audit classifies
 each pair into the four-way case split (I: same state, II: all different,
@@ -30,7 +30,7 @@ import numpy as np
 from .density import DensityModel, NuclearFrame, hydrogenic_model, total_integral
 from .errors import NodeEncountered
 from .inversion import IncompatibilityVerdict, incompatibility_check
-from .radial import converged, frame_attraction
+from .radial import frame_attraction
 
 __all__ = [
     "ExponentialWavefunction",
@@ -123,17 +123,12 @@ def cross_energy(psi_system: OneElectronSystem, potential_system: OneElectronSys
     """<psi_A | T + v_B | psi_A> from radial moments and the shell theorem.
 
     For concentric hydrogenic pairs this equals Z_A^2/2 - Z_B*Z_A (plus
-    B's offset).  Raises QuadratureNotConverged if doubling the node count
-    moves the result by more than radial.CONVERGENCE_TOL.
+    B's offset).
     """
     rho_a = psi_system.density
     # <T> = (1/2) int |psi'|^2 d^3x = (Z^2/2) int psi^2 d^3x, as psi' = -Z psi
     kinetic = 0.5 * psi_system.charge**2 * total_integral(rho_a)
-
-    def compute(n):
-        return kinetic + frame_attraction(rho_a, potential_system.frame, n)
-
-    return converged(compute, label="cross energy") + potential_system.offset
+    return kinetic + frame_attraction(rho_a, potential_system.frame) + potential_system.offset
 
 
 def difference_integral(
@@ -144,12 +139,8 @@ def difference_integral(
     offset2: float = 0.0,
 ) -> float:
     """int [v1(x) - v2(x)] rho(x) d^3x, offsets contributing (c1-c2)*N."""
-
-    def compute(n):
-        attraction = frame_attraction(rho, v1, n) - frame_attraction(rho, v2, n)
-        return attraction + (offset1 - offset2) * total_integral(rho)
-
-    return converged(compute, label="difference integral")
+    attraction = frame_attraction(rho, v1) - frame_attraction(rho, v2)
+    return attraction + (offset1 - offset2) * total_integral(rho)
 
 
 @dataclass(frozen=True)

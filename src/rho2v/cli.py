@@ -18,7 +18,8 @@ Flags, per command (every one of them is read):
 
 Exit codes: 0 success, 1 input error (bad spec, out-of-range flag value, or
 usage error), 2 no cusps / cusp check failed, 3 out of scope (multi-center
-where single-center is required), 4 electron-count mismatch, or a target
+where single-center is required, or an audit spec whose terms are not the
+hydrogenic density of its frame), 4 electron-count mismatch, or a target
 density hole in lst.  Errors are reported as one "rho2v <command>: <message>"
 line on stderr (usage errors: argparse's usage text and its "error:" line).
 All reports are deterministic JSON: same inputs and flags, same bytes.  Each
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import DensityModel, evaluate_many
+from .density import CENTER_EPS, DensityModel, PrimitiveKind, evaluate_many
 from .errors import (
     MassMismatch,
     NoCuspsFound,
@@ -47,9 +48,9 @@ from .errors import (
     SpecError,
 )
 from .audit import AUDIT_TOL, CUSP_CHECK_SEEDS, OneElectronSystem, audit_pair
-from .inversion import CUSP_TOL, DENSITY_TOL, reconstruct_potential, verify_cusp_conditions
+from .inversion import CUSP_TOL, DENSITY_TOL, IDENTICAL_CHARGE_TOL, IDENTICAL_POSITION_TOL, MATCH_GATE
+from .inversion import reconstruct_potential, verify_cusp_conditions
 from .lebedev import SUPPORTED_ORDERS
-from .radial import CONVERGENCE_TOL, DEFAULT_NODES
 from .scaling import (
     GRID_MAX,
     GRID_MIN,
@@ -105,9 +106,10 @@ def _tolerances(
         "cusp_verification": {"tol": cusp_tol},
         "audit": {
             "tol": audit_tol,
-            "quadrature_nodes": DEFAULT_NODES,
-            "convergence_tol": CONVERGENCE_TOL,
             "cross_check_density_tol": DENSITY_TOL,
+            "cross_check_match_gate": MATCH_GATE,
+            "cross_check_position_tol": IDENTICAL_POSITION_TOL,
+            "cross_check_charge_tol": IDENTICAL_CHARGE_TOL,
         },
         "local_scaling": {"mass_tol": MASS_TOL, "q_residual": Q_RESIDUAL_TARGET},
         "supported_lebedev_orders": list(SUPPORTED_ORDERS),
@@ -226,16 +228,33 @@ def cmd_verify_cusp(args) -> int:
     return EXIT_OK if verification.all_passed else EXIT_NO_CUSPS
 
 
+# relative tolerance on the exponent and coefficient of an audited spec's
+# hydrogenic term
+HYDROGENIC_RTOL = 1e-12
+
+
 def _single_center_system(model: DensityModel, offset: float, label: str) -> OneElectronSystem:
+    """The hydrogenic system of the spec's one-center frame; the spec's terms
+    must be exactly that system's density, Z^3/pi exp(-2 Z r) at the center."""
     if model.frame is None or len(model.frame) != 1:
         raise OutOfScope(f"{label}: audit requires a spec with a single-center frame")
     if model.electron_count != 1:
         raise OutOfScope(f"{label}: audit requires electron_count == 1")
-    return OneElectronSystem(
-        charge=float(model.frame.charges[0]),
-        center=tuple(model.frame.positions[0]),
-        offset=offset,
-    )
+    z, center = float(model.frame.charges[0]), model.frame.positions[0]
+    prim = model.terms[0][1] if len(model.terms) == 1 else None
+    if not (
+        prim is not None
+        and prim.kind is PrimitiveKind.SLATER_S
+        and prim.power == 0
+        and np.linalg.norm(model.terms[0][0] - center) <= CENTER_EPS
+        and math.isclose(prim.exponent, z, rel_tol=HYDROGENIC_RTOL)
+        and math.isclose(prim.coefficient, z**3 / math.pi, rel_tol=HYDROGENIC_RTOL)
+    ):
+        raise OutOfScope(
+            f"{label}: audit requires the hydrogenic density of the frame, "
+            "one slater_s term of power 0 at its center with exponent Z and coefficient Z^3/pi"
+        )
+    return OneElectronSystem(charge=z, center=tuple(center), offset=offset)
 
 
 def cmd_audit(args) -> int:

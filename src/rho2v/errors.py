@@ -2,6 +2,7 @@
 
 Every error that callers are expected to branch on gets its own class;
 generic misuse (bad argument types, malformed values) raises ValueError.
+The command line maps each class to an exit code (rho2v.cli.EXIT_CODES).
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class NoCuspsFound(Rho2vError):
     def __init__(self, message: str, critical_points=None):
         super().__init__(message)
         self.critical_points = list(critical_points) if critical_points else []
-
-
-class QuadratureNotConverged(Rho2vError):
-    """Doubling the radial node count moved the result beyond tolerance."""
 
 
 class NodeEncountered(Rho2vError):

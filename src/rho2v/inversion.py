@@ -43,6 +43,10 @@ MATCH_GATE = 0.5
 CUSP_TOL = 1e-2
 # max |rho1 - rho2| on the probe grid for "equal" densities
 DENSITY_TOL = 1e-6
+# per matched center, the largest position (bohr) and charge (e) differences
+# at which two reconstructed frames count as identical
+IDENTICAL_POSITION_TOL = 1e-3
+IDENTICAL_CHARGE_TOL = 1e-2
 
 _PROBE_RADII = (0.1, 0.5, 1.0, 2.0, 4.0)
 _PROBE_ORDER = 26
@@ -320,7 +324,8 @@ def incompatibility_check(
         )
         agreement = matches
         identical = not spurious and not missed and all(
-            m.position_error <= 1e-3 and m.charge_error <= 1e-2 for m in matches
+            m.position_error <= IDENTICAL_POSITION_TOL and m.charge_error <= IDENTICAL_CHARGE_TOL
+            for m in matches
         )
         if identical:
             message = (

@@ -19,10 +19,11 @@ Numerics: in the upper tail Q saturates at N in floating point, so the
 matching is performed on the complementary cumulative N - Q there (both
 sides are computed from relatively accurate incomplete-gamma forms), which
 keeps f at full relative precision across the whole grid.  The regularized
-incomplete gamma functions are computed here with numpy: a power series for
-P below x = a, and from there on the finite sum Q = e^-x sum_{k<a} x^k/k!
-for integer orders (Slater terms, Gaussian terms of odd power) or
-erfc(sqrt x) plus the half-integer sum (Gaussian terms of even power).
+incomplete gamma functions, which rho2v.radial uses too, are computed here
+with numpy: a power series for P below x = a, and from there on the finite
+sum Q = e^-x sum_{k<a} x^k/k! for integer orders (Slater terms, Gaussian
+terms of odd power) or erfc(sqrt x) plus the half-integer sum (Gaussian
+terms of even power).
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ def default_grid(r_min: float = GRID_MIN, r_max: float = GRID_MAX, points: int =
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
+# from this x on e^-x and erfc(sqrt x) underflow to 0, and Q is taken as 0
+_X_UNDERFLOW = 746.0
 
 
 def _upper_sum(a: float, x: np.ndarray) -> np.ndarray:
@@ -68,6 +71,7 @@ def _upper_sum(a: float, x: np.ndarray) -> np.ndarray:
     Q(1/2, x) = erfc(sqrt x) otherwise; every term is positive."""
     half = a != math.floor(a)
     s0 = 0.5 if half else 0.0
+    x = np.minimum(x, _X_UNDERFLOW)  # keeps the sum finite where e^-x is 0
     total = np.ones_like(x)  # Horner form of the sum, innermost term first
     for s in np.arange(a - 1.0, s0, -1.0):
         total *= x / s
@@ -75,7 +79,9 @@ def _upper_sum(a: float, x: np.ndarray) -> np.ndarray:
     if not half:
         return np.exp(-x) * total
     root = np.sqrt(x)
-    return _erfc(root).astype(float) + np.exp(-x) * root * total / math.gamma(1.5)
+    erfc = _erfc(root).astype(float)
+    # at a = 1/2 the sum is empty
+    return erfc if a == s0 else erfc + np.exp(-x) * root * total / math.gamma(1.5)
 
 
 def _lower_series(a: float, x: np.ndarray) -> np.ndarray:

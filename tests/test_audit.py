@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaincc
 
 from rho2v.density import NuclearFrame, PrimitiveKind, RadialPrimitive, hydrogenic_model
-from rho2v.errors import NodeEncountered, QuadratureNotConverged
+from rho2v.errors import NodeEncountered
 from rho2v.audit import (
     ExponentialWavefunction,
     GaussianWavefunction,
@@ -25,11 +25,10 @@ from rho2v.audit import (
     difference_integral,
     potential_from_wavefunction,
 )
-from rho2v import radial
-from rho2v.radial import converged, primitive_attraction, radial_moment
+from rho2v.radial import primitive_attraction, radial_moment
 
 
-# --- radial quadrature against incomplete-gamma closed forms ------------------
+# --- radial moments against scipy's incomplete gamma ---------------------------
 
 @pytest.mark.parametrize(
     "prim,m,lower",
@@ -101,44 +100,6 @@ def test_variational_strictness():
                 assert gap == pytest.approx(0.5 * (za - zb) ** 2, abs=1e-9)
 
 
-def test_quadrature_not_converged_on_starved_nodes():
-    # Gauss-Laguerre error on a kink falls only algebraically: on
-    # int |r - 1| e^-r dr = 2/e the 200- and 400-node rules differ by 1.9e-3
-    def laguerre(g):
-        def compute(n):
-            x, w = radial._genlaguerre(n)
-            return float(np.dot(w, g(x)))
-
-        return compute
-
-    with pytest.raises(QuadratureNotConverged, match="kink integral moved by"):
-        converged(laguerre(lambda r: np.abs(r - 1.0)), label="kink integral")
-    # a polynomial factor is exact at both node counts: int r^2 e^-r dr = 2
-    assert converged(laguerre(np.square)) == pytest.approx(2.0, abs=1e-13)
-
-
-def _clear_rules():
-    radial._genlaguerre.cache_clear()
-    radial._legendre.cache_clear()
-
-
-def _rules_built():
-    return radial._genlaguerre.cache_info().currsize, radial._legendre.cache_info().currsize
-
-
-@pytest.mark.parametrize(
-    "pair",
-    [(1.0, 2.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.25), (0.5, 0.5015, 0.0, 0.0)],
-    ids=["case-II", "case-I-offset", "case-IV"],
-)
-def test_concentric_audit_builds_no_quadrature_rule(pair):
-    # every concentric integral is a closed-form Slater moment
-    z1, z2, o1, o2 = pair
-    _clear_rules()
-    audit_pair(OneElectronSystem(z1, offset=o1), OneElectronSystem(z2, offset=o2), tol=1e-3)
-    assert _rules_built() == (0, 0)
-
-
 def test_displaced_audit_matches_screened_coulomb():
     # Z_A at the origin, Z_B at distance d: <psi_A|T + v_B|psi_A> is
     # Z_A^2/2 - Z_B (1 - (1 + Z_A d) e^(-2 Z_A d)) / d, and symmetrically
@@ -147,14 +108,11 @@ def test_displaced_audit_matches_screened_coulomb():
     def cross(z_psi, z_pot):
         return 0.5 * z_psi**2 - z_pot * (1.0 - (1.0 + z_psi * d) * math.exp(-2.0 * z_psi * d)) / d
 
-    _clear_rules()
     report = audit_pair(OneElectronSystem(za), OneElectronSystem(zb, center=(0.0, 0.0, d)))
     assert report.cross21 == pytest.approx(cross(za, zb), abs=1e-10)
     assert report.cross12 == pytest.approx(cross(zb, za), abs=1e-10)
     assert report.case == "II" and report.strict1 and report.strict2
     assert max(report.identity_residual_1, report.identity_residual_2) <= 1e-10
-    # only the inner segments [0, d] take quadrature, at both node counts
-    assert _rules_built() == (0, 2)
 
 
 # --- difference integrals --------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rho2v
-from rho2v import cli, radial
+from rho2v import cli
 from rho2v.audit import CUSP_CHECK_SEEDS
 from rho2v.cli import main
 from rho2v.density import evaluate_many
@@ -21,10 +21,9 @@ from rho2v.errors import (
     NonMonotoneCumulative,
     OptionError,
     OutOfScope,
-    QuadratureNotConverged,
     SpecError,
 )
-from rho2v.inversion import DENSITY_TOL
+from rho2v.inversion import DENSITY_TOL, IDENTICAL_CHARGE_TOL, IDENTICAL_POSITION_TOL, MATCH_GATE
 from rho2v.scaling import Q_RESIDUAL_TARGET
 from rho2v.specio import load_spec, render_report
 
@@ -193,9 +192,19 @@ def test_audit_z1_z2(tmp_path):
     tolerances = json.loads(out.read_text())["tolerances"]
     assert set(tolerances) == {"audit", "radial_derivative", "topology"}
     assert tolerances["audit"]["tol"] == 1e-9
-    # the quadrature gate and the case-IV cross-check's own density gate
-    assert tolerances["audit"]["convergence_tol"] == radial.CONVERGENCE_TOL == 1e-8
+    # the gates the case-IV cusp cross-check applies: equal densities, then
+    # center matching and the per-center bounds for identical frames
+    assert set(tolerances["audit"]) == {
+        "tol",
+        "cross_check_density_tol",
+        "cross_check_match_gate",
+        "cross_check_position_tol",
+        "cross_check_charge_tol",
+    }
     assert tolerances["audit"]["cross_check_density_tol"] == DENSITY_TOL == 1e-6
+    assert tolerances["audit"]["cross_check_match_gate"] == MATCH_GATE == 0.5
+    assert tolerances["audit"]["cross_check_position_tol"] == IDENTICAL_POSITION_TOL == 1e-3
+    assert tolerances["audit"]["cross_check_charge_tol"] == IDENTICAL_CHARGE_TOL == 1e-2
     # the seed count the case-IV cusp cross-check runs with
     assert tolerances["topology"]["seeds_per_axis"] == CUSP_CHECK_SEEDS
 
@@ -247,14 +256,44 @@ def test_audit_case_iv_cusp_cross_check(tmp_path):
     assert doc["tolerances"]["topology"]["seeds_per_axis"] == 5
 
 
-def test_concentric_audit_builds_no_quadrature_rule(tmp_path):
-    s1 = write_spec(tmp_path, "a.json", z_spec(1.0))
-    s2 = write_spec(tmp_path, "b.json", z_spec(2.0, offset=0.25))
-    radial._genlaguerre.cache_clear()
-    radial._legendre.cache_clear()
-    assert run(["audit", s1, s2, "--output", str(tmp_path / "r.json")]) == 0
-    assert radial._genlaguerre.cache_info().currsize == 0
-    assert radial._legendre.cache_info().currsize == 0
+def test_audit_requires_the_hydrogenic_density_of_the_frame(tmp_path):
+    # a Gaussian density audited as if it were the Z = 2 hydrogenic state
+    gaussian = {
+        "electron_count": 1,
+        "frame": [{"position": [0.0, 0.0, 0.0], "charge": 1.0}],
+        "terms": [{"kind": "gaussian", "center": [0.0, 0.0, 0.0], "coefficient": 1.0, "exponent": 0.5}],
+    }
+    normalized = z_spec(1.5)
+    normalized["terms"][0]["coefficient"] = 1.0
+    normalized["normalize"] = True
+    s_gauss = write_spec(tmp_path, "g.json", gaussian)
+    s_norm = write_spec(tmp_path, "n.json", normalized)
+    s_z2 = write_spec(tmp_path, "z2.json", z_spec(2.0))
+    assert run(["audit", s_gauss, s_z2]) == 3
+    # the hydrogenic term twice is twice the density
+    doubled = z_spec(2.0)
+    doubled["terms"] *= 2
+    assert run(["audit", write_spec(tmp_path, "d.json", doubled), s_z2]) == 3
+    assert run(["audit", s_norm, s_z2, "--output", str(tmp_path / "r.json")]) == 0
+    assert run(["audit", s_z2, s_z2, "--output", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"power": 1},
+        {"exponent": 2.0 * (1.0 + 1e-11)},
+        {"coefficient": 8.0 / math.pi * (1.0 + 1e-11)},
+        {"center": [0.0, 0.0, 1e-9]},
+    ],
+    ids=["power", "exponent", "coefficient", "center"],
+)
+def test_audit_rejects_a_term_off_the_hydrogenic_density(tmp_path, capsys, change):
+    spec = z_spec(2.0)
+    spec["terms"][0].update(change)
+    bad = write_spec(tmp_path, "bad.json", spec)
+    assert run(["audit", bad, write_spec(tmp_path, "z2.json", z_spec(2.0))]) == 3
+    assert "audit requires the hydrogenic density of the frame" in capsys.readouterr().err
 
 
 def test_audit_multicenter_exit_3(tmp_path, capsys):
@@ -447,7 +486,6 @@ def test_usage_errors_exit_1(capsys, argv):
         (SpecError, 1),
         (OptionError, 1),
         (EmptyResult, 1),
-        (QuadratureNotConverged, 1),
         (OSError, 1),
         (OutOfScope, 3),
         (MassMismatch, 4),

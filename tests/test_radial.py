@@ -1,11 +1,11 @@
-"""Gauss-Laguerre and Gauss-Legendre rules built with numpy alone, and the
-closed-form radial moments.
+"""Closed-form radial moments and shell-theorem attractions.
 
-Oracles are exact polynomial moments: int_0^inf x^k e^-x dx = k! and
-int_-1^1 x^k dx = 2/(k+1) for even k, 0 for odd k; an n-node rule is exact
-up to degree 2n - 1.  A Slater moment int_L^inf r^p e^(-beta r) dr is
-Gamma(p+1, beta L) / beta^(p+1), taken from mpmath at 40 digits: scipy's
-gammaincc is itself off by up to 7.4e-14 relative at beta L = 600.
+Oracles come from mpmath's incomplete gamma at 40 digits: scipy's gammaincc
+is itself off by up to 7.4e-14 relative at beta L = 600.  A Slater moment
+int_L^inf r^p e^(-beta r) dr is Gamma(p+1, beta L) / beta^(p+1), a Gaussian
+moment int_L^inf r^p e^(-alpha r^2) dr is Gamma((p+1)/2, alpha L^2) /
+(2 alpha^((p+1)/2)), and the charge within d is the lower incomplete gamma
+of the same orders.
 """
 
 import itertools
@@ -13,43 +13,10 @@ import math
 import warnings
 
 import mpmath
-import numpy as np
 import pytest
 
 from rho2v.density import PrimitiveKind, RadialPrimitive
-from rho2v.radial import _genlaguerre, _legendre, radial_moment
-
-
-@pytest.mark.parametrize("n", [20, 200, 400])
-def test_laguerre_rule_moments(n):
-    x, w = _genlaguerre(n)
-    assert np.all(np.diff(x) > 0.0) and np.all(w >= 0.0)
-    for k in range(40):
-        assert abs(np.dot(w, x**k) / math.factorial(k) - 1.0) <= 1e-13, k
-
-
-@pytest.mark.parametrize("n", [20, 200, 400])
-def test_legendre_rule_moments(n):
-    x, w = _legendre(n)
-    assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
-    assert np.max(np.abs(x + x[::-1])) <= 1e-15
-    for k in range(40):
-        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        assert abs(np.dot(w, x**k) - exact) <= 1e-13, k
-
-
-def test_small_rules_match_closed_forms():
-    root2, root3, root06 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(0.6)
-    closed = [
-        (_genlaguerre(1), [1.0], [1.0]),
-        (_genlaguerre(2), [2.0 - root2, 2.0 + root2], [(2.0 + root2) / 4.0, (2.0 - root2) / 4.0]),
-        (_legendre(1), [0.0], [2.0]),
-        (_legendre(2), [-1.0 / root3, 1.0 / root3], [1.0, 1.0]),
-        (_legendre(3), [-root06, 0.0, root06], [5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0]),
-    ]
-    for (x, w), nodes, weights in closed:
-        np.testing.assert_allclose(x, nodes, rtol=1e-15, atol=1e-16)
-        np.testing.assert_allclose(w, weights, rtol=1e-15)
+from rho2v.radial import primitive_attraction, radial_moment
 
 
 @pytest.mark.parametrize("power", [0, 1, 2, 5])
@@ -78,3 +45,48 @@ def test_slater_moment_far_tail_is_zero_without_warning(lower):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert radial_moment(prim, 2, lower=lower) == 0.0
+
+
+@pytest.mark.parametrize("lower", [30.0, 1e15])
+def test_gaussian_moment_far_tail_is_zero_without_warning(lower):
+    # half-integer orders: the erfc term and the sum both vanish
+    prim = RadialPrimitive(PrimitiveKind.GAUSSIAN, 1.0, 1.0, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert radial_moment(prim, 1, lower=lower) == 0.0
+
+
+def _slater_gamma(p, beta, lower, upper):
+    # int_lower^upper r^p e^(-beta r) dr
+    return mpmath.gammainc(p + 1, beta * lower, beta * upper) / beta ** (p + 1)
+
+
+def _gaussian_gamma(p, alpha, lower, upper):
+    # int_lower^upper r^p e^(-alpha r^2) dr
+    a = mpmath.mpf(p + 1) / 2
+    return mpmath.gammainc(a, alpha * lower**2, alpha * upper**2) / (2 * alpha**a)
+
+
+@pytest.mark.parametrize("alpha,lower", itertools.product((0.1, 0.8, 5.0), (1e-3, 0.2, 1.0, 3.0)))
+def test_gaussian_tail_moment_is_the_incomplete_gamma_function(alpha, lower):
+    for power, m in itertools.product(range(4), range(4)):
+        prim = RadialPrimitive(PrimitiveKind.GAUSSIAN, 1.3, alpha, power)
+        with mpmath.workdps(40):
+            exact = float(1.3 * _gaussian_gamma(m + power, mpmath.mpf(alpha), mpmath.mpf(lower), mpmath.inf))
+        assert radial_moment(prim, m, lower=lower) == pytest.approx(exact, rel=1e-14, abs=0.0), (power, m)
+
+
+@pytest.mark.parametrize(
+    "kind,exponent", itertools.product(PrimitiveKind, (0.3, 1.0, 5.0, 20.0)), ids=lambda v: getattr(v, "value", v)
+)
+def test_displaced_attraction_is_the_shell_theorem(kind, exponent):
+    # 4 pi [ (1/d) int_0^d r^2 g dr + int_d^inf r g dr ]
+    gamma = _slater_gamma if kind is PrimitiveKind.SLATER_S else _gaussian_gamma
+    rate = 2.0 * exponent if kind is PrimitiveKind.SLATER_S else exponent
+    for power, d in itertools.product(range(3), (1e-6, 1e-3, 0.1, 1.0, 5.0, 30.0)):
+        prim = RadialPrimitive(kind, 0.7, exponent, power)
+        with mpmath.workdps(40):
+            s, x = mpmath.mpf(rate), mpmath.mpf(d)
+            inner = gamma(power + 2, s, 0, x) / x
+            exact = float(4 * mpmath.pi * 0.7 * (inner + gamma(power + 1, s, x, mpmath.inf)))
+        assert primitive_attraction(prim, d) == pytest.approx(exact, rel=1e-14, abs=0.0), (power, d)
