@@ -7,6 +7,7 @@ Library layout:
     spherical  spherical averages and one-sided radial derivatives
     topology   critical-point search and classification
     inversion  cusp-based Coulomb frame reconstruction and verification
+    radial     radial moments, charges and attractions from one incomplete-gamma kernel
     audit      one-electron cross-energy audits and v(r) from psi
     scaling    radial local-scaling maps between spherical densities
     cli        batch command-line front end (also `python -m rho2v`)

@@ -212,7 +212,10 @@ def audit_pair(system1: OneElectronSystem, system2: OneElectronSystem, tol: floa
     tied back to the ground energies through the difference integrals, whose
     residuals are recorded.  The case label follows the four-way split; a
     case IV finding triggers the cusp-machinery cross-check on the two
-    densities.
+    densities.  On the probe grid wavefunctions are equal within tol and
+    densities within tol * max(1, max(psi1 + psi2)), psi's scale, as
+    rho1 - rho2 = (psi1 - psi2)(psi1 + psi2): equal wavefunctions cannot
+    carry unequal densities, and the gate is never tighter than tol.
     """
     e1 = system1.energy
     e2 = system2.energy
@@ -234,7 +237,7 @@ def audit_pair(system1: OneElectronSystem, system2: OneElectronSystem, tol: floa
         rho1_vals = psi1 * psi1
         rho2_vals = psi2 * psi2
         psi_eq = bool(np.max(np.abs(psi1 - psi2)) <= tol)
-        rho_eq = bool(np.max(np.abs(rho1_vals - rho2_vals)) <= tol)
+        rho_eq = bool(np.max(np.abs(rho1_vals - rho2_vals)) <= tol * max(1.0, float(np.max(psi1 + psi2))))
         pot_eq = abs(system1.charge - system2.charge) <= tol
     else:
         psi_eq = rho_eq = pot_eq = False

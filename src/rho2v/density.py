@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AtCuspSingularity, ZeroDensity
+from .radial import FOUR_PI, _columns, _moment, _sum_terms
 
 __all__ = [
     "PrimitiveKind",
@@ -87,30 +88,12 @@ class RadialPrimitive:
             return self.coefficient, 2.0 * self.exponent, 0.0, self.power
         return self.coefficient, 0.0, self.exponent, self.power
 
-    def radial_value(self, r):
-        """g(r) = c * r^n * E(r) for scalar or array r >= 0."""
-        r = np.asarray(r, dtype=float)
-        # arithmetic on a 0-d array costs about a microsecond per operation
-        return _radial(*self.envelope, r if r.ndim else float(r))
-
     @property
     def decay_length(self) -> float:
         """Characteristic length scale 1/zeta or 1/sqrt(alpha) in bohr."""
         if self.kind is PrimitiveKind.SLATER_S:
             return 1.0 / self.exponent
         return 1.0 / math.sqrt(self.exponent)
-
-    def total_integral(self) -> float:
-        """Closed-form 4*pi * int_0^inf r^(n+2) g(r)/c... see module notes.
-
-        Slater:   4*pi*c*(n+2)! / (2*zeta)^(n+3)
-        Gaussian: 2*pi*c*Gamma((n+3)/2) / alpha^((n+3)/2)
-        """
-        c, n = self.coefficient, self.power
-        if self.kind is PrimitiveKind.SLATER_S:
-            return 4.0 * math.pi * c * math.factorial(n + 2) / (2.0 * self.exponent) ** (n + 3)
-        half = 0.5 * (n + 3)
-        return 2.0 * math.pi * c * math.gamma(half) / self.exponent**half
 
 
 @dataclass(frozen=True)
@@ -207,7 +190,7 @@ class _TermArrays(NamedTuple):
     @classmethod
     def of(cls, terms) -> "_TermArrays":
         centers = np.array([center for center, _ in terms]).reshape(-1, 3)
-        c, a, b, n = np.array([prim.envelope for _, prim in terms], dtype=float).reshape(-1, 4).T[:, :, None]
+        c, a, b, n = _columns(prim for _, prim in terms)
         singular = ((n == 1) | ((n == 0) & (a > 0))).ravel()
         return cls(centers, c, a, b, n, singular)
 
@@ -313,8 +296,10 @@ def on_cusp(model: DensityModel, points) -> np.ndarray:
 
 
 def total_integral(model: DensityModel) -> float:
-    """Closed-form integral of the density over R^3, in electrons."""
-    return sum(prim.total_integral() for _, prim in model.terms)
+    """Closed-form integral of the density over R^3, in electrons: 4*pi times
+    the m = 2 radial moment of every term from 0."""
+    t = model._arrays
+    return float(_sum_terms(_moment(FOUR_PI * t.c, t.a, t.b, t.n, 2)(0.0, complement=True))[0])
 
 
 def normalize(model: DensityModel, electron_count: int | None = None) -> DensityModel:

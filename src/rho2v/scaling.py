@@ -15,15 +15,9 @@ arrays; f' is then recovered algebraically from the Jacobian relation.
 Cumulative matching is unconditionally stable and monotone, unlike direct
 integration of the nonlinear ODE.
 
-Numerics: in the upper tail Q saturates at N in floating point, so the
-matching is performed on the complementary cumulative N - Q there (both
-sides are computed from relatively accurate incomplete-gamma forms), which
-keeps f at full relative precision across the whole grid.  The regularized
-incomplete gamma functions, which rho2v.radial uses too, are computed here
-with numpy: a power series for P below x = a, and from there on the finite
-sum Q = e^-x sum_{k<a} x^k/k! for integer orders (Slater terms, Gaussian
-terms of odd power) or erfc(sqrt x) plus the half-integer sum (Gaussian
-terms of even power).
+In the upper tail Q saturates at N in floating point, so there f matches
+the complement N - Q, which rho2v.radial keeps relatively accurate; that
+keeps f at full relative precision across the grid.
 """
 
 from __future__ import annotations
@@ -35,6 +29,7 @@ import numpy as np
 
 from .density import DensityModel, PrimitiveKind, RadialPrimitive
 from .errors import MassMismatch, NonMonotoneCumulative
+from .radial import FOUR_PI, _columns, _moment, _power, _sum_terms
 
 __all__ = [
     "RadialDensity",
@@ -57,88 +52,6 @@ def default_grid(r_min: float = GRID_MIN, r_max: float = GRID_MAX, points: int =
     return np.geomspace(r_min, r_max, points)
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-# from this x on e^-x and erfc(sqrt x) underflow to 0, and Q is taken as 0
-_X_UNDERFLOW = 746.0
-
-
-def _upper_sum(a: float, x: np.ndarray) -> np.ndarray:
-    """Q(a, x) for integer or half-integer a >= 1/2 from the finite sum
-
-        Q(a, x) = Q(s0, x) + e^-x x^s0 sum_{s0 <= s < a} x^(s - s0) / Gamma(s + 1),
-
-    with s0 = 0 and Q(0, x) = 0 for integer a, s0 = 1/2 and
-    Q(1/2, x) = erfc(sqrt x) otherwise; every term is positive."""
-    half = a != math.floor(a)
-    s0 = 0.5 if half else 0.0
-    x = np.minimum(x, _X_UNDERFLOW)  # keeps the sum finite where e^-x is 0
-    total = np.ones_like(x)  # Horner form of the sum, innermost term first
-    for s in np.arange(a - 1.0, s0, -1.0):
-        total *= x / s
-        total += 1.0
-    if not half:
-        return np.exp(-x) * total
-    root = np.sqrt(x)
-    erfc = _erfc(root).astype(float)
-    # at a = 1/2 the sum is empty
-    return erfc if a == s0 else erfc + np.exp(-x) * root * total / math.gamma(1.5)
-
-
-def _lower_series(a: float, x: np.ndarray) -> np.ndarray:
-    """P(a, x) = x^a e^-x / Gamma(a + 1) * sum_k x^k / ((a + 1) ... (a + k)).
-
-    The sum runs in Horner form to the term count that the largest x
-    needs (it converges last); every coefficient is positive."""
-    x_max, coefficients, term = float(x.max()), [1.0], 1.0
-    while term > 1e-17:  # term: the last coefficient times x_max^k
-        k = len(coefficients)
-        coefficients.append(coefficients[-1] / (a + k))
-        term *= x_max / (a + k)
-    total = np.full_like(x, coefficients.pop())
-    for c in reversed(coefficients):
-        total *= x
-        total += c
-    return x**a * np.exp(-x) * total / math.gamma(a + 1.0)
-
-
-def _regularized_gamma(a: float, x, complement: bool) -> np.ndarray:
-    """Q(a, x) if complement else P(a, x), for integer or half-integer a and x >= 0.
-
-    Below x = a the series gives P accurately and Q = 1 - P stays above
-    about 0.4; from x = a on the finite sum gives Q, and P = 1 - Q stays
-    above about 0.5.
-    """
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    low = flat < a
-    n_low = np.count_nonzero(low)
-    if n_low == 0:
-        q = _upper_sum(a, flat)
-        out = q if complement else 1.0 - q
-    elif n_low == len(flat):
-        p = _lower_series(a, flat)
-        out = 1.0 - p if complement else p
-    else:
-        out = np.empty_like(flat)
-        p, q = _lower_series(a, flat[low]), _upper_sum(a, flat[~low])
-        out[low] = 1.0 - p if complement else p
-        out[~low] = q if complement else 1.0 - q
-    return out.reshape(x.shape)
-
-
-def _term_cumulative(prim: RadialPrimitive, r, complement: bool) -> np.ndarray:
-    """int over the ball (or its complement) of one radial primitive."""
-    r = np.asarray(r, dtype=float)
-    c, n = prim.coefficient, prim.power
-    if prim.kind is PrimitiveKind.SLATER_S:
-        b = 2.0 * prim.exponent
-        a = n + 3
-        return 4.0 * math.pi * c * math.gamma(a) * _regularized_gamma(a, b * r, complement) / b**a
-    alpha = prim.exponent
-    a = 0.5 * (n + 3)
-    return 4.0 * math.pi * c * math.gamma(a) * _regularized_gamma(a, alpha * r * r, complement) / (2.0 * alpha**a)
-
-
 @dataclass(frozen=True)
 class RadialDensity:
     """Spherical density with its cumulative charge profile.
@@ -156,21 +69,21 @@ class RadialDensity:
 
     @classmethod
     def from_primitives(cls, primitives) -> "RadialDensity":
-        prims = tuple(primitives)
-        if not prims:
+        c, a, b, n = _columns(primitives)
+        if not len(c):
             raise ValueError("need at least one radial primitive")
+        charge = _moment(FOUR_PI * c, a, b, n, 2)
 
-        def rho(r):
-            return sum(p.radial_value(r) for p in prims)
+        def summed(per_term):
+            """r -> the sum over terms of per_term(r), shaped as r (0-d or 1-d)."""
+            return lambda r: _sum_terms(per_term(np.asarray(r, dtype=float))).reshape(np.shape(r))
 
-        def cumulative(r):
-            return sum(_term_cumulative(p, r, complement=False) for p in prims)
-
-        def complement(r):
-            return sum(_term_cumulative(p, r, complement=True) for p in prims)
-
-        total = sum(p.total_integral() for p in prims)
-        return cls(rho=rho, cumulative=cumulative, complement=complement, electron_count=total)
+        return cls(
+            rho=summed(lambda r: c * _power(r, n) * np.exp(-(a + b * r) * r)),
+            cumulative=summed(lambda r: charge(r, complement=False)),
+            complement=summed(lambda r: charge(r, complement=True)),
+            electron_count=float(_sum_terms(charge(0.0, complement=True))[0]),
+        )
 
     @classmethod
     def hydrogenic(cls, z: float) -> "RadialDensity":
@@ -187,9 +100,8 @@ class RadialDensity:
         return cls.from_primitives(p for _, p in model.terms)
 
     @classmethod
-    def from_callables(cls, rho, cumulative, electron_count: float, complement=None) -> "RadialDensity":
-        if complement is None:
-            complement = lambda r: electron_count - np.asarray(cumulative(r), dtype=float)
+    def from_callables(cls, rho, cumulative, electron_count: float) -> "RadialDensity":
+        complement = lambda r: electron_count - np.asarray(cumulative(r), dtype=float)
         return cls(rho=rho, cumulative=cumulative, complement=complement, electron_count=electron_count)
 
 

@@ -225,6 +225,14 @@ def test_case_iv_cross_check_reads_equal_frames():
     assert [m.estimated_charge for m in verdict.center_agreement] == pytest.approx([0.5], abs=1e-6)
 
 
+def test_equal_wavefunctions_carry_equal_densities():
+    # at Z = 3 the density gap is about 6 times the wavefunction gap; at one
+    # absolute tol for both this pair read as case III, "structurally impossible"
+    report = audit_pair(OneElectronSystem(3.0), OneElectronSystem(3.0002), tol=1e-3)
+    assert report.wavefunctions_equal and report.densities_equal
+    assert report.case == "I" and not report.notes
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     z=st.floats(0.3, 3.0),

@@ -271,7 +271,7 @@ def test_total_integral_unnormalized_slater():
 def test_total_integral_matches_quadrature(prim):
     model = DensityModel(terms=((np.zeros(3), prim),))
     oracle, _ = quad(
-        lambda r: 4.0 * math.pi * r * r * prim.radial_value(r),
+        lambda r: 4.0 * math.pi * r * r * evaluate_many(model, [[r, 0.0, 0.0]])[0],
         0,
         np.inf,
         epsabs=1e-13,

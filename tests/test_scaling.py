@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc
 
 from rho2v.density import PrimitiveKind, RadialPrimitive
-from rho2v import scaling
+from rho2v import radial, scaling
 from rho2v.errors import MassMismatch, NonMonotoneCumulative
 from rho2v.scaling import (
     Q_RESIDUAL_TARGET,
@@ -233,11 +233,11 @@ def test_target_that_never_reaches_the_charge_raises():
 @pytest.mark.parametrize("a", np.arange(0.5, 6.5, 0.5))
 def test_regularized_gamma_matches_scipy(a):
     x = np.concatenate([np.geomspace(1e-6, 200.0, 2000), [a - 1e-12, a, a + 1e-12]])
-    p, q = scaling._regularized_gamma(a, x, False), scaling._regularized_gamma(a, x, True)
+    p, q = radial._regularized_gamma(a, x, False), radial._regularized_gamma(a, x, True)
     tiny = np.finfo(float).tiny
     assert np.max(np.abs(p - gammainc(a, x)) / np.maximum(gammainc(a, x), tiny)) <= 1e-13
     assert np.max(np.abs(q - gammaincc(a, x)) / np.maximum(gammaincc(a, x), tiny)) <= 1e-13
-    assert scaling._regularized_gamma(a, 0.0, False) == 0.0 and scaling._regularized_gamma(a, 0.0, True) == 1.0
+    assert radial._regularized_gamma(a, 0.0, False) == 0.0 and radial._regularized_gamma(a, 0.0, True) == 1.0
 
 
 def test_q_residual_sees_an_upper_tail_error(monkeypatch):
