@@ -126,9 +126,14 @@ def cross_energy(psi_system: OneElectronSystem, potential_system: OneElectronSys
     B's offset).
     """
     rho_a = psi_system.density
+    attraction = frame_attraction(rho_a, potential_system.frame)
+    return _cross_energy(psi_system.charge, total_integral(rho_a), attraction, potential_system.offset)
+
+
+def _cross_energy(charge: float, total: float, attraction: float, offset: float) -> float:
+    """Cross energy from int rho_A and A's attraction to B's frame."""
     # <T> = (1/2) int |psi'|^2 d^3x = (Z^2/2) int psi^2 d^3x, as psi' = -Z psi
-    kinetic = 0.5 * psi_system.charge**2 * total_integral(rho_a)
-    return kinetic + frame_attraction(rho_a, potential_system.frame) + potential_system.offset
+    return 0.5 * charge**2 * total + attraction + offset
 
 
 def difference_integral(
@@ -139,8 +144,14 @@ def difference_integral(
     offset2: float = 0.0,
 ) -> float:
     """int [v1(x) - v2(x)] rho(x) d^3x, offsets contributing (c1-c2)*N."""
-    attraction = frame_attraction(rho, v1) - frame_attraction(rho, v2)
-    return attraction + (offset1 - offset2) * total_integral(rho)
+    return _difference_integral(
+        frame_attraction(rho, v1), frame_attraction(rho, v2), total_integral(rho), offset1, offset2
+    )
+
+
+def _difference_integral(attraction1, attraction2, total, offset1, offset2) -> float:
+    """Difference integral from rho's attractions to the two frames and int rho."""
+    return attraction1 - attraction2 + (offset1 - offset2) * total
 
 
 @dataclass(frozen=True)
@@ -219,16 +230,17 @@ def audit_pair(system1: OneElectronSystem, system2: OneElectronSystem, tol: floa
     """
     e1 = system1.energy
     e2 = system2.energy
-    cross12 = cross_energy(system2, system1)
-    cross21 = cross_energy(system1, system2)
-    rho1 = system1.density
-    rho2 = system2.density
-    d_rho2 = difference_integral(
-        system1.frame, system2.frame, rho2, system1.offset, system2.offset
-    )
-    d_rho1 = difference_integral(
-        system1.frame, system2.frame, rho1, system1.offset, system2.offset
-    )
+    # each density, frame and integral once: two totals, four attractions
+    rho1, rho2 = system1.density, system2.density
+    frame1, frame2 = system1.frame, system2.frame
+    n1, n2 = total_integral(rho1), total_integral(rho2)
+    a11, a12 = frame_attraction(rho1, frame1), frame_attraction(rho1, frame2)
+    a21, a22 = frame_attraction(rho2, frame1), frame_attraction(rho2, frame2)
+    o1, o2 = system1.offset, system2.offset
+    cross12 = _cross_energy(system2.charge, n2, a21, o1)
+    cross21 = _cross_energy(system1.charge, n1, a12, o2)
+    d_rho2 = _difference_integral(a21, a22, n2, o1, o2)
+    d_rho1 = _difference_integral(a11, a12, n1, o1, o2)
 
     concentric = _concentric(system1, system2)
     if concentric:
@@ -255,7 +267,7 @@ def audit_pair(system1: OneElectronSystem, system2: OneElectronSystem, tol: floa
         )
     elif psi_eq and rho_eq:
         case = "I"
-        if abs(system1.offset - system2.offset) > 0.0:
+        if abs(o1 - o2) > 0.0:
             notes.append(
                 "potentials differ by a pure constant; the energy gap equals "
                 "that constant times the electron count"

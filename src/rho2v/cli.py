@@ -333,18 +333,72 @@ def cmd_lst(args) -> int:
     return EXIT_OK
 
 
-# cube values: 6 per row in %13.5E, formatted a block of whole rows at a time
-CUBE_ROW = "%13.5E" * 6 + "\n"
+# cube values: 6 per row of 13-byte cells, formatted a block of whole rows at a time
 CUBE_BLOCK = 6 * 1365
+_CUBE_ROW = np.frombuffer(b"  0.00000E+00" * 6 + b"\n", dtype=np.uint8)
+# 10^(5-e) at e + 100, correctly rounded; the digit triples 000-999; the
+# exponents -99 to +99
+_SCALE = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in range(105, -96, -1)])
+_TRIPLES = np.array([f"{i:03d}" for i in range(1000)], dtype="S3").view(np.uint8).reshape(-1, 3)
+_EXPONENTS = np.array([f"{i:+03d}" for i in range(-99, 100)], dtype="S3").view(np.uint8).reshape(-1, 3)
 
 
-def _cube_rows(values):
-    """The cube's value rows as text, one string per CUBE_BLOCK values."""
-    for start in range(0, len(values), CUBE_BLOCK):
-        block = values[start : start + CUBE_BLOCK].tolist()
-        rows, rest = divmod(len(block), 6)
-        template = CUBE_ROW * rows + ("%13.5E" * rest + "\n" if rest else "")
-        yield template % tuple(block)
+def _cube_block(v: np.ndarray, out: np.ndarray) -> None:
+    """Fill the rows out (r, 79) with the values in v, 6 to a row, each cell as
+    "%13.5E" writes it; a partial last row is filled up with 1.0."""
+    rows = len(out)
+    x = np.ones(rows * 6)
+    x[: len(v)] = v
+    # two-digit exponents only; 1.0 stands in for every other cell
+    fast = (x > 1e-98) & (x < 1e98)
+    x[~fast] = 1.0
+    e = np.floor(np.log10(x)).astype(np.intp)
+    s = x * _SCALE.take(e + 100)
+    d = np.rint(s)
+    carry = d == 1e6
+    e += carry
+    d[carry] = 1e5
+
+    out[:] = _CUBE_ROW
+    cells = out[:, :-1].reshape(rows, 6, 13)
+    lead, tail = np.divmod(d.astype(np.int32), 1000)
+    lead = _TRIPLES.take(lead, axis=0).reshape(rows, 6, 3)
+    cells[..., 2] = lead[..., 0]
+    cells[..., 4:6] = lead[..., 1:]
+    cells[..., 6:9] = _TRIPLES.take(tail, axis=0).reshape(rows, 6, 3)
+    cells[..., 10:] = _EXPONENTS.take(e + 99, axis=0).reshape(rows, 6, 3)
+    for i in np.flatnonzero(~fast | (np.abs(s - np.floor(s) - 0.5) < 1e-6)):
+        cells[i // 6, i % 6] = np.frombuffer(b"%13.5E" % v[i], dtype=np.uint8)
+
+
+def _cube_text(header: str, values: np.ndarray) -> str:
+    """header, then the values 6 to a row, byte-identical to "%13.5E" per value.
+
+    For 1e-98 < v < 1e98 the cell comes from numpy digits: e = floor(log10 v)
+    and d = rint(s), s = v 10^(5-e), with d = 1e6 carried into e.  The power of
+    ten and the product each round once, so s is within 2.3e-10 (< 1e-9) of
+    its exact value, and d is the correctly rounded digit string wherever s
+    is farther than 1e-6 from a .5 tie: a 1000x margin.  log10 is one off only
+    within about 1e-13 of a power of ten, where s is within 1e-7 of 1e5 (d =
+    1e5) or of 1e6 (carried), so e needs no other fix.  Cells within the tie
+    margin, and every zero, negative, non-finite or out-of-range value, go
+    through "%13.5E" itself; such a cell is also 13 bytes, so it overwrites its
+    own slot.  log10 sees only values in range, and e only indexes inside the
+    tables, so no floating-point warning can arise.  The text is built in one
+    byte buffer and decoded once.
+    """
+    head = header.encode("utf-8")
+    n, width = len(values), _CUBE_ROW.size
+    buf = np.empty(len(head) + -(-n // 6) * width, dtype=np.uint8)
+    buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    rows = buf[len(head) :].reshape(-1, width)
+    for r in range(0, len(rows), CUBE_BLOCK // 6):
+        _cube_block(values[6 * r : 6 * r + CUBE_BLOCK], rows[r : r + CUBE_BLOCK // 6])
+    end = len(head) + n // 6 * width + n % 6 * 13
+    if n % 6:
+        buf[end] = 10  # "\n" after a partial last row
+        end += 1
+    return str(buf[:end].data, "utf-8")
 
 
 def cmd_grid_export(args) -> int:
@@ -356,17 +410,15 @@ def cmd_grid_export(args) -> int:
             raise OptionError(f"{flag} must be finite")
     model, _ = load_spec(args.spec)
     origin = np.asarray(args.origin, dtype=float)
-    steps = np.diag(args.step)
+    step = np.asarray(args.step, dtype=float)
 
-    nx, ny, nz = counts
     lines = [
         "rho2v density export",
         f"source: {Path(args.spec).name}",
     ]
     natoms = 0 if model.frame is None else len(model.frame)
     lines.append(f"{natoms:5d} {origin[0]:12.6f} {origin[1]:12.6f} {origin[2]:12.6f}")
-    for i, n in enumerate(counts):
-        v = steps[i]
+    for n, v in zip(counts, np.diag(step)):
         lines.append(f"{n:5d} {v[0]:12.6f} {v[1]:12.6f} {v[2]:12.6f}")
     if model.frame is not None:
         for pos, z in zip(model.frame.positions, model.frame.charges):
@@ -374,12 +426,9 @@ def cmd_grid_export(args) -> int:
                 f"{int(round(z)):5d} {z:12.6f} {pos[0]:12.6f} {pos[1]:12.6f} {pos[2]:12.6f}"
             )
 
-    ix, iy, iz = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-    idx = np.stack([ix.ravel(), iy.ravel(), iz.ravel()], axis=1)  # z fastest
-    points = origin[None, :] + idx @ steps
-    values = evaluate_many(model, points)
-    header = "\n".join(lines) + "\n"
-    _write_output("".join([header, *_cube_rows(values)]), args.output)
+    # z fastest; the points are freed before the text is built
+    values = evaluate_many(model, origin + np.indices(counts).reshape(3, -1).T * step)
+    _write_output(_cube_text("\n".join(lines) + "\n", values), args.output)
     return EXIT_OK
 
 

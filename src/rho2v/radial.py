@@ -11,7 +11,11 @@ over d plus 4 pi times the m = 1 moment from d.
 
 P is a power series below x = A; from there on Q is a finite sum, from erfc
 for half-integer orders.  Each side stays relatively accurate, so Q keeps full
-precision where P rounds to 1.  This module imports no other rho2v module.
+precision where P rounds to 1.  Where e^-x underflows, or for P where the
+order is large enough that Gamma(A + 1) or x^A can overflow, the common factor
+x^A e^-x / Gamma(A + 1) is taken from its log instead, and a result below the
+smallest normal float is taken as 0.  This module imports no other rho2v
+module.
 """
 
 from __future__ import annotations
@@ -30,9 +34,15 @@ __all__ = ["radial_moment", "primitive_attraction", "frame_attraction"]
 FOUR_PI = 4.0 * math.pi
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 _gamma = np.frompyfunc(math.gamma, 1, 1)
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
 _pow = np.frompyfunc(pow, 2, 1)  # libm pow on Python floats; numpy's own pow rounds differently
-# from this x on e^-x and erfc(sqrt x) underflow to 0, and Q is taken as 0
-_X_UNDERFLOW = 746.0
+# log of the smallest normal float: e^-x is below it past _X_UNDERFLOW, and a
+# P or Q below it has lost digits and is taken as 0
+_LOG_TINY = math.log(np.finfo(float).tiny)
+_X_UNDERFLOW = -_LOG_TINY
+# from this order on x^a (x < a) or Gamma(a + 1) can overflow, and P is taken
+# in log form; below it both stay under 1e301
+_LARGE_ORDER = 140.0
 
 
 def _columns(prims) -> tuple:
@@ -65,7 +75,9 @@ class _Orders(NamedTuple):
     steps: np.ndarray  # (S, T) the finite sum's Horner divisors, inf before a term's first step
     divisors: np.ndarray  # (T, J) a + j for j = 1 .. J, enough for any x below a
     coefficients: np.ndarray  # (T, J + 1) 1 / ((a + 1) ... (a + j))
-    gamma_next: np.ndarray  # (T,) Gamma(a + 1)
+    gamma_next: np.ndarray  # (T,) Gamma(a + 1), inf from _LARGE_ORDER on
+    log_gamma_next: np.ndarray  # (T,) log Gamma(a + 1)
+    any_large: bool  # some a is at least _LARGE_ORDER
 
     def __call__(self, x, complement: bool) -> np.ndarray:
         """Q(a, x) if complement else P(a, x) for x >= 0, (T, P).  Below x = a
@@ -100,14 +112,24 @@ class _Orders(NamedTuple):
         for c in np.repeat(table[:, ::-1].T, count, axis=1):
             total *= x
             total += c
-        return _power(x, np.repeat(self.a[:, 0], count)) * np.exp(-x) * total / np.repeat(self.gamma_next, count)
+        a, gamma_next = np.repeat(self.a[:, 0], count), np.repeat(self.gamma_next, count)
+        if not self.any_large:
+            return _power(x, a) * np.exp(-x) * total / gamma_next
+        big = a >= _LARGE_ORDER
+        p = np.empty_like(x)
+        small = ~big
+        p[small] = _power(x[small], a[small]) * np.exp(-x[small]) * total[small] / gamma_next[small]
+        p[big] = _log_form(a[big], x[big], np.repeat(self.log_gamma_next, count)[big], upper=False)
+        return p
 
     def _finite_sum(self, x, high):
         """Q(a, x) = Q(s0, x) + e^-x x^s0 sum_{s0 <= s < a} x^(s - s0) / Gamma(s + 1)
         at the elements under the mask high, in row order: s0 = 0, Q(0, x) = 0
-        for integer a, else s0 = 1/2, Q(1/2, x) = erfc(sqrt x)."""
+        for integer a, else s0 = 1/2, Q(1/2, x) = erfc(sqrt x).  Where e^-x
+        underflows, Q comes from the log form instead."""
         count = high.sum(axis=1)
-        x = np.minimum(x[high], _X_UNDERFLOW)  # keeps the sum finite where e^-x is 0
+        x_high = x[high]
+        x = np.minimum(x_high, _X_UNDERFLOW)  # the sum stays below e^x, finite
         total = np.ones_like(x)  # Horner form, innermost term first
         for d in np.repeat(self.steps, count, axis=1):
             total *= x / d
@@ -120,7 +142,35 @@ class _Orders(NamedTuple):
             erfc = _erfc(root).astype(float)
             empty = np.repeat(self.a[:, 0], count)[half] == 0.5  # a = 1/2: no sum
             q[half] = erfc + np.where(empty, 0.0, e[half] * root * total[half] / math.gamma(1.5))
+        big = x_high > _X_UNDERFLOW
+        if np.count_nonzero(big):
+            a, log_gamma_next = np.repeat(self.a[:, 0], count)[big], np.repeat(self.log_gamma_next, count)[big]
+            q[big] = _log_form(a, x_high[big], log_gamma_next, upper=True)
         return q
+
+
+def _log_form(a, x, log_gamma_next, upper: bool) -> np.ndarray:
+    """P(a, x) for x < a, or Q(a, x) for x >= a, elementwise, with the factor
+    x^a e^-x / Gamma(a + 1) taken from its log and a series summed forward
+    from its largest term:
+
+        P = x^a e^-x / Gamma(a + 1) * (1 + x/(a + 1) (1 + x/(a + 2) (1 + ...)))
+        Q = x^a e^-x / Gamma(a + 1) * (a/x) (1 + (a - 1)/x (1 + (a - 2)/x (1 + ...)))
+
+    For integer a the second ends at (a - a)/x = 0; for half-integer a it runs
+    on through negative numerators as the asymptotic series of e^x erfc(sqrt x),
+    which reaches 1e-17 within a few terms where e^-x underflows.  No series
+    coefficient is formed, so none underflows at large a.  A result below the
+    smallest normal float is taken as 0."""
+    total, term, k = np.ones_like(x), np.ones_like(x), 1.0
+    while np.any(np.abs(term) > 1e-17 * total):
+        term *= (a - k) / x if upper else x / (a + k)
+        total += term
+        k += 1.0
+    # x = 0 gives log P = -inf and x = inf log Q = nan: both are taken as 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_value = a * np.log(x) - x - log_gamma_next + np.log(a / x * total if upper else total)
+    return np.where(log_value >= _LOG_TINY, np.exp(log_value), 0.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -136,7 +186,10 @@ def _orders(a: tuple) -> _Orders:
     divisors = a + np.arange(1.0, span + 1.0)
     coefficients = np.divide.accumulate(np.concatenate([np.ones_like(a), divisors], axis=1), axis=1)
     steps = np.where(s <= last, 0.5 * half + s, np.inf).T
-    return _Orders(a, half[:, 0], steps, divisors, coefficients, _gamma(a[:, 0] + 1.0).astype(float))
+    large = a[:, 0] >= _LARGE_ORDER
+    gamma_next = np.where(large, np.inf, _gamma(np.minimum(a[:, 0], _LARGE_ORDER) + 1.0).astype(float))
+    log_gamma_next = _lgamma(a[:, 0] + 1.0).astype(float)
+    return _Orders(a, half[:, 0], steps, divisors, coefficients, gamma_next, log_gamma_next, bool(large.any()))
 
 
 def _regularized_gamma(a, x, complement: bool) -> np.ndarray:

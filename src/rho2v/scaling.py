@@ -125,8 +125,9 @@ def _residual(target: RadialDensity, x: np.ndarray, q, qc, upper) -> np.ndarray:
     return out
 
 
-def _match_radii(source: RadialDensity, target: RadialDensity, r: np.ndarray) -> np.ndarray:
-    """Solve Q_target(f) = Q_source(r) for every radius of the 1-d array r at once.
+def _solve_radii(target: RadialDensity, r: np.ndarray, charges) -> np.ndarray:
+    """Solve Q_target(f) = Q_source(r) for every radius of the 1-d array r at once,
+    given the source charges (q, N - q, upper) at r.
 
     Each point matches on the cumulative, or on the complement where its
     source charge is above N/2; either way the residual h(x) increases in x
@@ -135,7 +136,7 @@ def _match_radii(source: RadialDensity, target: RadialDensity, r: np.ndarray) ->
     that bisects when a step is not finite, leaves the bracket or is more
     than half the step before last, and a 4-step Newton polish ends it.
     """
-    q, qc, upper = _source_charges(source, r)
+    q, qc, upper = charges
 
     def h(x, idx):
         return _residual(target, x, q[idx], qc[idx], upper[idx])
@@ -203,13 +204,21 @@ def _match_radii(source: RadialDensity, target: RadialDensity, r: np.ndarray) ->
             active = active[ok & (np.abs(newton) > 1e-16 * np.maximum(x, 1e-300))]
             if active.size == 0:
                 break
+    return f
 
-    hole = np.asarray(target.rho(f), dtype=float) == 0.0
+
+def _match_radii(source: RadialDensity, target: RadialDensity, r: np.ndarray) -> tuple:
+    """(f, rho_target(f), source charges at r) for the 1-d array r; raises
+    NonMonotoneCumulative where the target density vanishes at f."""
+    charges = _source_charges(source, r)
+    f = _solve_radii(target, r, charges)
+    rho_t = np.asarray(target.rho(f), dtype=float)
+    hole = rho_t == 0.0
     if np.any(hole):
         raise NonMonotoneCumulative(
             f"target density vanishes at f = {f[np.argmax(hole)]:g} (flat cumulative: density hole)"
         )
-    return f
+    return f, rho_t, charges
 
 
 @dataclass(frozen=True)
@@ -235,7 +244,7 @@ class LocalScalingMap:
     def map_at(self, r) -> np.ndarray:
         """Evaluate the deformation at arbitrary radii by re-solving."""
         rs = np.asarray(r, dtype=float)
-        out = _match_radii(self.source, self.target, np.atleast_1d(rs))
+        out = _match_radii(self.source, self.target, np.atleast_1d(rs))[0]
         return out[0] if rs.ndim == 0 else out
 
 
@@ -253,17 +262,15 @@ def solve_scaling_map(source: RadialDensity, target: RadialDensity, grid=None) -
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be positive and strictly increasing")
 
-    f = _match_radii(source, target, grid)
+    f, rho_t, (q, qc, upper) = _match_radii(source, target, grid)
 
     rho_s = np.asarray(source.rho(grid), dtype=float)
-    rho_t = np.asarray(target.rho(f), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         f_prime = np.where(rho_t > 0.0, grid**2 * rho_s / (f**2 * rho_t), np.inf)
 
     # relative, in the representation each radius was matched on: in the
     # upper tail both cumulatives round to N and only the complements show
     # an error in f, and near either end the charge itself is tiny
-    q, qc, upper = _source_charges(source, grid)
     matched = np.where(upper, qc, q)
     q_residuals = np.abs(_residual(target, f, q, qc, upper)) / np.where(matched > 0.0, matched, 1.0)
 

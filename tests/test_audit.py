@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc
 
+from rho2v import audit
 from rho2v.density import NuclearFrame, PrimitiveKind, RadialPrimitive, hydrogenic_model
 from rho2v.errors import NodeEncountered
 from rho2v.audit import (
@@ -267,3 +268,21 @@ def test_n1_consistency_equal_densities_equal_wavefunctions():
     assert np.max(np.abs(np.sqrt(rho1) - np.sqrt(rho2))) <= 1e-9
     report = audit_pair(s1, s2)
     assert report.wavefunctions_equal and report.densities_equal
+
+
+def test_audit_pair_takes_each_density_frame_and_integral_once(monkeypatch):
+    calls = {}
+
+    def counted(name):
+        f = getattr(audit, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(audit, name, wrapper)
+
+    for name in ("hydrogenic_model", "NuclearFrame", "total_integral", "frame_attraction"):
+        counted(name)
+    audit_pair(OneElectronSystem(1.0, offset=0.2), OneElectronSystem(2.0, center=(0.0, 0.0, 1.5)))
+    assert calls == {"hydrogenic_model": 2, "NuclearFrame": 2, "total_integral": 2, "frame_attraction": 4}

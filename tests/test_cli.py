@@ -422,6 +422,56 @@ def test_grid_export_matches_per_value_formatting(tmp_path, counts):
     assert text.endswith(rows[-1] + "\n")
 
 
+def _per_value_rows(values):
+    return "".join("".join(f"{v:13.5E}" for v in values[i : i + 6]) + "\n" for i in range(0, len(values), 6))
+
+
+def test_cube_text_matches_per_value_formatting_byte_for_byte():
+    rng = np.random.default_rng(13)
+    spread = rng.uniform(1.0, 10.0, 60000) * 10.0 ** rng.integers(-110, 11, 60000).astype(float)
+    # decimal ties d.ddddd5 x 10^e and powers of ten, with their float neighbours
+    ties = (rng.integers(100000, 1000000, 4000) + 0.5) * 10.0 ** rng.integers(-105, 6, 4000).astype(float)
+    powers = 10.0 ** np.arange(-110.0, 11.0)
+    edges = np.concatenate([ties, powers, [9.999995, 9.999995e-99, 9.999995e97, 1e-98, 1e98, 1e-99, 1e99, 1e-100]])
+    near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    special = np.array([0.0, -0.0, -1.0, -2.5e-7, np.nan, np.inf, -np.inf, 5e-324, 2.2e-308, 1e-310, 1.7e308])
+    values = rng.permutation(np.concatenate([spread, near, special]))
+    assert cli._cube_text("", values) == _per_value_rows(values)
+    # every partial last row, also after one and two whole blocks
+    for n in (1, 2, 3, 4, 5, 7, 11, cli.CUBE_BLOCK - 1, cli.CUBE_BLOCK + 5, 2 * cli.CUBE_BLOCK + 1):
+        assert cli._cube_text("", values[:n]) == _per_value_rows(values[:n]), n
+    assert cli._cube_text("", np.empty(0)) == ""
+
+
+def test_grid_export_far_field_takes_the_exact_fallback(tmp_path):
+    # along x the density falls from 1/pi through 1e-99 (three-digit exponents)
+    # to 0 past about 354 bohr, where exp(-2 r) underflows; the header names a
+    # spec file whose name is not ASCII
+    spec = write_spec(tmp_path, "h-\u03c1.json", HYDROGEN)
+    cube = tmp_path / "far.cube"
+    counts, step = (9, 2, 3), (50.0, 0.5, 0.25)
+    argv = ["grid-export", spec, "--counts", *map(str, counts), "--step", *map(str, step), "--output", str(cube)]
+    assert run(argv) == 0
+    values = evaluate_many(load_spec(spec)[0], np.indices(counts).reshape(3, -1).T * np.asarray(step))
+    assert np.any((values > 0.0) & (values < 1e-99)) and np.any(values == 0.0)
+    lines = cube.read_text(encoding="utf-8").split("\n", 7)
+    assert lines[1] == "source: h-\u03c1.json" and lines[7] == _per_value_rows(values)
+
+
+def test_grid_points_equal_the_meshgrid_product_bit_for_bit(tmp_path, monkeypatch):
+    spec = write_spec(tmp_path, "h.json", HYDROGEN)
+    seen = []
+    monkeypatch.setattr(cli, "evaluate_many", lambda model, points: seen.append(points) or np.zeros(len(points)))
+    counts, origin, step = (5, 4, 3), (0.3, -1.7, 2.25), (0.37, -0.113, 1.0 / 3.0)
+    argv = ["grid-export", spec, "--counts", *map(str, counts), "--output", str(tmp_path / "p.cube")]
+    assert run(argv + ["--origin", *map(repr, origin), "--step", *map(repr, step)]) == 0
+    ix, iy, iz = np.meshgrid(*map(np.arange, counts), indexing="ij")
+    idx = np.stack([ix.ravel(), iy.ravel(), iz.ravel()], axis=1)
+    expected = np.asarray(origin)[None, :] + idx @ np.diag(step)
+    assert seen[0].shape == expected.shape
+    assert np.array_equal(seen[0].view(np.int64), expected.view(np.int64))
+
+
 def test_grid_export_counts_too_small(tmp_path):
     spec = write_spec(tmp_path, "h.json", HYDROGEN)
     assert run(["grid-export", spec, "--counts", "1", "2", "2"]) == 1

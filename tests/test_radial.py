@@ -13,10 +13,11 @@ import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 from rho2v.density import PrimitiveKind, RadialPrimitive
-from rho2v.radial import primitive_attraction, radial_moment
+from rho2v.radial import _regularized_gamma, primitive_attraction, radial_moment
 
 
 @pytest.mark.parametrize("power", [0, 1, 2, 5])
@@ -54,6 +55,34 @@ def test_gaussian_moment_far_tail_is_zero_without_warning(lower):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert radial_moment(prim, 1, lower=lower) == 0.0
+
+
+@pytest.mark.parametrize(
+    "a,x",
+    [
+        (10, 746.0), (600, 800.0), (50, 800.0), (10, 720.0), (2.5, 709.0), (3.5, 720.0),
+        (140, 139.0), (600, 500.0), (600, 599.9), (600, 650.0), (1000, 1010.0),
+    ],
+)
+def test_regularized_gamma_where_e_to_the_minus_x_underflows_or_the_order_overflows(a, x):
+    # e^-x below the smallest normal float, and orders from 140 on, whose
+    # Gamma(a + 1) or x^a can overflow, on both sides of x = a
+    with mpmath.workdps(60):
+        q = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+        exact = {True: float(q), False: float(1 - q)}
+    for complement in (True, False):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = float(_regularized_gamma(a, x, complement))
+        assert got == pytest.approx(exact[complement], rel=1e-12, abs=0.0), complement
+
+
+def test_a_large_order_leaves_the_other_orders_of_its_batch_bit_for_bit():
+    x = np.array([0.0, 0.5, 3.0, 100.0, 139.0, 700.0, 720.0, 1e4])
+    for complement in (True, False):
+        batch = _regularized_gamma(np.array([[3.0], [600.0], [2.5]]), np.tile(x, (3, 1)), complement)
+        for row, a in zip(batch, (3.0, 600.0, 2.5)):
+            assert np.array_equal(row, _regularized_gamma(a, x, complement)), a
 
 
 def _slater_gamma(p, beta, lower, upper):

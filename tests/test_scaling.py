@@ -249,8 +249,26 @@ def test_q_residual_sees_an_upper_tail_error(monkeypatch):
     upper = source.cumulative(grid) > 0.5
     saturated = upper & (target.cumulative(grid / 2.0) == 1.0)
     assert saturated.sum() > 10
-    solve = scaling._match_radii
-    monkeypatch.setattr(scaling, "_match_radii", lambda s, t, r: solve(s, t, r) * np.where(upper, 1.0 + 1e-9, 1.0))
+    solve = scaling._solve_radii
+    monkeypatch.setattr(scaling, "_solve_radii", lambda t, r, c: solve(t, r, c) * np.where(upper, 1.0 + 1e-9, 1.0))
     m = solve_scaling_map(source, target, grid)
     assert np.all(m.q_residuals[upper] > Q_RESIDUAL_TARGET)
     assert np.all(m.q_residuals[~upper] <= Q_RESIDUAL_TARGET)
+
+
+def test_solve_scaling_map_evaluates_the_source_charges_once():
+    calls = {}
+
+    def counted(name, f):
+        def wrapper(r):
+            calls[name] = calls.get(name, 0) + 1
+            return f(r)
+
+        return wrapper
+
+    s = RadialDensity.hydrogenic(1.0)
+    source = RadialDensity(
+        s.rho, counted("cumulative", s.cumulative), counted("complement", s.complement), s.electron_count
+    )
+    solve_scaling_map(source, RadialDensity.hydrogenic(2.0), default_grid())
+    assert calls == {"cumulative": 1, "complement": 1}
