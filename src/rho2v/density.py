@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AtCuspSingularity, ZeroDensity
-from .radial import FOUR_PI, _columns, _moment, _sum_terms
+from .radial import FOUR_PI, _columns, _moment
 
 __all__ = [
     "PrimitiveKind",
@@ -299,7 +299,7 @@ def total_integral(model: DensityModel) -> float:
     """Closed-form integral of the density over R^3, in electrons: 4*pi times
     the m = 2 radial moment of every term from 0."""
     t = model._arrays
-    return float(_sum_terms(_moment(FOUR_PI * t.c, t.a, t.b, t.n, 2)(0.0, complement=True))[0])
+    return float(sum(_moment(FOUR_PI * t.c, t.a, t.b, t.n, 2)(0.0, complement=True)[:, 0]))
 
 
 def normalize(model: DensityModel, electron_count: int | None = None) -> DensityModel:
@@ -308,6 +308,8 @@ def normalize(model: DensityModel, electron_count: int | None = None) -> Density
     total = total_integral(model)
     if total <= 0.0:
         raise ZeroDensity("cannot normalize a model with zero total integral")
+    if total == math.inf:
+        raise ValueError("the total integral is beyond the float range")
     scale = n / total
     terms = tuple(
         (center, replace(prim, coefficient=prim.coefficient * scale))

@@ -257,7 +257,6 @@ class IncompatibilityVerdict:
 
     densities_equal: bool
     max_density_difference: float
-    probe_count: int
     case: str
     message: str
     report1: ReconstructionReport | None
@@ -356,7 +355,6 @@ def incompatibility_check(
     return IncompatibilityVerdict(
         densities_equal=densities_equal,
         max_density_difference=max_diff,
-        probe_count=len(probes),
         case=case,
         message=message,
         report1=reports[0],

@@ -29,7 +29,7 @@ import numpy as np
 
 from .density import DensityModel, PrimitiveKind, RadialPrimitive
 from .errors import MassMismatch, NonMonotoneCumulative
-from .radial import FOUR_PI, _columns, _moment, _power, _sum_terms
+from .radial import FOUR_PI, _columns, _moment
 
 __all__ = [
     "RadialDensity",
@@ -73,16 +73,17 @@ class RadialDensity:
         if not len(c):
             raise ValueError("need at least one radial primitive")
         charge = _moment(FOUR_PI * c, a, b, n, 2)
+        envelopes = np.hstack((c, a, b, n)).tolist()
 
         def summed(per_term):
-            """r -> the sum over terms of per_term(r), shaped as r (0-d or 1-d)."""
-            return lambda r: _sum_terms(per_term(np.asarray(r, dtype=float))).reshape(np.shape(r))
+            """r -> the sum over terms, in term order, of per_term(r), shaped as r (0-d or 1-d)."""
+            return lambda r: np.reshape(sum(per_term(np.asarray(r, dtype=float))), np.shape(r))
 
         return cls(
-            rho=summed(lambda r: c * _power(r, n) * np.exp(-(a + b * r) * r)),
+            rho=summed(lambda r: (c * r**n * np.exp(-(a + b * r) * r) for c, a, b, n in envelopes)),
             cumulative=summed(lambda r: charge(r, complement=False)),
             complement=summed(lambda r: charge(r, complement=True)),
-            electron_count=float(_sum_terms(charge(0.0, complement=True))[0]),
+            electron_count=float(sum(charge(0.0, complement=True)[:, 0])),
         )
 
     @classmethod

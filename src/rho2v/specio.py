@@ -132,7 +132,10 @@ def parse_spec(data, source: str = "<spec>") -> DensityModel:
     except ValueError as err:
         _fail(source, str(err))
     if do_normalize:
-        model = normalize(model, n)
+        try:
+            model = normalize(model, n)
+        except ValueError as err:
+            _fail("normalize", str(err))
     return model
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: spec parsing, reports, exit codes, cube export."""
 
+import hashlib
 import json
 import math
 import os
@@ -376,6 +377,26 @@ def test_lst_nonspherical_exit_3(tmp_path):
     assert run(["lst", s1, s2]) == 3
 
 
+def one_term(kind, power):
+    term = {"kind": kind, "center": [0, 0, 0], "coefficient": 1.0, "exponent": 1.0, "power": power}
+    return {"electron_count": 1, "terms": [term], "normalize": True}
+
+
+def test_lst_on_a_term_past_the_gamma_overflow_exits_with_a_code(tmp_path):
+    # Gamma(172) of the normalized power-169 Slater term is beyond the float range
+    spec = write_spec(tmp_path, "s169.json", one_term("slater_s", 169))
+    assert main(["lst", spec, spec]) in cli.EXIT_CODES.values()
+
+
+def test_normalize_with_a_total_integral_beyond_the_float_range_exits_1(tmp_path, capsys):
+    # Gamma(201.5) ~ 1e375: the integral of the term itself overflows
+    spec = write_spec(tmp_path, "g400.json", one_term("gaussian", 400))
+    assert main(["lst", spec, spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("rho2v lst: normalize: ")
+
+
 # --- grid-export --------------------------------------------------------------------
 
 def test_grid_export_cube(tmp_path):
@@ -610,6 +631,37 @@ def test_reports_are_json_dumps_byte_for_byte(tmp_path, command, indent):
     assert run([*argv, "--json-indent", str(indent), "--output", str(out)]) in (0, 2)
     text = out.read_text()
     assert text == json.dumps(json.loads(text), indent=indent, sort_keys=True) + "\n"
+
+
+# SHA-256 of the "result" section of the rendered report, recorded with the
+# terms-batched radial kernel; paths and input hashes vary and are left out
+RESULT_DIGESTS = {
+    "lst": "548625bb1bbb040978732d13a85d06806e5c2006f57b44a3b1dc7d110f363017",
+    "audit": "71a901cc8bebcca7231d1a1ecac907c2a3a468fda6a4f23320e76cfe8377a56a",
+}
+TWO_ELECTRONS = {
+    "electron_count": 2,
+    "normalize": True,
+    "terms": [
+        {"kind": "slater_s", "center": [0, 0, 0], "coefficient": 0.8, "exponent": 1.7},
+        {"kind": "slater_s", "center": [0, 0, 0], "coefficient": 0.3, "exponent": 0.9, "power": 1},
+        {"kind": "gaussian", "center": [0, 0, 0], "coefficient": 0.2, "exponent": 1.1, "power": 2},
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ["lst", "audit"])
+def test_report_result_bytes_are_pinned(tmp_path, command):
+    specs = {
+        "lst": (MIXTURE | {"electron_count": 2}, TWO_ELECTRONS),
+        "audit": (z_spec(1.3, offset=0.2), z_spec(2.1, offset=-0.4)),
+    }
+    paths = [write_spec(tmp_path, f"{i}.json", spec) for i, spec in enumerate(specs[command])]
+    out = tmp_path / "report.json"
+    assert run([command, *paths, "--output", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    result = text[text.index('\n  "result": ') : text.index('\n  "tolerances": ')]
+    assert hashlib.sha256(result.encode()).hexdigest() == RESULT_DIGESTS[command]
 
 
 def test_lst_table_rendering_spells_non_finite_values_as_json():

@@ -16,8 +16,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from rho2v.density import PrimitiveKind, RadialPrimitive
-from rho2v.radial import _regularized_gamma, primitive_attraction, radial_moment
+from rho2v.density import DensityModel, PrimitiveKind, RadialPrimitive, normalize
+from rho2v.radial import _columns, _moment, _regularized_gamma, primitive_attraction, radial_moment
 
 
 @pytest.mark.parametrize("power", [0, 1, 2, 5])
@@ -77,12 +77,30 @@ def test_regularized_gamma_where_e_to_the_minus_x_underflows_or_the_order_overfl
         assert got == pytest.approx(exact[complement], rel=1e-12, abs=0.0), complement
 
 
-def test_a_large_order_leaves_the_other_orders_of_its_batch_bit_for_bit():
-    x = np.array([0.0, 0.5, 3.0, 100.0, 139.0, 700.0, 720.0, 1e4])
+def test_a_large_order_leaves_the_other_terms_of_its_mixture_bit_for_bit():
+    # a power-597 Slater term (order 600 for the charge, past where Gamma
+    # overflows) beside ordinary terms: each ordinary row of the kernel is its
+    # own one-term result, on both sides of every x = A and where e^-x underflows
+    slater, gaussian = PrimitiveKind.SLATER_S, PrimitiveKind.GAUSSIAN
+    ordinary = [
+        RadialPrimitive(slater, 0.7, 1.3, 1), RadialPrimitive(gaussian, 0.2, 0.6, 2), RadialPrimitive(slater, 0.4, 0.8, 0)
+    ]
+    prims = [ordinary[0], RadialPrimitive(slater, 1.0, 50.0, 597), *ordinary[1:]]
+    r = np.array([0.0, 0.05, 0.5, 1.9, 3.0, 6.0, 30.0, 400.0, 1e4])
     for complement in (True, False):
-        batch = _regularized_gamma(np.array([[3.0], [600.0], [2.5]]), np.tile(x, (3, 1)), complement)
-        for row, a in zip(batch, (3.0, 600.0, 2.5)):
-            assert np.array_equal(row, _regularized_gamma(a, x, complement)), a
+        rows = _moment(*_columns(prims), 2)(r, complement)
+        assert np.all(np.isfinite(rows))
+        for row, prim in zip(np.delete(rows, 1, axis=0), ordinary):
+            assert np.array_equal(row, _moment(*_columns([prim]), 2)(r, complement)[0]), prim
+
+
+def test_normalizing_past_the_gamma_overflow_matches_the_exact_coefficient():
+    # 4 pi int r^171 e^(-2r) dr = 4 pi Gamma(172) / 2^172, and Gamma(172) > 1.8e308
+    prim = RadialPrimitive(PrimitiveKind.SLATER_S, 1.0, 1.0, 169)
+    model = DensityModel(terms=((np.zeros(3), prim),), electron_count=1)
+    with mpmath.workdps(40):
+        exact = float(mpmath.mpf(2) ** 172 / (4 * mpmath.pi * mpmath.gamma(172)))
+    assert normalize(model).terms[0][1].coefficient == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def _slater_gamma(p, beta, lower, upper):

@@ -1,10 +1,11 @@
-"""The batched radial kernel against the per-term form it replaced, and the
-layering that keeps rho2v.radial the one owner of the radial integrals.
+"""The radial kernel against an independent per-term form, and the layering
+that keeps rho2v.radial the one owner of the radial integrals.
 
-The reference below is the per-term cumulative charge as it was written
-before the kernel: one regularized incomplete gamma call per term, each term
-with its own series length, summed by Python in term order.  The kernel has
-to give the same floats, bit for bit, so `lst` reports do not move.
+The reference below is the cumulative charge as it was written before the
+kernel existed: one regularized incomplete gamma call per term, each term
+with its own series length, summed by Python in term order.  The kernel
+takes one incomplete gamma per term too, with its own code; it has to give
+the same floats, bit for bit, so `lst` reports do not move.
 """
 
 import ast
