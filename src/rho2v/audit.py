@@ -168,16 +168,15 @@ class PotentialTable:
         return self.energy - self.psi.kinetic_ratio(r)
 
 
-def potential_from_wavefunction(psi, energy: float, radii=None) -> PotentialTable:
+def potential_from_wavefunction(psi, energy: float) -> PotentialTable:
     """Invert T psi + v psi = E psi to v(r) = E - (T psi)(r)/psi(r).
 
     Works for any nodeless positive radial wavefunction with an analytic
-    kinetic ratio; the potential need not be Coulombic.  Raises
-    NodeEncountered when psi is not strictly positive on the sample grid.
+    kinetic ratio; the potential need not be Coulombic.  It is sampled at 64
+    radii spaced geometrically from 0.01 to 10 bohr.  Raises NodeEncountered
+    when psi is not strictly positive on that grid.
     """
-    if radii is None:
-        radii = np.geomspace(1e-2, 10.0, 64)
-    radii = np.asarray(radii, dtype=float)
+    radii = np.geomspace(1e-2, 10.0, 64)
     vals = psi.value(radii)
     if np.any(vals <= 0.0):
         bad = radii[np.argmax(vals <= 0.0)]

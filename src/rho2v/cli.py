@@ -174,7 +174,12 @@ def cmd_invert(args) -> int:
         ],
         "potential_form": "-sum_a Z_a / |x - R_a|",
         "skipped_points": [
-            {"position": s.point.position, "reason": s.reason} for s in report.skipped_points
+            {
+                "position": p.position,
+                "reason": f"smooth critical point (rank {p.rank}, signature {p.signature}): "
+                "vanishing one-sided slope, not a nuclear cusp",
+            }
+            for p in report.skipped_points
         ],
     }
     if report.snapped_charges is not None:

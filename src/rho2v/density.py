@@ -122,8 +122,8 @@ class NuclearFrame:
     def __len__(self) -> int:
         return len(self.charges)
 
-    def potential(self, point, offset: float = 0.0):
-        """Coulomb potential v(x) = -sum_a Z_a / |x - R_a| (+ offset).
+    def potential(self, point):
+        """Coulomb potential v(x) = -sum_a Z_a / |x - R_a|.
 
         Accepts a single point (3,) or a batch (M, 3); returns -inf exactly
         on a nucleus.
@@ -131,7 +131,7 @@ class NuclearFrame:
         pts = np.atleast_2d(np.asarray(point, dtype=float))
         d = np.linalg.norm(pts[:, None, :] - self.positions[None, :, :], axis=2)
         with np.errstate(divide="ignore"):
-            v = -np.sum(self.charges[None, :] / d, axis=1) + offset
+            v = -np.sum(self.charges[None, :] / d, axis=1)
         return v[0] if np.ndim(point) == 1 else v
 
 
@@ -328,7 +328,7 @@ def translate(model: DensityModel, shift) -> DensityModel:
     return DensityModel(terms=terms, electron_count=model.electron_count, frame=frame)
 
 
-def hydrogenic_model(z: float, center=(0.0, 0.0, 0.0), electrons: int = 1) -> DensityModel:
+def hydrogenic_model(z: float, center=(0.0, 0.0, 0.0)) -> DensityModel:
     """Exact one-electron hydrogen-like density Z^3/pi * exp(-2 Z r).
 
     The model carries its single-center ground-truth frame.
@@ -337,12 +337,12 @@ def hydrogenic_model(z: float, center=(0.0, 0.0, 0.0), electrons: int = 1) -> De
         raise ValueError("nuclear charge must be > 0")
     prim = RadialPrimitive(
         kind=PrimitiveKind.SLATER_S,
-        coefficient=electrons * z**3 / math.pi,
+        coefficient=z**3 / math.pi,
         exponent=z,
         power=0,
     )
     frame = NuclearFrame(np.asarray(center, dtype=float).reshape(1, 3), np.array([z]))
-    return DensityModel(terms=((np.asarray(center, dtype=float), prim),), electron_count=electrons, frame=frame)
+    return DensityModel(terms=((np.asarray(center, dtype=float), prim),), frame=frame)
 
 
 def model_from_frame(frame: NuclearFrame) -> DensityModel:

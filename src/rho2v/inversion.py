@@ -6,9 +6,9 @@ one-sided slope of the spherically averaged density fixes the charge via
     Z = -(1/2) * d/dr log rho_av(r) |_{r -> 0+}.
 
 Positions plus charges assemble the point-charge potential
-v(x) = -sum_a Z_a / |x - R_a|.  Smooth (non-nuclear) maxima carry no such
-signature and are excluded with a recorded reason; a density with no cusp
-at all (e.g. any all-Gaussian mixture) admits no reconstruction.
+v(x) = -sum_a Z_a / |x - R_a|.  Smooth (non-nuclear) critical points carry
+no such signature and are kept aside as skipped points; a density with no
+cusp at all (e.g. any all-Gaussian mixture) admits no reconstruction.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from .density import DensityModel, NuclearFrame, evaluate, evaluate_many
 from .errors import NoCuspsFound
 from .lebedev import lebedev_grid
 from .spherical import DEFAULT_ORDER, radial_derivative_at_center
-from .topology import DEFAULT_SEEDS, CriticalPoint, find_critical_points
+from .topology import DEFAULT_SEEDS, find_critical_points
 
 __all__ = [
     "MATCH_GATE",
     "CUSP_TOL",
     "CenterMatch",
-    "SkippedPoint",
     "ReconstructionReport",
     "CuspCheck",
     "CuspVerification",
@@ -53,12 +52,6 @@ _PROBE_ORDER = 26
 
 
 @dataclass(frozen=True)
-class SkippedPoint:
-    point: CriticalPoint
-    reason: str
-
-
-@dataclass(frozen=True)
 class CenterMatch:
     """Estimated center paired with its nearest ground-truth center."""
 
@@ -76,7 +69,8 @@ class ReconstructionReport:
 
     charges are reported raw (not rounded); when snap_charges was requested
     snapped_charges/snap_distances carry the rounded values and how far the
-    raw estimates sat from them.
+    raw estimates sat from them.  skipped_points are the smooth critical
+    points, which have no cusp to read a charge from.
     """
 
     cusp_points: tuple
@@ -95,9 +89,9 @@ class ReconstructionReport:
         charges = self.snapped_charges if self.snapped_charges is not None else self.charges
         return NuclearFrame(self.positions, charges)
 
-    def potential(self, point, offset: float = 0.0):
+    def potential(self, point):
         """Reconstructed Coulomb potential -sum_a Z_a/|x - R_a|."""
-        return self.estimated_frame.potential(point, offset)
+        return self.estimated_frame.potential(point)
 
 
 def _match_centers(positions, charges, frame: NuclearFrame):
@@ -149,17 +143,6 @@ def reconstruct_potential(
     """
     points = find_critical_points(model, seeds_per_axis, order)
     cusps = [p for p in points if p.is_cusp]
-    skipped = tuple(
-        SkippedPoint(
-            point=p,
-            reason=(
-                f"smooth critical point (rank {p.rank}, signature {p.signature}): "
-                "vanishing one-sided slope, not a nuclear cusp"
-            ),
-        )
-        for p in points
-        if not p.is_cusp
-    )
     if not cusps:
         raise NoCuspsFound(
             "density has no cusp maxima; cannot reconstruct a Coulomb potential",
@@ -182,7 +165,7 @@ def reconstruct_potential(
 
     return ReconstructionReport(
         cusp_points=tuple(cusps),
-        skipped_points=skipped,
+        skipped_points=tuple(p for p in points if not p.is_cusp),
         positions=positions,
         charges=charges,
         snapped_charges=snapped,
@@ -266,16 +249,16 @@ class IncompatibilityVerdict:
     center_agreement: tuple = ()
 
 
-def _detected_maxima(report: ReconstructionReport | None, failure_points) -> list[np.ndarray]:
-    out = []
-    if report is not None:
-        out.extend(p.position for p in report.cusp_points)
-        out.extend(s.point.position for s in report.skipped_points if s.point.signature == -3)
-        if not out:
-            out.extend(s.point.position for s in report.skipped_points)
-    else:
-        out.extend(p.position for p in failure_points)
-    return out
+def _reconstruct_or_fail(model: DensityModel, seeds_per_axis: int) -> tuple:
+    """(report, None, detected maxima): the cusps and the smooth maxima; or,
+    when the density has no cusp, (None, the failure message, the smooth
+    critical points that were located)."""
+    try:
+        report = reconstruct_potential(model, seeds_per_axis)
+    except NoCuspsFound as err:
+        return None, str(err), [p.position for p in err.critical_points]
+    maxima = [p.position for p in report.cusp_points]
+    return report, None, maxima + [p.position for p in report.skipped_points if p.signature == -3]
 
 
 def _probe_grid(centers) -> np.ndarray:
@@ -295,32 +278,17 @@ def incompatibility_check(
     they differ by at most DENSITY_TOL there.  A per-model reconstruction
     failure (NoCuspsFound) is recorded rather than raised.
     """
-    reports: list[ReconstructionReport | None] = []
-    failures: list[str | None] = []
-    failure_points = []
-    for model in (model1, model2):
-        try:
-            reports.append(reconstruct_potential(model, seeds_per_axis))
-            failures.append(None)
-            failure_points.append([])
-        except NoCuspsFound as err:
-            reports.append(None)
-            failures.append(str(err))
-            failure_points.append(err.critical_points)
-
-    centers = _detected_maxima(reports[0], failure_points[0]) + _detected_maxima(
-        reports[1], failure_points[1]
+    (report1, failure1, maxima1), (report2, failure2, maxima2) = (
+        _reconstruct_or_fail(model, seeds_per_axis) for model in (model1, model2)
     )
-    probes = _probe_grid(centers)
+    probes = _probe_grid(maxima1 + maxima2)
     diff = np.abs(evaluate_many(model1, probes) - evaluate_many(model2, probes))
     max_diff = float(diff.max()) if len(diff) else 0.0
     densities_equal = max_diff <= DENSITY_TOL
 
     agreement: tuple = ()
-    if densities_equal and reports[0] is not None and reports[1] is not None:
-        matches, spurious, missed = _match_centers(
-            reports[0].positions, reports[0].charges, reports[1].estimated_frame
-        )
+    if densities_equal and report1 is not None and report2 is not None:
+        matches, spurious, missed = _match_centers(report1.positions, report1.charges, report2.estimated_frame)
         agreement = matches
         identical = not spurious and not missed and all(
             m.position_error <= IDENTICAL_POSITION_TOL and m.charge_error <= IDENTICAL_CHARGE_TOL
@@ -357,9 +325,9 @@ def incompatibility_check(
         max_density_difference=max_diff,
         case=case,
         message=message,
-        report1=reports[0],
-        report2=reports[1],
-        failure1=failures[0],
-        failure2=failures[1],
+        report1=report1,
+        report2=report2,
+        failure1=failure1,
+        failure2=failure2,
         center_agreement=agreement,
     )

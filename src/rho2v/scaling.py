@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, PrimitiveKind, RadialPrimitive
+from .density import DensityModel, _radial, hydrogenic_model
 from .errors import MassMismatch, NonMonotoneCumulative
 from .radial import FOUR_PI, _columns, _moment
 
@@ -80,7 +80,7 @@ class RadialDensity:
             return lambda r: np.reshape(sum(per_term(np.asarray(r, dtype=float))), np.shape(r))
 
         return cls(
-            rho=summed(lambda r: (c * r**n * np.exp(-(a + b * r) * r) for c, a, b, n in envelopes)),
+            rho=summed(lambda r: (_radial(*envelope, r) for envelope in envelopes)),
             cumulative=summed(lambda r: charge(r, complement=False)),
             complement=summed(lambda r: charge(r, complement=True)),
             electron_count=float(sum(charge(0.0, complement=True)[:, 0])),
@@ -88,9 +88,7 @@ class RadialDensity:
 
     @classmethod
     def hydrogenic(cls, z: float) -> "RadialDensity":
-        return cls.from_primitives(
-            [RadialPrimitive(PrimitiveKind.SLATER_S, z**3 / math.pi, z, 0)]
-        )
+        return cls.from_model(hydrogenic_model(z))
 
     @classmethod
     def from_model(cls, model: DensityModel) -> "RadialDensity":

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, evaluate, evaluate_many, gradient, gradient_and_hessian, hessian, on_cusp
-from .errors import AtCuspSingularity, EmptyResult, ZeroCenterValue
+from .density import DensityModel, evaluate, evaluate_many, gradient, gradient_and_hessian, on_cusp
+from .errors import EmptyResult, ZeroCenterValue
 from .spherical import DEFAULT_ORDER, radial_derivative_at_center
 
 __all__ = [
@@ -63,6 +63,10 @@ SEARCH_MARGIN = 3.0
 # the seed ascent stops below this step; on cusps a compass search goes on to the next
 ASCENT_MIN_STEP = 1e-8
 CUSP_MIN_STEP = 1e-14
+# iteration caps of the seed ascent, the cusp compass search and Newton
+ASCENT_ITERATIONS = 500
+SETTLE_ITERATIONS = 2000
+NEWTON_ITERATIONS = 80
 _AXES = np.concatenate([np.eye(3), -np.eye(3)])
 # Newton is disabled this close to a detected non-smooth point
 CUSP_EXCLUSION = 1e-2
@@ -141,27 +145,23 @@ def classify(model: DensityModel, position, order: int = DEFAULT_ORDER) -> Criti
 
     kind is CUSP_MAXIMUM iff the one-sided log-derivative of the spherical
     average (Lebedev order `order`) is below -TAU_CUSP; rank/signature come
-    from the Hessian spectrum and are reported only for smooth points.
+    from the Hessian spectrum and are reported only for smooth points off a
+    cusp singularity, where gradient_norm is None as well.
     """
     x = np.asarray(position, dtype=float).reshape(3)
     rho = evaluate(model, x)
     log_derivative, is_cusp = _cusp_reading(model, x, order)
 
-    try:
-        grad_norm = float(np.linalg.norm(gradient(model, x)))
-    except AtCuspSingularity:
-        grad_norm = None
-
-    rank = signature = None
-    if not is_cusp:
-        try:
-            eigs = np.linalg.eigvalsh(hessian(model, x))
+    grad_norm = rank = signature = None
+    if not on_cusp(model, x[None])[0]:
+        g, h = gradient_and_hessian(model, x[None])
+        grad_norm = float(np.linalg.norm(g[0]))
+        if not is_cusp:
+            eigs = np.linalg.eigvalsh(h[0])
             lam_tol = EIG_REL_TOL * max(np.max(np.abs(eigs)), 1e-300)
             nonzero = eigs[np.abs(eigs) > lam_tol]
             rank = int(len(nonzero))
             signature = int(np.sum(np.sign(nonzero)))
-        except AtCuspSingularity:
-            pass
 
     return CriticalPoint(
         position=x,
@@ -180,7 +180,7 @@ def _rows_inside(box: np.ndarray, x: np.ndarray, slack: float = 1e-6) -> np.ndar
     return np.all((x >= box[0] - slack) & (x <= box[1] + slack), axis=1)
 
 
-def _ascend(model, seeds, box, max_iter=500):
+def _ascend(model, seeds, box):
     """Gradient ascent from every seed at once; (endpoints (S, 3), kept (S,)).
 
     Each seed steps along its normalized gradient with its own step length,
@@ -196,7 +196,7 @@ def _ascend(model, seeds, box, max_iter=500):
     u = np.zeros_like(x)
     active = np.ones(len(x), dtype=bool)
     fresh = np.arange(len(x))
-    for _ in range(max_iter):
+    for _ in range(ASCENT_ITERATIONS):
         # seeds that moved (or just started) need a new direction
         if len(fresh):
             cusp = on_cusp(model, x[fresh])
@@ -220,7 +220,7 @@ def _ascend(model, seeds, box, max_iter=500):
     return x, _rows_inside(box, x) & (f > 0.0)
 
 
-def _settle(model, points, max_iter=2000):
+def _settle(model, points):
     """Compass search from every point at once; the settled points (S, 3).
 
     Each point moves to the best uphill one of its six axis steps, starting
@@ -231,7 +231,7 @@ def _settle(model, points, max_iter=2000):
     f = evaluate_many(model, x)
     h = np.full(len(x), ASCENT_MIN_STEP)
     idx = np.arange(len(x))
-    for _ in range(max_iter):
+    for _ in range(SETTLE_ITERATIONS):
         if not len(idx):
             break
         trial = x[idx, None] + h[idx, None, None] * _AXES
@@ -257,7 +257,7 @@ def _solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _newton(model, seeds, box, cusp_positions, max_iter=80):
+def _newton(model, seeds, box, cusp_positions):
     """Safeguarded Newton on grad rho = 0 from every seed at once.
 
     Returns (points (S, 3), converged (S,)).  A seed is dropped when it
@@ -272,7 +272,7 @@ def _newton(model, seeds, box, cusp_positions, max_iter=80):
     step_cap = 0.25 * float(np.max(box[1] - box[0]))
     active = np.ones(len(x), dtype=bool)
     converged = np.zeros(len(x), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_ITERATIONS):
         idx = np.flatnonzero(active)
         ok = _rows_inside(box, x[idx], slack=0.5)
         ok &= np.all(np.linalg.norm(x[idx, None] - cusps, axis=2) >= CUSP_EXCLUSION, axis=1)

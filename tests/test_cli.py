@@ -15,7 +15,7 @@ import rho2v
 from rho2v import cli
 from rho2v.audit import CUSP_CHECK_SEEDS
 from rho2v.cli import main
-from rho2v.density import evaluate_many
+from rho2v.density import NuclearFrame, evaluate_many, model_from_frame
 from rho2v.errors import (
     EmptyResult,
     MassMismatch,
@@ -27,6 +27,7 @@ from rho2v.errors import (
 from rho2v.inversion import DENSITY_TOL, IDENTICAL_CHARGE_TOL, IDENTICAL_POSITION_TOL, MATCH_GATE
 from rho2v.scaling import Q_RESIDUAL_TARGET
 from rho2v.specio import load_spec, render_report
+from rho2v.topology import find_critical_points
 
 HYDROGEN = {
     "electron_count": 1,
@@ -118,6 +119,51 @@ def test_invert_gaussian_exit_2(tmp_path):
     assert len(report["result"]["smooth_critical_points"]) >= 1
 
 
+def spec_of(model):
+    """The spec document of a model whose terms sit at its frame's nuclei."""
+    return {
+        "electron_count": model.electron_count,
+        "frame": [
+            {"position": pos.tolist(), "charge": float(z)}
+            for pos, z in zip(model.frame.positions, model.frame.charges)
+        ],
+        "terms": [
+            {
+                "kind": prim.kind.value,
+                "center": center.tolist(),
+                "coefficient": prim.coefficient,
+                "exponent": prim.exponent,
+                "power": prim.power,
+            }
+            for center, prim in model.terms
+        ],
+    }
+
+
+def test_invert_reports_each_skipped_point_with_its_reason(tmp_path):
+    frame = NuclearFrame(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 3.0]]), np.array([3.0, 1.0]))
+    spec = write_spec(tmp_path, "lih.json", spec_of(model_from_frame(frame)))
+    out = tmp_path / "report.json"
+    assert run(["invert", spec, "--seeds", "5", "--output", str(out)]) == 0
+    skipped = json.loads(out.read_text())["result"]["skipped_points"]
+    model, _ = load_spec(spec)
+    saddles = [p for p in find_critical_points(model, 5) if not p.is_cusp]
+    assert len(skipped) == len(saddles) == 1
+    assert skipped[0]["position"] == saddles[0].position.tolist()
+    assert skipped[0]["reason"] == (
+        "smooth critical point (rank 3, signature -1): vanishing one-sided slope, not a nuclear cusp"
+    )
+
+
+def test_invert_snap_charges(tmp_path):
+    spec = write_spec(tmp_path, "z3.json", z_spec(3.0))
+    out = tmp_path / "report.json"
+    assert run(["invert", spec, "--seeds", "5", "--snap-charges", "--output", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["snapped_charges"] == [3.0]
+    assert len(result["snap_distances"]) == 1 and result["snap_distances"][0] <= 1e-6
+
+
 def test_invert_missing_exponent_names_field(tmp_path, capsys):
     bad = {
         "electron_count": 1,
@@ -145,6 +191,73 @@ def test_spec_validation_messages(tmp_path, capsys, mutate, field):
     spec = write_spec(tmp_path, "bad.json", spec_data)
     assert run(["invert", spec]) == 1
     assert field in capsys.readouterr().err
+
+
+def _without(entry: dict, key: str) -> dict:
+    return {k: v for k, v in entry.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "document,field",
+    [
+        (lambda s: s | {"potential_offset": "x"}, "potential_offset"),
+        (lambda s: s | {"electron_count": True}, "electron_count"),
+        (lambda s: s | {"electron_count": 1.5}, "electron_count"),
+        (lambda s: s | {"terms": {"kind": "slater_s"}}, "terms"),
+        (lambda s: s | {"terms": [1.0]}, "terms[0]"),
+        (lambda s: s | {"terms": [s["terms"][0] | {"kind": "lorentzian"}]}, "terms[0].kind"),
+        (lambda s: s | {"terms": [s["terms"][0] | {"center": [0.0, 0.0]}]}, "terms[0].center"),
+        (lambda s: s | {"terms": [_without(s["terms"][0], "center")]}, "terms[0].center"),
+        (lambda s: s | {"terms": [_without(s["terms"][0], "coefficient")]}, "terms[0].coefficient"),
+        (lambda s: s | {"terms": [s["terms"][0] | {"power": -1}]}, "terms[0].power"),
+        (lambda s: s | {"terms": [s["terms"][0] | {"power": True}]}, "terms[0].power"),
+        (lambda s: s | {"frame": []}, "frame"),
+        (lambda s: s | {"frame": {"position": [0, 0, 0], "charge": 1.0}}, "frame"),
+        (lambda s: s | {"frame": [[0.0, 0.0, 0.0]]}, "frame[0]"),
+        (lambda s: s | {"frame": [_without(s["frame"][0], "position")]}, "frame[0].position"),
+        (lambda s: s | {"frame": [_without(s["frame"][0], "charge")]}, "frame[0].charge"),
+        (lambda s: s | {"frame": s["frame"] * 2}, "frame"),
+        (lambda s: s | {"normalize": 1}, "normalize"),
+    ],
+    ids=[
+        "offset-not-a-number",
+        "electron-count-bool",
+        "electron-count-float",
+        "terms-not-a-list",
+        "term-not-an-object",
+        "unknown-kind",
+        "center-not-a-triple",
+        "missing-center",
+        "missing-coefficient",
+        "negative-power",
+        "bool-power",
+        "empty-frame",
+        "frame-not-a-list",
+        "frame-entry-not-an-object",
+        "missing-position",
+        "missing-charge",
+        "coalesced-centers",
+        "normalize-not-a-bool",
+    ],
+)
+def test_spec_validation_names_the_field(tmp_path, capsys, document, field):
+    spec = write_spec(tmp_path, "bad.json", document(json.loads(json.dumps(HYDROGEN))))
+    assert run(["invert", spec]) == 1
+    assert capsys.readouterr().err.startswith(f"rho2v invert: {field}: ")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [(None, "cannot read spec file"), ("{\n  nope", ":2: invalid JSON"), ("[]", ": top level must be a JSON object")],
+    ids=["missing-file", "invalid-json", "top-level-not-an-object"],
+)
+def test_spec_load_errors_name_the_path(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert run(["invert", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"rho2v invert: {path}") and message in err and err.count("\n") == 1
 
 
 # --- verify-cusp ---------------------------------------------------------------
@@ -303,6 +416,13 @@ def test_audit_multicenter_exit_3(tmp_path, capsys):
     s1 = write_spec(tmp_path, "multi.json", data)
     s2 = write_spec(tmp_path, "z1.json", z_spec(1.0))
     assert run(["audit", s1, s2]) == 3
+
+
+def test_audit_two_electron_spec_exit_3(tmp_path, capsys):
+    s1 = write_spec(tmp_path, "n2.json", z_spec(1.0, electrons=2))
+    s2 = write_spec(tmp_path, "z1.json", z_spec(1.0))
+    assert run(["audit", s1, s2]) == 3
+    assert "electron_count" in capsys.readouterr().err
 
 
 # --- lst ----------------------------------------------------------------------------
@@ -549,6 +669,11 @@ def test_usage_errors_exit_1(capsys, argv):
         run(argv)
     assert exc.value.code == 1
     assert f"rho2v {argv[0]}: error: " in capsys.readouterr().err
+
+
+def test_no_command_prints_help_and_exits_1(capsys):
+    assert run([]) == 1
+    assert capsys.readouterr().out.startswith("usage: rho2v")
 
 
 @pytest.mark.parametrize(
