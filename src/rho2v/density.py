@@ -14,8 +14,9 @@ density rho(r) = Z^3/pi * exp(-2*Z*r).
 
 Everything here is a pure function of immutable inputs: evaluation,
 analytic first and second derivatives, closed-form normalization.  Values,
-gradients and Hessians come from one kernel over a struct-of-arrays view of
-the terms that each model builds once.
+gradients, Hessians and the mask of the points where the derivatives are
+undefined come from one kernel pass over a struct-of-arrays view of the
+terms that each model builds once.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ __all__ = [
     "hessian",
     "gradient_and_hessian",
     "on_cusp",
+    "kernel_pass",
+    "KernelPass",
     "total_integral",
     "normalize",
     "translate",
@@ -206,17 +209,19 @@ def _separation(centers, pts):
     return d, np.sqrt(np.add.reduce(d * d, axis=2))
 
 
-def _chunked(fn, points) -> np.ndarray:
-    """fn over the points (M, 3) in fixed chunks, so temporaries stay O(T * _CHUNK)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(pts) <= _CHUNK:
-        return fn(pts)
-    return np.concatenate([fn(pts[lo : lo + _CHUNK]) for lo in range(0, len(pts), _CHUNK)])
+class KernelPass(NamedTuple):
+    """One pass of the density kernel over a batch of points (P, 3)."""
+
+    value: np.ndarray  # (P,) density
+    gradient: np.ndarray | None  # (P, 3), order >= 1
+    hessian: np.ndarray | None  # (P, 3, 3), order 2
+    on_cusp: np.ndarray | None  # (P,) bool, order >= 1: derivatives undefined, entries there meaningless
 
 
-def _term_sum(t: _TermArrays, pts: np.ndarray, order: int) -> np.ndarray:
-    """Sum over terms of the value (order 0), the gradient (1), or the gradient
-    stacked on the Hessian (2, shape (P, 4, 3)) at each point.
+def _term_sum(t: _TermArrays, pts: np.ndarray, order: int) -> tuple:
+    """Sum over terms of the value and of its derivatives up to order (0, 1 or 2)
+    at each point, with the mask of the points on a singular center: the
+    fields of a KernelPass, as a plain tuple.  Never raises.
 
     With s = g'/g = n/r - q and q = a + 2*b*r,
         g'' = g * ((n*(n-1)/r - 2*n*q)/r + q^2 - 2*b),
@@ -224,22 +229,23 @@ def _term_sum(t: _TermArrays, pts: np.ndarray, order: int) -> np.ndarray:
     """
     d, r = _separation(t.centers, pts)
     g = _radial(t.c, t.a, t.b, t.n, r)
+    value = np.add.reduce(g, axis=0)
     if order == 0:
-        return np.add.reduce(g, axis=0)
+        return value, None, None, None
     at_center = r < CENTER_EPS
     centered = np.count_nonzero(at_center) > 0
     if centered:
-        hit = np.flatnonzero(np.any(at_center, axis=1) & t.singular)
-        if len(hit):
-            raise AtCuspSingularity(f"derivatives undefined at cusped center {t.centers[hit[0]].tolist()}")
-        r = np.where(at_center, 1.0, r)  # smooth terms at their own center, patched below
+        cusp = np.any(at_center[t.singular], axis=0)
+        r = np.where(at_center, 1.0, r)  # every term at its own center, patched below
+    else:
+        cusp = np.zeros(len(pts), dtype=bool)
     q = t.a + 2.0 * t.b * r
     slope = g * (t.n / r - q) / r  # g'/r
     if centered:
         slope = np.where(at_center, 0.0, slope)
     grad = np.add.reduce(slope[:, :, None] * d, axis=0)
     if order == 1:
-        return grad
+        return value, grad, None, cusp
     g2 = g * ((t.n * (t.n - 1.0) / r - 2.0 * t.n * q) / r + q * q - 2.0 * t.b)
     radial = (g2 - slope) / (r * r)
     if centered:
@@ -247,12 +253,36 @@ def _term_sum(t: _TermArrays, pts: np.ndarray, order: int) -> np.ndarray:
         # g''(0) of a smooth term at its own center: -2*c*b for n = 0, 2*c for n = 2
         slope = np.where(at_center, t.c * (2.0 * (t.n == 2) - 2.0 * t.b * (t.n == 0)), slope)
     hess = np.einsum("tp,tpi,tpj->pij", radial, d, d) + np.add.reduce(slope, axis=0)[:, None, None] * np.eye(3)
-    return np.concatenate([grad[:, None, :], hess], axis=1)
+    return value, grad, hess, cusp
+
+
+def _chunked(t: _TermArrays, points, order: int) -> tuple:
+    """_term_sum over the points (M, 3) in chunks of _CHUNK, so temporaries stay O(T * _CHUNK)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if len(pts) <= _CHUNK:
+        return _term_sum(t, pts, order)
+    parts = [_term_sum(t, pts[lo : lo + _CHUNK], order) for lo in range(0, len(pts), _CHUNK)]
+    return tuple(None if field[0] is None else np.concatenate(field) for field in zip(*parts))
+
+
+def kernel_pass(model: DensityModel, points, order: int) -> KernelPass:
+    """The density and its derivatives up to order at a batch of points (M, 3),
+    with the on-cusp mask for order >= 1."""
+    return KernelPass(*_chunked(model._arrays, points, order))
+
+
+def _derivatives(model: DensityModel, points, order: int) -> KernelPass:
+    """kernel_pass, raising AtCuspSingularity where the derivatives are undefined."""
+    p = kernel_pass(model, points, order)
+    if p.on_cusp.any():
+        at = np.asarray(points, dtype=float).reshape(-1, 3)[np.argmax(p.on_cusp)]
+        raise AtCuspSingularity(f"derivatives undefined at {at.tolist()}, on a cusped center")
+    return p
 
 
 def evaluate_many(model: DensityModel, points) -> np.ndarray:
     """Density at a batch of points (M, 3) -> (M,)."""
-    return _chunked(lambda pts: _term_sum(model._arrays, pts, 0), points)
+    return _chunked(model._arrays, points, 0)[0]
 
 
 def evaluate(model: DensityModel, point) -> float:
@@ -267,15 +297,15 @@ def gradient(model: DensityModel, point) -> np.ndarray:
     whose radial slope does not vanish there (Slater power 0 or 1, Gaussian
     power 1): the direction of the gradient is undefined at such points.
     """
-    g = _chunked(lambda pts: _term_sum(model._arrays, pts, 1), point)
+    g = _derivatives(model, point, 1).gradient
     return g[0] if np.ndim(point) == 1 else g
 
 
 def gradient_and_hessian(model: DensityModel, points) -> tuple:
     """Gradients (M, 3) and Hessians (M, 3, 3) at a batch of points (M, 3),
     from one kernel pass; raises as gradient() does."""
-    gh = _chunked(lambda pts: _term_sum(model._arrays, pts, 2), points)
-    return gh[:, 0], gh[:, 1:]
+    p = _derivatives(model, points, 2)
+    return p.gradient, p.hessian
 
 
 def hessian(model: DensityModel, point) -> np.ndarray:
@@ -291,8 +321,7 @@ def hessian(model: DensityModel, point) -> np.ndarray:
 
 def on_cusp(model: DensityModel, points) -> np.ndarray:
     """(M,) mask of the points where gradient and hessian raise AtCuspSingularity."""
-    cusps = model._arrays.centers[model._arrays.singular]
-    return _chunked(lambda pts: np.any(_separation(cusps, pts)[1] < CENTER_EPS, axis=0), points)
+    return kernel_pass(model, points, 1).on_cusp
 
 
 def total_integral(model: DensityModel) -> float:

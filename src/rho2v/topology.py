@@ -14,11 +14,14 @@ Two families of stationary features are distinguished:
 
 Search is multistart over a uniform seed grid, and every seed moves at
 once: one batched gradient ascent with a step length per seed, then one
-batched Newton iteration whose Hessians are solved as a stack.  A seed
-that meets a cusp, a singular Hessian or the edge of the box drops out
-alone.  Results are deduplicated within a position tolerance and returned
-in a canonical order of their rounded positions, so the output is
-independent of seed enumeration order.
+batched Newton iteration whose Hessians are solved as a stack.  Every step
+is one pass of the density kernel, which returns the values, the
+derivatives and the mask of the points on a cusp together.  A seed that
+meets a cusp, a singular Hessian or the edge of the box (widened by
+min(0.5 bohr, a quarter box width)) drops out alone.  Results are
+deduplicated within a position tolerance and returned in a canonical order
+of their rounded positions, so the output is independent of seed
+enumeration order.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, evaluate, evaluate_many, gradient, gradient_and_hessian, on_cusp
+from .density import DensityModel, evaluate_many, kernel_pass
 from .errors import EmptyResult, ZeroCenterValue
 from .spherical import DEFAULT_ORDER, radial_derivative_at_center
 
@@ -109,6 +112,11 @@ def default_search_box(model: DensityModel) -> np.ndarray:
     return np.array([centers.min(axis=0) - margin, centers.max(axis=0) + margin])
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis: np.linalg.norm's floats without its per-call checks."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
 def _fibonacci_directions(n: int) -> np.ndarray:
     i = np.arange(n)
     golden = math.pi * (3.0 - math.sqrt(5.0))
@@ -122,10 +130,11 @@ def _gradient_norm_floor(model: DensityModel, position: np.ndarray) -> float:
     skipping probe points on a cusp singularity; 0.0 when none remain."""
     dirs = _fibonacci_directions(_N_FLOOR_DIRECTIONS)
     probes = np.concatenate([position + radius * dirs for radius in _FLOOR_RADII])
-    probes = probes[~on_cusp(model, probes)]
-    if not len(probes):
+    p = kernel_pass(model, probes, 1)
+    g = p.gradient[~p.on_cusp]
+    if not len(g):
         return 0.0
-    return float(np.min(np.linalg.norm(gradient(model, probes), axis=1)))
+    return float(np.min(_norms(g)))
 
 
 def _cusp_reading(model: DensityModel, x, order: int) -> tuple[float, bool]:
@@ -149,15 +158,14 @@ def classify(model: DensityModel, position, order: int = DEFAULT_ORDER) -> Criti
     cusp singularity, where gradient_norm is None as well.
     """
     x = np.asarray(position, dtype=float).reshape(3)
-    rho = evaluate(model, x)
+    p = kernel_pass(model, x[None], 2)
     log_derivative, is_cusp = _cusp_reading(model, x, order)
 
     grad_norm = rank = signature = None
-    if not on_cusp(model, x[None])[0]:
-        g, h = gradient_and_hessian(model, x[None])
-        grad_norm = float(np.linalg.norm(g[0]))
+    if not p.on_cusp[0]:
+        grad_norm = float(np.linalg.norm(p.gradient[0]))
         if not is_cusp:
-            eigs = np.linalg.eigvalsh(h[0])
+            eigs = np.linalg.eigvalsh(p.hessian[0])
             lam_tol = EIG_REL_TOL * max(np.max(np.abs(eigs)), 1e-300)
             nonzero = eigs[np.abs(eigs) > lam_tol]
             rank = int(len(nonzero))
@@ -168,7 +176,7 @@ def classify(model: DensityModel, position, order: int = DEFAULT_ORDER) -> Criti
         kind=CriticalKind.CUSP_MAXIMUM if is_cusp else CriticalKind.SMOOTH_CRITICAL,
         rank=rank,
         signature=signature,
-        density_value=rho,
+        density_value=float(p.value[0]),
         gradient_norm=grad_norm,
         gradient_norm_floor=_gradient_norm_floor(model, x),
         log_derivative=log_derivative,
@@ -188,35 +196,37 @@ def _ascend(model, seeds, box):
     after a rejected one.  A seed stops when its step falls below
     ASCENT_MIN_STEP, when it sits on a cusp (where the gradient is
     undefined) or where its gradient vanishes.  Endpoints outside the box or
-    at zero density are not kept.
+    at zero density are not kept.  Each iteration is one kernel pass over
+    the trial points of the seeds still moving, and an uphill trial point
+    brings its own next direction.
     """
     x = np.array(seeds, dtype=float)
-    f = evaluate_many(model, x)
-    step = np.full(len(x), 0.05 * float(np.max(box[1] - box[0])))
-    u = np.zeros_like(x)
-    active = np.ones(len(x), dtype=bool)
-    fresh = np.arange(len(x))
+    p = kernel_pass(model, x, 1)
+    f = p.value
+    norm = _norms(p.gradient)
+    # the seeds still moving: their index, position, density, step and direction
+    ids = np.flatnonzero(~p.on_cusp & (norm > 0.0))
+    xa, fa = x[ids], f[ids]
+    sa = np.full(len(ids), 0.05 * float(np.max(box[1] - box[0])))
+    ua = p.gradient[ids] / norm[ids, None]
     for _ in range(ASCENT_ITERATIONS):
-        # seeds that moved (or just started) need a new direction
-        if len(fresh):
-            cusp = on_cusp(model, x[fresh])
-            active[fresh[cusp]] = False
-            fresh = fresh[~cusp]
-            g = gradient(model, x[fresh])
-            norm = np.linalg.norm(g, axis=1)
-            active[fresh[norm == 0.0]] = False
-            moving = norm > 0.0
-            u[fresh[moving]] = g[moving] / norm[moving, None]
-        idx = np.flatnonzero(active)
-        if not len(idx):
+        if not len(ids):
             break
-        trial = x[idx] + step[idx, None] * u[idx]
-        f_trial = evaluate_many(model, trial)
-        up = f_trial > f[idx]
-        fresh = idx[up]
-        x[fresh], f[fresh] = trial[up], f_trial[up]
-        step[idx] *= np.where(up, 2.0, 0.5)
-        active[idx[step[idx] < ASCENT_MIN_STEP]] = False
+        trial = xa + sa[:, None] * ua
+        p = kernel_pass(model, trial, 1)
+        up = p.value > fa
+        np.copyto(xa, trial, where=up[:, None])
+        np.copyto(fa, p.value, where=up)
+        sa *= np.where(up, 2.0, 0.5)
+        norm = _norms(p.gradient)
+        turn = up & ~p.on_cusp & (norm > 0.0)
+        np.divide(p.gradient, norm[:, None], out=ua, where=turn[:, None])
+        stop = (sa < ASCENT_MIN_STEP) | (up & ~turn)
+        if stop.any():
+            x[ids[stop]], f[ids[stop]] = xa[stop], fa[stop]
+            keep = ~stop
+            ids, xa, fa, sa, ua = ids[keep], xa[keep], fa[keep], sa[keep], ua[keep]
+    x[ids], f[ids] = xa, fa
     return x, _rows_inside(box, x) & (f > 0.0)
 
 
@@ -260,42 +270,45 @@ def _solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _newton(model, seeds, box, cusp_positions):
     """Safeguarded Newton on grad rho = 0 from every seed at once.
 
-    Returns (points (S, 3), converged (S,)).  A seed is dropped when it
-    leaves the box (0.5 bohr slack), enters the CUSP_EXCLUSION ball of a
-    detected cusp, lands on a cusp singularity, or meets a singular Hessian
-    or a non-finite step; steps are capped at a quarter box width.  A seed
-    converges when its step falls below 1e-12 relative and the gradient
-    there is at most GRAD_TOL inside the box.
+    Returns (points (S, 3), converged (S,)).  Steps are capped at a quarter
+    box width, step_cap.  A seed is dropped when it leaves the box widened
+    by min(0.5 bohr, step_cap), enters the CUSP_EXCLUSION ball of a detected
+    cusp, lands on a cusp singularity, or meets a singular Hessian or a
+    non-finite step.  A seed converges when its step falls below 1e-12
+    relative and the gradient there is at most GRAD_TOL inside the box.
+    Each iteration takes gradients, Hessians and the cusp mask from one
+    kernel pass, and its convergence check from one more.
     """
     x = np.array(seeds, dtype=float).reshape(-1, 3)
     cusps = np.asarray(cusp_positions, dtype=float).reshape(-1, 3)
     step_cap = 0.25 * float(np.max(box[1] - box[0]))
+    slack = min(0.5, step_cap)
     active = np.ones(len(x), dtype=bool)
     converged = np.zeros(len(x), dtype=bool)
     for _ in range(NEWTON_ITERATIONS):
         idx = np.flatnonzero(active)
-        ok = _rows_inside(box, x[idx], slack=0.5)
-        ok &= np.all(np.linalg.norm(x[idx, None] - cusps, axis=2) >= CUSP_EXCLUSION, axis=1)
-        ok[ok] = ~on_cusp(model, x[idx[ok]])
+        ok = _rows_inside(box, x[idx], slack=slack)
+        ok &= np.all(_norms(x[idx, None] - cusps) >= CUSP_EXCLUSION, axis=1)
         active[idx[~ok]] = False
         idx = idx[ok]
         if not len(idx):
             break
-        g, h = gradient_and_hessian(model, x[idx])
-        step = _solve(h, -g)
-        ok = np.all(np.isfinite(step), axis=1)
+        p = kernel_pass(model, x[idx], 2)
+        step = _solve(p.hessian, -p.gradient)
+        ok = ~p.on_cusp & np.all(np.isfinite(step), axis=1)
         active[idx[~ok]] = False
         idx, step = idx[ok], step[ok]
-        norm = np.linalg.norm(step, axis=1)
+        norm = _norms(step)
         capped = norm > step_cap
         step[capped] *= (step_cap / norm[capped])[:, None]
         norm[capped] = step_cap
         x[idx] += step
-        done = idx[norm < 1e-12 * (1.0 + np.linalg.norm(x[idx], axis=1))]
+        done = idx[norm < 1e-12 * (1.0 + _norms(x[idx]))]
         active[done] = False
         if len(done):
-            good = _rows_inside(box, x[done]) & ~on_cusp(model, x[done])
-            good[good] = np.linalg.norm(gradient(model, x[done[good]]), axis=1) <= GRAD_TOL
+            p = kernel_pass(model, x[done], 1)
+            good = _rows_inside(box, x[done]) & ~p.on_cusp
+            good &= _norms(p.gradient) <= GRAD_TOL
             converged[done[good]] = True
     return x, converged
 
@@ -313,7 +326,7 @@ def _dedupe(candidates, model, radius):
     while alive.any():
         best = int(np.argmax(alive))
         kept.append(x[best])
-        alive &= np.linalg.norm(x - x[best], axis=1) > radius
+        alive &= _norms(x - x[best]) > radius
     return kept
 
 

@@ -789,6 +789,29 @@ def test_report_result_bytes_are_pinned(tmp_path, command):
     assert hashlib.sha256(result.encode()).hexdigest() == RESULT_DIGESTS[command]
 
 
+# SHA-256 of the "result" section of two invert reports at --seeds 5, recorded
+# before the search took each step's values, gradients and cusp mask from one
+# kernel pass; the search must land on the same points bit for bit
+INVERT_DIGESTS = {
+    "z30": "7f8331cefb0fa9dfa40773b3f1182705b3b660edc76fab4d115b6fdf06dd342f",
+    "3center": "9988a10dd065c419fc5cba64c1265e7ba7f56626cc323518496628807ba86a73",
+}
+INVERT_FRAMES = {
+    "z30": ([[0.31, -0.17, 0.05]], [30.0]),
+    "3center": ([[0, 0, 0], [0, 0.2, 2.4], [2.1, -0.3, 0.6]], [2.0, 1.0, 1.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVERT_FRAMES))
+def test_invert_result_bytes_are_pinned(tmp_path, name):
+    spec = write_spec(tmp_path, "spec.json", spec_of(model_from_frame(NuclearFrame(*INVERT_FRAMES[name]))))
+    out = tmp_path / "report.json"
+    assert run(["invert", spec, "--seeds", "5", "--output", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    result = text[text.index('\n  "result": ') : text.index('\n  "tolerances": ')]
+    assert hashlib.sha256(result.encode()).hexdigest() == INVERT_DIGESTS[name]
+
+
 def test_lst_table_rendering_spells_non_finite_values_as_json():
     rows = [
         {"r": r, "f": 0.5 * r, "f_prime": fp, "q_residual": 1e-16 * r}

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rho2v.density import (
+    _CHUNK,
+    CENTER_EPS,
     DensityModel,
     NuclearFrame,
     PrimitiveKind,
@@ -24,6 +26,7 @@ from rho2v.density import (
     gradient_and_hessian,
     hessian,
     hydrogenic_model,
+    kernel_pass,
     model_from_frame,
     normalize,
     on_cusp,
@@ -381,6 +384,49 @@ def test_fused_kernel_raises_where_gradient_raises(kind, power):
                 hessian(model, batch)
         else:
             assert np.all(np.isfinite(gradient_and_hessian(model, batch)[1]))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("size", [9, 300, _CHUNK + 100])
+def test_kernel_pass_is_bit_identical_to_the_public_functions(size):
+    rng = np.random.default_rng(size)
+    centers = rng.uniform(-2.0, 2.0, size=(4, 3))
+    model = DensityModel(
+        terms=(
+            (centers[0], slater(0.7, 1.3)),  # a cusp: derivatives undefined at its center
+            (centers[1], slater(0.4, 0.9, 2)),  # smooth at its center, patched there
+            (centers[2], gauss(0.5, 0.6)),  # smooth at its center, patched there
+            (centers[3], gauss(0.3, 1.1, 1)),  # a cusp
+        )
+    )
+    unit = rng.normal(size=3)
+    special = np.array(
+        [centers[0], centers[0] + 0.5 * CENTER_EPS * unit / np.linalg.norm(unit), centers[1], centers[2]]
+    )
+    pts = rng.uniform(-3.0, 3.0, size=(size, 3))
+    at = rng.choice(size, len(special), replace=False)
+    pts[at] = special
+    mask = np.zeros(size, dtype=bool)
+    mask[at[:2]] = True
+
+    k0, k1, k2 = (kernel_pass(model, pts, order) for order in (0, 1, 2))
+    assert k0.gradient is None and k0.hessian is None and k0.on_cusp is None
+    assert k1.hessian is None
+    value = evaluate_many(model, pts)
+    assert same_bits(k0.value, value) and same_bits(k1.value, value) and same_bits(k2.value, value)
+    assert same_bits(k1.on_cusp, mask) and same_bits(k2.on_cusp, mask) and same_bits(on_cusp(model, pts), mask)
+    with pytest.raises(AtCuspSingularity):
+        gradient(model, pts)
+    g = gradient(model, pts[~mask])
+    g2, h = gradient_and_hessian(model, pts[~mask])
+    assert same_bits(g2, g) and same_bits(hessian(model, pts[~mask]), h)
+    assert same_bits(k1.gradient[~mask], g) and same_bits(k2.gradient[~mask], g)
+    assert same_bits(k2.hessian[~mask], h)
+    # the entries on a cusp are finite, for callers that mask them out
+    assert np.all(np.isfinite(k2.gradient)) and np.all(np.isfinite(k2.hessian))
 
 
 def test_evaluate_many_across_chunk_boundary_equals_pieces():

@@ -279,6 +279,25 @@ def test_seed_that_leaves_the_box_drops_only_itself(dimer, peak_and_cusp):
     assert not ok and x[1] > box[1][1] + 0.5
 
 
+def test_newton_slack_shrinks_with_a_small_box():
+    # a 0.2 bohr box about a Gaussian peak: steps are capped at
+    # step_cap = 0.05 bohr, and so is the slack of the box
+    model = gauss_model(alpha=1.0)
+    box = np.array([[-0.1] * 3, [0.1] * 3])
+    step_cap = 0.25 * 0.2
+    # 0.06 bohr outside: dropped on the first pass, before any step
+    far = np.array([0.1 + 1.2 * step_cap, 0.0, 0.0])
+    x, ok = run_without_warnings(_newton, model, far[None], box, [])
+    assert not ok[0] and np.array_equal(x[0], far)
+    # 0.02 bohr outside, inside the widened box: Newton walks in to the peak
+    near = np.array([0.1 + 0.4 * step_cap, 0.0, 0.0])
+    x, ok = run_without_warnings(_newton, model, near[None], box, [])
+    assert ok[0]
+    assert np.all((x[0] >= box[0]) & (x[0] <= box[1]))
+    assert np.linalg.norm(x[0]) < 1e-12
+    assert np.linalg.norm(gradient(model, x[0])) <= GRAD_TOL
+
+
 def newton_one_seed(model, seed, box, cusp_positions, g_tol, max_iter=80):
     """Reference: the safeguarded Newton iteration for a single seed, one
     gradient and one Hessian call per step; None when not cleanly converged."""
@@ -286,7 +305,7 @@ def newton_one_seed(model, seed, box, cusp_positions, g_tol, max_iter=80):
     x = np.asarray(seed, dtype=float)
     step_cap = 0.25 * float(np.max(box[1] - box[0]))
     for _ in range(max_iter):
-        if not inside(x, 0.5) or any(np.linalg.norm(x - c) < 1e-2 for c in cusp_positions):
+        if not inside(x, min(0.5, step_cap)) or any(np.linalg.norm(x - c) < 1e-2 for c in cusp_positions):
             return None
         try:
             step = np.linalg.solve(hessian(model, x), -gradient(model, x))
