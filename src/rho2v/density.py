@@ -16,7 +16,9 @@ Everything here is a pure function of immutable inputs: evaluation,
 analytic first and second derivatives, closed-form normalization.  Values,
 gradients, Hessians and the mask of the points where the derivatives are
 undefined come from one kernel pass over a struct-of-arrays view of the
-terms that each model builds once.
+terms that each model builds once.  The kernel takes the separations x - C
+and |x - C| once per site, a distinct term center, and gathers them per
+term, so the shells that share a nucleus share its separations.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ class DensityModel:
     def centers(self) -> np.ndarray:
         """Unique term centers, (K, 3); empty (0, 3) for an empty model."""
         uniq = []
-        for p in self._arrays.centers:
+        for p in self._arrays.sites:
             if all(np.linalg.norm(p - q) > CENTER_EPS for q in uniq):
                 uniq.append(p)
         return np.array(uniq).reshape(-1, 3)
@@ -181,21 +183,32 @@ class DensityModel:
 
 
 class _TermArrays(NamedTuple):
-    """Struct-of-arrays view of a model's terms, one row per term."""
+    """Struct-of-arrays view of a model's terms, one row per term, and of their sites."""
 
     centers: np.ndarray  # (T, 3)
+    sites: np.ndarray  # (K, 3) distinct centers, bit for bit, in order of first use
+    site_of: np.ndarray | None  # (T,) site row of each term; None when every term has its own
     c: np.ndarray  # (T, 1) coefficient
     a: np.ndarray  # (T, 1) 2*zeta for Slater terms, 0 for Gaussian terms
     b: np.ndarray  # (T, 1) 0 for Slater terms, alpha for Gaussian terms
     n: np.ndarray  # (T, 1) power
     singular: np.ndarray  # (T,) radial slope nonzero at the term's own center
+    high: np.ndarray | None  # (T,) power > 2, g in log form; None when no term has one
 
     @classmethod
     def of(cls, terms) -> "_TermArrays":
         centers = np.array([center for center, _ in terms]).reshape(-1, 3)
+        # keyed on the bytes, so 0.0 and -0.0 are two sites: merging them would change d
+        rows = {}
+        site_of = np.array([rows.setdefault(p.tobytes(), len(rows)) for p in centers], dtype=np.intp)
+        if len(rows) == len(centers):
+            sites, site_of = centers, None
+        else:
+            sites = centers[np.unique(site_of, return_index=True)[1]]
         c, a, b, n = _columns(prim for _, prim in terms)
         singular = ((n == 1) | ((n == 0) & (a > 0))).ravel()
-        return cls(centers, c, a, b, n, singular)
+        high = (n > 2).ravel()
+        return cls(centers, sites, site_of, c, a, b, n, singular, high if high.any() else None)
 
 
 def _radial(c, a, b, n, r):
@@ -203,8 +216,24 @@ def _radial(c, a, b, n, r):
     return c * r**n * np.exp(-(a + b * r) * r)
 
 
+def _term_values(t: _TermArrays, r: np.ndarray) -> np.ndarray:
+    """g of every term at its separations r, (T, P).  Terms of power > 2 take g in
+    log form, exp(log c + n log r - (a + b*r) * r): r^n alone overflows where g
+    does not, e.g. at r = 67 bohr for n = 169."""
+    if t.high is None:
+        return _radial(t.c, t.a, t.b, t.n, r)
+    # one (T, P) power over every row, as for a model without such terms: numpy picks
+    # its power loop by layout, so rows taken apart can round an ulp differently;
+    # the log-form rows take power 0 here and are overwritten
+    g = _radial(t.c, t.a, t.b, np.where(t.high[:, None], 0.0, t.n), r)
+    c, a, b, n, r = t.c[t.high], t.a[t.high], t.b[t.high], t.n[t.high], r[t.high]
+    with np.errstate(divide="ignore"):  # log 0 = -inf gives g = 0 for c = 0 or r = 0
+        g[t.high] = np.exp(np.log(c) + n * np.log(r) - (a + b * r) * r)
+    return g
+
+
 def _separation(centers, pts):
-    """d = x - C, (T, P, 3), and r = |d|, (T, P), for every term and point."""
+    """d = x - C, (K, P, 3), and r = |d|, (K, P), for every center and point."""
     d = pts - centers[:, None, :]
     return d, np.sqrt(np.add.reduce(d * d, axis=2))
 
@@ -227,11 +256,15 @@ def _term_sum(t: _TermArrays, pts: np.ndarray, order: int) -> tuple:
         g'' = g * ((n*(n-1)/r - 2*n*q)/r + q^2 - 2*b),
     which is g * (s^2 - n/r^2 - 2*b) without its cancellation for n = 1.
     """
-    d, r = _separation(t.centers, pts)
-    g = _radial(t.c, t.a, t.b, t.n, r)
+    d, r = _separation(t.sites, pts)
+    if t.site_of is not None:
+        r = r[t.site_of]
+    g = _term_values(t, r)
     value = np.add.reduce(g, axis=0)
     if order == 0:
         return value, None, None, None
+    if t.site_of is not None:
+        d = d[t.site_of]
     at_center = r < CENTER_EPS
     centered = np.count_nonzero(at_center) > 0
     if centered:

@@ -812,6 +812,50 @@ def test_invert_result_bytes_are_pinned(tmp_path, name):
     assert hashlib.sha256(result.encode()).hexdigest() == INVERT_DIGESTS[name]
 
 
+# ten terms on three sites, in interleaved order; frame charges from the exact cusp slopes
+SITES = ([0.3, -0.2, 0.1], [1.9, 0.4, -0.6], [-0.8, 1.7, 0.9])
+SHARED_SITES = {
+    "electron_count": 1,
+    "frame": [
+        {"position": p, "charge": z}
+        for p, z in zip(SITES, [1.5519070559102681, 1.1612485937257069, 1.4489675542723086])
+    ],
+    "terms": [
+        {"kind": kind, "center": SITES[site], "coefficient": c, "exponent": e, "power": n}
+        for kind, site, c, e, n in [
+            ("slater_s", 0, 0.8, 1.7, 0),
+            ("slater_s", 1, 0.6, 1.3, 0),
+            ("slater_s", 2, 0.5, 2.1, 0),
+            ("slater_s", 0, 0.05, 1.2, 1),
+            ("gaussian", 2, 0.2, 1.4, 0),
+            ("gaussian", 1, 0.04, 0.7, 1),
+            ("gaussian", 0, 0.3, 0.9, 2),
+            ("slater_s", 2, 0.03, 0.9, 1),
+            ("slater_s", 1, 0.2, 1.1, 2),
+            ("gaussian", 2, 0.1, 0.5, 2),
+        ]
+    ],
+}
+# SHA-256 of the 24^3 cube text and of the verify-cusp "result" section of
+# SHARED_SITES, recorded before the kernel took separations once per site
+SHARED_SITES_DIGESTS = {
+    "grid-export": "14aa151d5ce21a8b2187784d15d5baa530954bbcb9244a78f49cf8562d1023a2",
+    "verify-cusp": "4c692d9302dff984810412918d177fecfed92fe4f28591f37e89c818c8e3eaec",
+}
+
+
+def test_shared_site_outputs_are_pinned(tmp_path):
+    spec = write_spec(tmp_path, "spec.json", SHARED_SITES)
+    cube, out = tmp_path / "d.cube", tmp_path / "report.json"
+    grid = ["--counts", "24", "24", "24", "--origin", "-3", "-3", "-3", "--step", "0.25", "0.25", "0.25"]
+    assert run(["grid-export", spec, *grid, "--output", str(cube)]) == 0
+    assert hashlib.sha256(cube.read_bytes()).hexdigest() == SHARED_SITES_DIGESTS["grid-export"]
+    assert run(["verify-cusp", spec, "--output", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    result = text[text.index('\n  "result": ') : text.index('\n  "tolerances": ')]
+    assert hashlib.sha256(result.encode()).hexdigest() == SHARED_SITES_DIGESTS["verify-cusp"]
+
+
 def test_lst_table_rendering_spells_non_finite_values_as_json():
     rows = [
         {"r": r, "f": 0.5 * r, "f_prime": fp, "q_residual": 1e-16 * r}

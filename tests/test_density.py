@@ -6,7 +6,9 @@ quadrature (scipy.integrate.quad).
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from scipy.integrate import quad
 from rho2v.density import (
     _CHUNK,
     CENTER_EPS,
+    _term_sum,
     DensityModel,
     NuclearFrame,
     PrimitiveKind,
@@ -427,6 +430,78 @@ def test_kernel_pass_is_bit_identical_to_the_public_functions(size):
     assert same_bits(k2.hessian[~mask], h)
     # the entries on a cusp are finite, for callers that mask them out
     assert np.all(np.isfinite(k2.gradient)) and np.all(np.isfinite(k2.hessian))
+
+
+@pytest.mark.parametrize("size", [9, 300, _CHUNK + 100])
+def test_shared_sites_are_bit_identical_to_the_per_term_layout(size):
+    shared = np.array([0.0, 0.5, -1.0])  # a Slater cusp with two more shells
+    smooth = np.array([1.2, -0.7, 0.4])  # power-2 and Gaussian shells only
+    signed = np.array([-0.0, 0.5, -1.0])  # equal to shared, but another bit pattern
+    near = smooth + np.array([1e-13, 0.0, 0.0])
+    model = DensityModel(
+        terms=(
+            (shared, slater(0.7, 1.3)),
+            (smooth, slater(0.4, 0.9, 2)),
+            (shared, gauss(0.3, 1.1, 1)),
+            (smooth, gauss(0.5, 0.6, 2)),
+            (signed, gauss(0.2, 0.8)),
+            (near, gauss(0.1, 1.7, 2)),
+            (shared, slater(0.05, 0.9, 1)),
+            (smooth, gauss(0.25, 0.4)),
+        )
+    )
+    t = model._arrays
+    assert t.site_of.tolist() == [0, 1, 0, 1, 2, 3, 0, 1]
+    assert same_bits(t.sites, np.array([shared, smooth, signed, near]))
+    # DensityModel.centers still merges centers within CENTER_EPS
+    assert same_bits(model.centers, np.array([shared, smooth]))
+    per_term = t._replace(sites=t.centers, site_of=None)
+
+    rng = np.random.default_rng(size)
+    pts = rng.uniform(-3.0, 3.0, size=(size, 3))
+    special = np.array([shared, smooth, signed, near, [-0.0, 1.3, 2.0], [0.0, 1.3, 2.0]])
+    at = rng.choice(size, len(special), replace=False)
+    pts[at] = special
+    for order in (0, 1, 2):
+        fields = _term_sum(t, pts, order)
+        for field, expected in zip(fields, _term_sum(per_term, pts, order)):
+            assert (field is None and expected is None) or same_bits(field, expected)
+    # the derivatives are undefined on the Slater cusp and defined on the smooth center
+    assert fields[3][at].tolist() == [True, False, True, False, False, False]
+    assert np.count_nonzero(fields[3]) == 2
+
+
+def test_high_power_terms_match_mpmath_far_out():
+    # a normalized power-169 Slater term peaks at r = 84.5 bohr, where r^169 alone overflows
+    model = normalize(DensityModel(terms=((np.zeros(3), slater(1.0, 1.0, 169)),)))
+    c = model.terms[0][1].coefficient
+    radii = [10.0, 67.0, 84.5, 300.0]
+    pts = np.array([[r, 0.0, 0.0] for r in radii])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = kernel_pass(model, pts, 2)
+    with mpmath.workdps(40):
+        exact = [mpmath.mpf(c) * mpmath.mpf(r) ** 169 * mpmath.exp(-2 * mpmath.mpf(r)) for r in radii]
+    for value, reference in zip(p.value, exact):
+        assert abs(value - reference) <= 1e-12 * reference
+    assert np.all(np.isfinite(p.gradient)) and np.all(np.isfinite(p.hessian))
+    assert not p.on_cusp.any()
+
+
+def test_high_power_terms_vanish_at_zero_coefficient_and_at_their_center():
+    low = ((np.array([0.3, 0.0, 0.0]), slater(0.7, 1.3)), (np.zeros(3), gauss(0.2, 0.9, 2)))
+    high = ((np.zeros(3), gauss(0.0, 0.5, 4)), (np.zeros(3), slater(0.6, 1.1, 3)))
+    model = DensityModel(terms=low + high)
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, -0.5, 2.0], [40.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = kernel_pass(model, pts[:2], 2)
+        assert evaluate(DensityModel(terms=high), pts[0]) == 0.0  # log 0 = -inf: c = 0, and r = 0
+        # the low-power terms keep the direct formula, bit for bit
+        with_zero = evaluate_many(DensityModel(terms=low + high[:1]), pts)
+        assert same_bits(with_zero, evaluate_many(DensityModel(terms=low), pts))
+    assert np.all(np.isfinite(p.gradient)) and np.all(np.isfinite(p.hessian))
+    np.testing.assert_allclose(p.hessian[1], fd_hessian(model, pts[1]), rtol=1e-6, atol=1e-8)
 
 
 def test_evaluate_many_across_chunk_boundary_equals_pieces():
