@@ -457,7 +457,13 @@ def _report_flags(p):
     p.add_argument("--json-indent", type=int, default=2)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the commands that build_parser takes by name
+COMMANDS = ("invert", "verify-cusp", "audit", "lst", "grid-export")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The rho2v parser with the subparser of command only, or of every command
+    when command is None."""
     parser = _ArgumentParser(
         prog="rho2v",
         description="Invert densities to Coulomb potentials and audit uniqueness machinery.",
@@ -470,51 +476,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("invert", help="reconstruct the Coulomb frame from a density")
-    p.add_argument("spec")
-    _report_flags(p)
-    p.add_argument("--lebedev-order", type=int, default=DEFAULT_ORDER, choices=SUPPORTED_ORDERS)
-    p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS, help="seed grid points per axis")
-    p.add_argument("--snap-charges", action="store_true", help="also round charges to integers")
-    p.set_defaults(func=cmd_invert)
+    if command in (None, "invert"):
+        p = sub.add_parser("invert", help="reconstruct the Coulomb frame from a density")
+        p.add_argument("spec")
+        _report_flags(p)
+        p.add_argument("--lebedev-order", type=int, default=DEFAULT_ORDER, choices=SUPPORTED_ORDERS)
+        p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS, help="seed grid points per axis")
+        p.add_argument("--snap-charges", action="store_true", help="also round charges to integers")
+        p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("verify-cusp", help="check cusp relations against the declared frame")
-    p.add_argument("spec")
-    _report_flags(p)
-    p.add_argument("--lebedev-order", type=int, default=DEFAULT_ORDER, choices=SUPPORTED_ORDERS)
-    p.add_argument("--tol", type=float, default=CUSP_TOL)
-    p.set_defaults(func=cmd_verify_cusp)
+    if command in (None, "verify-cusp"):
+        p = sub.add_parser("verify-cusp", help="check cusp relations against the declared frame")
+        p.add_argument("spec")
+        _report_flags(p)
+        p.add_argument("--lebedev-order", type=int, default=DEFAULT_ORDER, choices=SUPPORTED_ORDERS)
+        p.add_argument("--tol", type=float, default=CUSP_TOL)
+        p.set_defaults(func=cmd_verify_cusp)
 
-    p = sub.add_parser("audit", help="cross-energy audit of two one-electron systems")
-    p.add_argument("spec1")
-    p.add_argument("spec2")
-    _report_flags(p)
-    p.add_argument("--tol", type=float, default=AUDIT_TOL)
-    p.set_defaults(func=cmd_audit)
+    if command in (None, "audit"):
+        p = sub.add_parser("audit", help="cross-energy audit of two one-electron systems")
+        p.add_argument("spec1")
+        p.add_argument("spec2")
+        _report_flags(p)
+        p.add_argument("--tol", type=float, default=AUDIT_TOL)
+        p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("lst", help="solve the radial local-scaling map between two densities")
-    p.add_argument("spec_source")
-    p.add_argument("spec_target")
-    _report_flags(p)
-    p.add_argument("--grid-min", type=float, default=GRID_MIN)
-    p.add_argument("--grid-max", type=float, default=GRID_MAX)
-    p.add_argument("--grid-points", type=int, default=GRID_POINTS)
-    p.add_argument("--table", default=None, help="also write a plain two-column r/f table")
-    p.set_defaults(func=cmd_lst)
+    if command in (None, "lst"):
+        p = sub.add_parser("lst", help="solve the radial local-scaling map between two densities")
+        p.add_argument("spec_source")
+        p.add_argument("spec_target")
+        _report_flags(p)
+        p.add_argument("--grid-min", type=float, default=GRID_MIN)
+        p.add_argument("--grid-max", type=float, default=GRID_MAX)
+        p.add_argument("--grid-points", type=int, default=GRID_POINTS)
+        p.add_argument("--table", default=None, help="also write a plain two-column r/f table")
+        p.set_defaults(func=cmd_lst)
 
-    p = sub.add_parser("grid-export", help="sample the density as a Gaussian cube file")
-    p.add_argument("spec")
-    p.add_argument("--output", default=None, help="cube file path (default: stdout)")
-    p.add_argument("--origin", type=float, nargs=3, default=[0.0, 0.0, 0.0])
-    p.add_argument("--step", type=float, nargs=3, default=[1.0, 1.0, 1.0])
-    p.add_argument("--counts", type=int, nargs=3, required=True)
-    p.set_defaults(func=cmd_grid_export)
+    if command in (None, "grid-export"):
+        p = sub.add_parser("grid-export", help="sample the density as a Gaussian cube file")
+        p.add_argument("spec")
+        p.add_argument("--output", default=None, help="cube file path (default: stdout)")
+        p.add_argument("--origin", type=float, nargs=3, default=(0.0, 0.0, 0.0))
+        p.add_argument("--step", type=float, nargs=3, default=(1.0, 1.0, 1.0))
+        p.add_argument("--counts", type=int, nargs=3, required=True)
+        p.set_defaults(func=cmd_grid_export)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command name first: its subparser alone parses the rest, so build only that one
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if args.tolerances:
         sys.stdout.write(json.dumps(DEFAULT_TOLERANCES, indent=2, sort_keys=True) + "\n")

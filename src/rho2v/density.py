@@ -18,7 +18,10 @@ gradients, Hessians and the mask of the points where the derivatives are
 undefined come from one kernel pass over a struct-of-arrays view of the
 terms that each model builds once.  The kernel takes the separations x - C
 and |x - C| once per site, a distinct term center, and gathers them per
-term, so the shells that share a nucleus share its separations.
+term, so the shells that share a nucleus share its separations.  A model
+whose terms have no power, or that has no Gaussian term, leaves out of the
+kernel the factors and terms that are then exactly 1 or 0, with the same
+results bit for bit.
 """
 
 from __future__ import annotations
@@ -194,6 +197,8 @@ class _TermArrays(NamedTuple):
     n: np.ndarray  # (T, 1) power
     singular: np.ndarray  # (T,) radial slope nonzero at the term's own center
     high: np.ndarray | None  # (T,) power > 2, g in log form; None when no term has one
+    powered: bool  # some term has a power; if not, the kernel takes no r^n and no n/r
+    gaussian: bool  # some term is a Gaussian; if not, the kernel takes no b*r and no b
 
     @classmethod
     def of(cls, terms) -> "_TermArrays":
@@ -208,27 +213,41 @@ class _TermArrays(NamedTuple):
         c, a, b, n = _columns(prim for _, prim in terms)
         singular = ((n == 1) | ((n == 0) & (a > 0))).ravel()
         high = (n > 2).ravel()
-        return cls(centers, sites, site_of, c, a, b, n, singular, high if high.any() else None)
+        return cls(
+            centers, sites, site_of, c, a, b, n, singular, high if high.any() else None, bool(n.any()), bool(b.any())
+        )
 
 
 def _radial(c, a, b, n, r):
-    """g(r) = c * r^n * exp(-(a + b*r) * r), the one formula for every kind."""
+    """g(r) = c * r^n * exp(-(a + b*r) * r) of one term (scalar c, a, b, n) at the
+    radii r, the one formula for every kind; in log form for n > 2."""
+    if n > 2:
+        return _log_form(c, a, b, n, r)
     return c * r**n * np.exp(-(a + b * r) * r)
 
 
-def _term_values(t: _TermArrays, r: np.ndarray) -> np.ndarray:
-    """g of every term at its separations r, (T, P).  Terms of power > 2 take g in
-    log form, exp(log c + n log r - (a + b*r) * r): r^n alone overflows where g
+def _log_form(c, a, b, n, r):
+    """g as exp(log c + n log r - (a + b*r) * r): r^n alone overflows where g
     does not, e.g. at r = 67 bohr for n = 169."""
-    if t.high is None:
-        return _radial(t.c, t.a, t.b, t.n, r)
-    # one (T, P) power over every row, as for a model without such terms: numpy picks
-    # its power loop by layout, so rows taken apart can round an ulp differently;
-    # the log-form rows take power 0 here and are overwritten
-    g = _radial(t.c, t.a, t.b, np.where(t.high[:, None], 0.0, t.n), r)
-    c, a, b, n, r = t.c[t.high], t.a[t.high], t.b[t.high], t.n[t.high], r[t.high]
     with np.errstate(divide="ignore"):  # log 0 = -inf gives g = 0 for c = 0 or r = 0
-        g[t.high] = np.exp(np.log(c) + n * np.log(r) - (a + b * r) * r)
+        return np.exp(np.log(c) + n * np.log(r) - (a + b * r) * r)
+
+
+def _term_values(t: _TermArrays, r: np.ndarray) -> np.ndarray:
+    """g of every term at its separations r, (T, P); terms of power > 2 in log form.
+
+    Without powers, or without Gaussians, the factors and terms that are then
+    exactly 1 or 0 are left out: at finite r, g is the same bit for bit
+    (r^0 = 1, c*1 = c, a + 0*r = a)."""
+    e = np.exp(-(t.a + t.b * r) * r if t.gaussian else -t.a * r)
+    if not t.powered:
+        return t.c * e
+    # one (T, P) power over every row: numpy picks its power loop by layout, so
+    # rows taken apart, or one term at a time, can round an ulp differently;
+    # the log-form rows take power 0 here and are overwritten
+    g = t.c * r ** (t.n if t.high is None else np.where(t.high[:, None], 0.0, t.n)) * e
+    if t.high is not None:
+        g[t.high] = _log_form(t.c[t.high], t.a[t.high], t.b[t.high], t.n[t.high], r[t.high])
     return g
 
 
@@ -272,14 +291,17 @@ def _term_sum(t: _TermArrays, pts: np.ndarray, order: int) -> tuple:
         r = np.where(at_center, 1.0, r)  # every term at its own center, patched below
     else:
         cusp = np.zeros(len(pts), dtype=bool)
-    q = t.a + 2.0 * t.b * r
-    slope = g * (t.n / r - q) / r  # g'/r
+    q = t.a + 2.0 * t.b * r if t.gaussian else t.a
+    # g'/g = n/r - q; without powers 0/r - q = 0.0 - q, which is +0.0 (not -0.0) at q = 0
+    slope = g * (t.n / r - q if t.powered else 0.0 - q) / r  # g'/r
     if centered:
         slope = np.where(at_center, 0.0, slope)
     grad = np.add.reduce(slope[:, :, None] * d, axis=0)
     if order == 1:
         return value, grad, None, cusp
-    g2 = g * ((t.n * (t.n - 1.0) / r - 2.0 * t.n * q) / r + q * q - 2.0 * t.b)
+    # without powers the first part is (-0.0/r - 0.0)/r = -0.0, and -0.0 + q*q = q*q
+    g2 = (t.n * (t.n - 1.0) / r - 2.0 * t.n * q) / r + q * q if t.powered else q * q
+    g2 = g * (g2 - 2.0 * t.b if t.gaussian else g2)
     radial = (g2 - slope) / (r * r)
     if centered:
         radial = np.where(at_center, 0.0, radial)

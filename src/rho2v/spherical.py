@@ -9,7 +9,9 @@ of smooth contributions, so about a cusped center the one-sided expansion
 is rho_av(r) = rho(x0) + a1*r + a2*r^2 + ... where a1 carries only the
 cusped term's slope.  The limit derivative a1 is recovered from divided
 differences on a geometrically shrinking radius ladder, accelerated by
-Richardson extrapolation in integer powers of r with early stopping.
+Richardson extrapolation in integer powers of r with early stopping.  The
+ladder's shells are evaluated a block of levels per density-kernel pass
+(LADDER_BLOCKS), and each level's average is taken on its own.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ DEFAULT_SHRINK = 0.5
 DEFAULT_LEVELS = 20
 DEFAULT_TOL = 1e-8
 
+# levels per kernel pass of the ladder: the first block, then each next one.  On the
+# benchmark workloads a ladder stops after 4-8 levels, most often 5, and 8 covers all
+LADDER_BLOCKS = (5, 3)
+
 # below this the center value gives a meaningless log-derivative
 ZERO_VALUE_FLOOR = 1e-30
 
@@ -49,6 +55,23 @@ def spherical_average(model: DensityModel, center, radius: float, order: int = D
     c = np.asarray(center, dtype=float).reshape(3)
     values = evaluate_many(model, c[None, :] + radius * units)
     return float(np.dot(weights, values))
+
+
+def _shell_averages(model: DensityModel, c: np.ndarray, order: int):
+    """Yield (r_k, rho_av(c; r_k)) for each level k of the ladder.
+
+    The shells are evaluated a block of levels per evaluate_many call, and
+    each average is its own np.dot over its level's values, as in
+    spherical_average, so the averages are the same bit for bit."""
+    units, weights = lebedev_grid(order)
+    radii = [DEFAULT_R0 * DEFAULT_SHRINK**k for k in range(DEFAULT_LEVELS)]
+    lo, size = 0, LADDER_BLOCKS[0]
+    while lo < DEFAULT_LEVELS:
+        hi = min(lo + size, DEFAULT_LEVELS)
+        values = evaluate_many(model, (c + np.multiply.outer(radii[lo:hi], units)).reshape(-1, 3))
+        for k, level in zip(range(lo, hi), values.reshape(hi - lo, -1)):
+            yield radii[k], float(np.dot(weights, level))
+        lo, size = hi, LADDER_BLOCKS[1]
 
 
 @dataclass(frozen=True)
@@ -91,6 +114,9 @@ def radial_derivative_at_center(model: DensityModel, center, order: int = DEFAUL
     is numerically meaningless there.
     """
     c = np.asarray(center, dtype=float).reshape(3)
+    # rho(center) takes a one-point pass of its own: numpy sums the terms of a
+    # one-point pass pairwise, and of a larger one in term order, which for 8 or
+    # more terms can round it differently
     rho0 = evaluate(model, c)
     if rho0 <= ZERO_VALUE_FLOOR:
         raise ZeroCenterValue(f"density at center is {rho0:g}; log-derivative undefined")
@@ -103,9 +129,8 @@ def radial_derivative_at_center(model: DensityModel, center, order: int = DEFAUL
     rising = 0
     prev_diff = np.inf
     k = 0
-    for k in range(DEFAULT_LEVELS):
-        r_k = DEFAULT_R0 * s**k
-        d_k = (spherical_average(model, c, r_k, order) - rho0) / r_k
+    for k, (r_k, average) in enumerate(_shell_averages(model, c, order)):
+        d_k = (average - rho0) / r_k
         row = [d_k]
         for j in range(1, k + 1):
             sj = s**j

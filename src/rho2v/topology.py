@@ -16,7 +16,10 @@ Search is multistart over a uniform seed grid, and every seed moves at
 once: one batched gradient ascent with a step length per seed, then one
 batched Newton iteration whose Hessians are solved as a stack.  Every step
 is one pass of the density kernel, which returns the values, the
-derivatives and the mask of the points on a cusp together.  A seed that
+derivatives and the mask of the points on a cusp together, over a
+compacted set of the seeds still moving; a Newton seed whose step has
+fallen below tolerance rides along in the next step's pass for its
+convergence check.  A seed that
 meets a cusp, a singular Hessian or the edge of the box (widened by
 min(0.5 bohr, a quarter box width)) drops out alone.  Results are
 deduplicated within a position tolerance and returned in a canonical order
@@ -267,49 +270,66 @@ def _solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
+def _stationary(box, x, p_gradient, p_on_cusp) -> np.ndarray:
+    """(S,) mask of the rows of x inside the box, off a cusp, with |grad rho| <= GRAD_TOL."""
+    return _rows_inside(box, x) & ~p_on_cusp & (_norms(p_gradient) <= GRAD_TOL)
+
+
 def _newton(model, seeds, box, cusp_positions):
     """Safeguarded Newton on grad rho = 0 from every seed at once.
 
     Returns (points (S, 3), converged (S,)).  Steps are capped at a quarter
-    box width, step_cap.  A seed is dropped when it leaves the box widened
-    by min(0.5 bohr, step_cap), enters the CUSP_EXCLUSION ball of a detected
-    cusp, lands on a cusp singularity, or meets a singular Hessian or a
-    non-finite step.  A seed converges when its step falls below 1e-12
-    relative and the gradient there is at most GRAD_TOL inside the box.
-    Each iteration takes gradients, Hessians and the cusp mask from one
-    kernel pass, and its convergence check from one more.
+    box width, step_cap.  A seed is dropped where it stands when it leaves
+    the box widened by min(0.5 bohr, step_cap), enters the CUSP_EXCLUSION
+    ball of a detected cusp, lands on a cusp singularity, or meets a
+    singular Hessian or a non-finite step.  A seed stops when its step falls
+    below 1e-12 relative, and has converged when the gradient there is at
+    most GRAD_TOL inside the box.  The seeds still stepping are kept
+    compacted, and each iteration is one kernel pass over them and the seeds
+    that stopped in the iteration before: it gives the former their
+    gradients, Hessians and cusp mask, and the latter the gradient and mask
+    of their convergence check, which are the same bits as an order-1 pass
+    gives.  The check takes a pass of its own when one seed is left stepping,
+    and after the last iteration.
     """
     x = np.array(seeds, dtype=float).reshape(-1, 3)
     cusps = np.asarray(cusp_positions, dtype=float).reshape(-1, 3)
     step_cap = 0.25 * float(np.max(box[1] - box[0]))
     slack = min(0.5, step_cap)
-    active = np.ones(len(x), dtype=bool)
     converged = np.zeros(len(x), dtype=bool)
+    # the seeds still stepping, their index and position, and those that stopped, to check
+    ids, xa = np.arange(len(x)), x.copy()
+    stopped, xs = ids[:0], xa[:0]
     for _ in range(NEWTON_ITERATIONS):
-        idx = np.flatnonzero(active)
-        ok = _rows_inside(box, x[idx], slack=slack)
-        ok &= np.all(_norms(x[idx, None] - cusps) >= CUSP_EXCLUSION, axis=1)
-        active[idx[~ok]] = False
-        idx = idx[ok]
-        if not len(idx):
+        ok = _rows_inside(box, xa, slack=slack)
+        ok &= np.all(_norms(xa[:, None] - cusps) >= CUSP_EXCLUSION, axis=1)
+        ids, xa = ids[ok], xa[ok]
+        if not len(ids):
             break
-        p = kernel_pass(model, x[idx], 2)
-        step = _solve(p.hessian, -p.gradient)
-        ok = ~p.on_cusp & np.all(np.isfinite(step), axis=1)
-        active[idx[~ok]] = False
-        idx, step = idx[ok], step[ok]
+        # numpy sums the terms of a one-point pass pairwise, and of any larger one in
+        # term order, which for 8 or more terms can round a Hessian differently: a
+        # lone stepping seed keeps its pass to itself, and the stopped ones take theirs
+        m = len(ids)
+        joint = m > 1 and len(stopped) > 0
+        p = kernel_pass(model, np.concatenate((xa, xs)) if joint else xa, 2)
+        if len(stopped):
+            q = p if joint else kernel_pass(model, xs, 1)
+            converged[stopped] = _stationary(box, xs, q.gradient[-len(xs) :], q.on_cusp[-len(xs) :])
+        step = _solve(p.hessian[:m], -p.gradient[:m])
+        ok = ~p.on_cusp[:m] & np.all(np.isfinite(step), axis=1)
+        ids, xa, step = ids[ok], xa[ok], step[ok]
         norm = _norms(step)
         capped = norm > step_cap
         step[capped] *= (step_cap / norm[capped])[:, None]
         norm[capped] = step_cap
-        x[idx] += step
-        done = idx[norm < 1e-12 * (1.0 + _norms(x[idx]))]
-        active[done] = False
-        if len(done):
-            p = kernel_pass(model, x[done], 1)
-            good = _rows_inside(box, x[done]) & ~p.on_cusp
-            good &= _norms(p.gradient) <= GRAD_TOL
-            converged[done[good]] = True
+        xa += step
+        x[ids] = xa  # where each seed stands, also if it is dropped later
+        stop = norm < 1e-12 * (1.0 + _norms(xa))
+        stopped, xs = ids[stop], xa[stop]
+        ids, xa = ids[~stop], xa[~stop]
+    if len(stopped):
+        p = kernel_pass(model, xs, 1)
+        converged[stopped] = _stationary(box, xs, p.gradient, p.on_cusp)
     return x, converged
 
 

@@ -789,27 +789,91 @@ def test_report_result_bytes_are_pinned(tmp_path, command):
     assert hashlib.sha256(result.encode()).hexdigest() == RESULT_DIGESTS[command]
 
 
-# SHA-256 of the "result" section of two invert reports at --seeds 5, recorded
-# before the search took each step's values, gradients and cusp mask from one
-# kernel pass; the search must land on the same points bit for bit
+# SHA-256 of the "result" section of invert reports: z30 and 3center at --seeds 5,
+# recorded before the search took each step's values, gradients and cusp mask from
+# one kernel pass, and h at the default 8 seeds per axis and a power-0 Gaussian with
+# no cusp (exit 2) at --seeds 5, recorded before the kernel left out the terms that a
+# model without powers or without Gaussians does not need; the search must land on
+# the same points bit for bit
 INVERT_DIGESTS = {
     "z30": "7f8331cefb0fa9dfa40773b3f1182705b3b660edc76fab4d115b6fdf06dd342f",
     "3center": "9988a10dd065c419fc5cba64c1265e7ba7f56626cc323518496628807ba86a73",
+    "h": "28ac5ea5fdf72ef34867c4b12d394cc183283caea8e07fe6ffd99d187571492f",
+    "gaussian": "cdfe152aeca5aed16ba8def0f2b68d73129a1413457290826c0f99412252054e",
 }
-INVERT_FRAMES = {
-    "z30": ([[0.31, -0.17, 0.05]], [30.0]),
-    "3center": ([[0, 0, 0], [0, 0.2, 2.4], [2.1, -0.3, 0.6]], [2.0, 1.0, 1.5]),
+INVERT_SPECS = {
+    "z30": (spec_of(model_from_frame(NuclearFrame([[0.31, -0.17, 0.05]], [30.0]))), ["--seeds", "5"], 0),
+    "3center": (
+        spec_of(model_from_frame(NuclearFrame([[0, 0, 0], [0, 0.2, 2.4], [2.1, -0.3, 0.6]], [2.0, 1.0, 1.5]))),
+        ["--seeds", "5"],
+        0,
+    ),
+    "h": (spec_of(model_from_frame(NuclearFrame([[0.4, -0.7, 1.1]], [1.0]))), [], 0),
+    "gaussian": (
+        {
+            "electron_count": 1,
+            "terms": [{"kind": "gaussian", "center": [0.7, -1.2, 0.4], "coefficient": 1.0, "exponent": 0.8}],
+        },
+        ["--seeds", "5"],
+        2,
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(INVERT_FRAMES))
+@pytest.mark.parametrize("name", sorted(INVERT_SPECS))
 def test_invert_result_bytes_are_pinned(tmp_path, name):
-    spec = write_spec(tmp_path, "spec.json", spec_of(model_from_frame(NuclearFrame(*INVERT_FRAMES[name]))))
+    document, flags, code = INVERT_SPECS[name]
+    spec = write_spec(tmp_path, "spec.json", document)
     out = tmp_path / "report.json"
-    assert run(["invert", spec, "--seeds", "5", "--output", str(out)]) == 0
+    assert run(["invert", spec, *flags, "--output", str(out)]) == code
     text = out.read_text(encoding="utf-8")
     result = text[text.index('\n  "result": ') : text.index('\n  "tolerances": ')]
     assert hashlib.sha256(result.encode()).hexdigest() == INVERT_DIGESTS[name]
+
+
+# SHA-256 of stdout, a NUL byte and stderr, with the exit code, of rho2v's help
+# and usage output in an 80-column terminal under Python 3.11's argparse,
+# recorded while every call built the parser of every command
+HELP_DIGESTS = {
+    "--help": (0, "48d6ab85f84721d760026f06acba7cf2b4480a1e36c76ae90e1f2d15ffd23e84"),
+    "": (1, "48d6ab85f84721d760026f06acba7cf2b4480a1e36c76ae90e1f2d15ffd23e84"),
+    "bogus": (1, "24189a5d76ae2d05e645a8e6f3d81f79274d08a364290120bdd7fddba5f0d94a"),
+    "invert --help": (0, "4a9965391e2b9fb457dd20d1fdd61bc132efac4a2c8bec755018fac6ac0064ef"),
+    "verify-cusp --help": (0, "2f5fc6c46b52eaa43f6cea82170c27eb7f9f03b633f4e5fe5563997200c4b5a1"),
+    "audit --help": (0, "3878fd0d578b8688032baa37ba49306d904bce1af6475dab159147aa3d9a926d"),
+    "lst --help": (0, "f91972fea4bedde92b730e561537b2296fe615e4e0b578e25d5c9daa82f33d04"),
+    "grid-export --help": (0, "017d366d9192ed3ba13fdb79f3c16511cf6a028ee7e2d184fbc63e4810ebf98f"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse words its help differently in other versions")
+@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
+def test_help_and_usage_bytes_are_pinned(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    digest = hashlib.sha256((captured.out + "\0" + captured.err).encode()).hexdigest()
+    assert (code, digest) == HELP_DIGESTS[argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invert", "s.json", "--seeds", "5", "--snap-charges"],
+        ["verify-cusp", "s.json", "--tol", "1e-3", "--lebedev-order", "50"],
+        ["audit", "a.json", "b.json", "--json-indent", "0"],
+        ["lst", "a.json", "b.json", "--grid-points", "64", "--table", "t.txt"],
+        ["grid-export", "s.json", "--counts", "2", "3", "4"],
+    ],
+)
+def test_the_parser_of_one_command_reads_what_the_full_parser_reads(argv):
+    one = vars(cli.build_parser(argv[0]).parse_args(argv))
+    assert one == vars(cli.build_parser().parse_args(argv))
+    if argv[0] == "grid-export":  # defaults are tuples, never a list shared across calls
+        assert one["origin"] == (0.0, 0.0, 0.0) and one["step"] == (1.0, 1.0, 1.0)
 
 
 # ten terms on three sites, in interleaved order; frame charges from the exact cusp slopes

@@ -471,6 +471,38 @@ def test_shared_sites_are_bit_identical_to_the_per_term_layout(size):
     assert np.count_nonzero(fields[3]) == 2
 
 
+FOLDED_TERM_SETS = {
+    # power 0 only, one term per site and two shells on one site: no r^n, no n/r, no b
+    "slater": ((0, slater(0.7, 1.3)), (1, slater(0.4, 0.9)), (0, slater(0.05, 2.2)), (2, slater(1.1, 0.6))),
+    # power 0 only: no r^n, no n/r; the b parts stay
+    "gaussian": ((0, gauss(0.5, 0.6)), (1, gauss(0.3, 1.1)), (2, gauss(0.8, 0.3)), (1, gauss(0.2, 2.4))),
+}
+
+
+@pytest.mark.parametrize("size", [9, 300, _CHUNK + 100])
+@pytest.mark.parametrize("kind", sorted(FOLDED_TERM_SETS))
+def test_folded_kernel_is_bit_identical_to_the_full_formula(kind, size):
+    rng = np.random.default_rng([size, len(kind)])
+    centers = rng.uniform(-2.0, 2.0, size=(3, 3))
+    model = DensityModel(terms=tuple((centers[i], prim) for i, prim in FOLDED_TERM_SETS[kind]))
+    t = model._arrays
+    assert not t.powered and t.gaussian == (kind == "gaussian")
+    full = t._replace(powered=True, gaussian=True)  # every factor and term taken
+
+    unit = rng.normal(size=3)
+    near = centers + 0.5 * CENTER_EPS * unit / np.linalg.norm(unit)
+    pts = rng.uniform(-3.0, 3.0, size=(size, 3))
+    at = rng.choice(size, 6, replace=False)
+    pts[at] = np.concatenate([centers, near])
+    for order in (0, 1, 2):
+        fields = _term_sum(t, pts, order)
+        for field, expected in zip(fields, _term_sum(full, pts, order)):
+            assert (field is None and expected is None) or same_bits(field, expected)
+    # Slater centers are cusps; Gaussian ones are smooth, and patched there
+    assert fields[3][at].tolist() == [kind == "slater"] * 6
+    assert np.all(np.isfinite(fields[2]))
+
+
 def test_high_power_terms_match_mpmath_far_out():
     # a normalized power-169 Slater term peaks at r = 84.5 bohr, where r^169 alone overflows
     model = normalize(DensityModel(terms=((np.zeros(3), slater(1.0, 1.0, 169)),)))

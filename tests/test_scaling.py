@@ -7,7 +7,9 @@ on r only through alpha*r^2, so between two of them f(r) = r*sqrt(a_s/a_t).
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -197,6 +199,20 @@ def test_mass_mismatch():
     )
     with pytest.raises(MassMismatch):
         solve_scaling_map(one, two)
+
+
+def test_rho_of_a_high_power_term_takes_the_log_form():
+    # r^169 overflows at 84.5 bohr, where c r^169 e^(-2r) is 1.7e-6
+    rd = RadialDensity.from_primitives([RadialPrimitive(PrimitiveKind.SLATER_S, 1e-258, 1.0, 169)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = rd.rho(np.array([10.0, 84.5, 300.0]))
+        at_peak = rd.rho(84.5)
+    with mpmath.workdps(40):
+        exact = [mpmath.mpf(1e-258) * mpmath.mpf(r) ** 169 * mpmath.exp(-2 * mpmath.mpf(r)) for r in (10.0, 84.5, 300.0)]
+    for value, reference in zip(values, exact):
+        assert abs(value - reference) <= 1e-12 * reference
+    assert np.shape(at_peak) == () and at_peak == values[1]
 
 
 def test_density_hole_raises():

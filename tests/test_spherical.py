@@ -19,6 +19,7 @@ from rho2v.density import (
     hydrogenic_model,
 )
 from rho2v.errors import UnsupportedOrder, ZeroCenterValue
+from rho2v import spherical
 from rho2v.lebedev import SUPPORTED_ORDERS
 from rho2v.spherical import DEFAULT_ORDER, DEFAULT_TOL, radial_derivative_at_center, spherical_average
 
@@ -211,6 +212,85 @@ def oracle_error(model, x0, order=DEFAULT_ORDER):
     exact = exact_cusp_slope(model, x0)
     assert est.converged
     return abs(est.derivative - exact) / abs(exact)
+
+
+def ladder_level_by_level(model, center, order):
+    """Reference: the Richardson ladder with one spherical_average call per level."""
+    c = np.asarray(center, dtype=float).reshape(3)
+    rho0 = evaluate(model, c)
+    s = spherical.DEFAULT_SHRINK
+    tableau, best, best_uncertainty, converged, rising, prev_diff = [], 0.0, np.inf, False, 0, np.inf
+    for k in range(spherical.DEFAULT_LEVELS):
+        r_k = spherical.DEFAULT_R0 * s**k
+        row = [(spherical_average(model, c, r_k, order) - rho0) / r_k]
+        for j in range(1, k + 1):
+            row.append((row[j - 1] - s**j * tableau[k - 1][j - 1]) / (1.0 - s**j))
+        tableau.append(row)
+        if k == 0:
+            best = row[-1]
+            continue
+        diff = abs(tableau[k][k] - tableau[k - 1][k - 1]) / rho0
+        if diff < best_uncertainty:
+            best, best_uncertainty = tableau[k][k], diff
+        if diff <= spherical.DEFAULT_TOL:
+            converged = True
+            break
+        rising = rising + 1 if diff > prev_diff else 0
+        prev_diff = diff
+        if k >= 3 and rising >= 2:
+            break
+    return (best, best / rho0, float(best_uncertainty), converged, k + 1)
+
+
+# nine shells of powers 0 to 2 on two sites: numpy sums 8 or more terms of a
+# one-point batch, such as rho(center), in another order than of a larger one
+POWERED = DensityModel(
+    terms=tuple(
+        (np.array(center), RadialPrimitive(kind, c, e, n))
+        for center, kind, c, e, n in [
+            ((0.3, -0.2, 0.1), PrimitiveKind.SLATER_S, 0.8, 1.7, 0),
+            ((0.3, -0.2, 0.1), PrimitiveKind.SLATER_S, 0.05, 1.2, 1),
+            ((0.3, -0.2, 0.1), PrimitiveKind.GAUSSIAN, 0.3, 0.9, 2),
+            ((1.9, 0.4, -0.6), PrimitiveKind.SLATER_S, 0.6, 1.3, 0),
+            ((1.9, 0.4, -0.6), PrimitiveKind.SLATER_S, 0.2, 1.1, 2),
+            ((1.9, 0.4, -0.6), PrimitiveKind.GAUSSIAN, 0.04, 0.7, 1),
+            ((0.3, -0.2, 0.1), PrimitiveKind.GAUSSIAN, 0.2, 1.4, 0),
+            ((1.9, 0.4, -0.6), PrimitiveKind.GAUSSIAN, 0.1, 0.5, 2),
+            ((0.3, -0.2, 0.1), PrimitiveKind.SLATER_S, 0.03, 0.9, 1),
+        ]
+    )
+)
+# model, center, order, DEFAULT_TOL, DEFAULT_LEVELS, and the levels used and converged flag
+LADDERS = {
+    "stops-at-3": (hydrogenic_model(1.0), (2.0, 0.0, 0.0), 26, DEFAULT_TOL, 20, (3, True)),
+    "fills-block-1": (hydrogenic_model(1.0), (0.0, 0.0, 0.0), 194, DEFAULT_TOL, 20, (5, True)),
+    "stops-in-block-2": (hydrogenic_model(1.0), (1e-9, 0.0, 0.0), 50, DEFAULT_TOL, 20, (6, False)),
+    "fills-block-2": (hydrogenic_model(1.0), (0.01, 0.0, 0.0), 110, DEFAULT_TOL, 20, (8, True)),
+    "powered": (POWERED, (0.3, -0.2, 0.1), 194, DEFAULT_TOL, 20, (5, True)),
+    "powered-off-center": (POWERED, (0.3, -0.2, 0.2), 50, DEFAULT_TOL, 20, (5, True)),
+    # never converges: every level up to the cap, the last block cut short
+    "unconverged-to-7": (hydrogenic_model(1.0), (0.01, 0.0, 0.0), 110, 0.0, 7, (7, False)),
+    "unconverged-to-20": (
+        hydrogenic_model(1.0),
+        (0.0002711345384714126, 0.0033535591286635367, 0.006104046746650484),
+        26,
+        0.0,
+        20,
+        (20, False),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_blocked_ladder_is_bit_identical_to_level_by_level(name, monkeypatch):
+    model, center, order, tol, levels, expected = LADDERS[name]
+    monkeypatch.setattr(spherical, "DEFAULT_TOL", tol)
+    monkeypatch.setattr(spherical, "DEFAULT_LEVELS", levels)
+    est = radial_derivative_at_center(model, center, order)
+    reference = ladder_level_by_level(model, center, order)
+    assert np.array([est.derivative, est.log_derivative, est.uncertainty]).tobytes() == np.array(reference[:3]).tobytes()
+    assert (est.converged, est.levels_used) == reference[3:]
+    assert (est.levels_used, est.converged) == expected
 
 
 def test_hydrogenic_cusp_slope_oracle_z_1_to_50():

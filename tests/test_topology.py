@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rho2v import topology
 from rho2v.density import (
     DensityModel,
     NuclearFrame,
@@ -21,6 +22,7 @@ from rho2v.density import (
     gradient,
     hessian,
     hydrogenic_model,
+    kernel_pass,
     model_from_frame,
     on_cusp,
     translate,
@@ -28,15 +30,19 @@ from rho2v.density import (
 from rho2v.errors import AtCuspSingularity, EmptyResult
 from rho2v.topology import (
     _FLOOR_RADII,
+    CUSP_EXCLUSION,
     DEDUPE_RADIUS,
     _N_FLOOR_DIRECTIONS,
     GRAD_TOL,
+    NEWTON_ITERATIONS,
     CriticalKind,
     _ascend,
     _dedupe,
     _fibonacci_directions,
     _gradient_norm_floor,
     _newton,
+    _rows_inside,
+    _solve,
     classify,
     default_search_box,
     find_critical_points,
@@ -345,6 +351,89 @@ def test_batched_newton_matches_one_seed_at_a_time(dimer):
         assert ok.tolist() == [r is not None for r in reference]
         assert ok.sum() >= 10
         np.testing.assert_allclose(x[ok], [r for r in reference if r is not None], rtol=0, atol=1e-12)
+
+
+def newton_with_separate_check(model, seeds, box, cusp_positions, iterations):
+    """Reference: batched Newton as it ran before its convergence check moved into
+    the next iteration's pass, with one order-1 pass per iteration for the check."""
+    x = np.array(seeds, dtype=float).reshape(-1, 3)
+    cusps = np.asarray(cusp_positions, dtype=float).reshape(-1, 3)
+    step_cap = 0.25 * float(np.max(box[1] - box[0]))
+    active = np.ones(len(x), dtype=bool)
+    converged = np.zeros(len(x), dtype=bool)
+    for _ in range(iterations):
+        idx = np.flatnonzero(active)
+        ok = _rows_inside(box, x[idx], slack=min(0.5, step_cap))
+        ok &= np.all(np.linalg.norm(x[idx, None] - cusps, axis=2) >= CUSP_EXCLUSION, axis=1)
+        active[idx[~ok]] = False
+        idx = idx[ok]
+        if not len(idx):
+            break
+        p = kernel_pass(model, x[idx], 2)
+        step = _solve(p.hessian, -p.gradient)
+        ok = ~p.on_cusp & np.all(np.isfinite(step), axis=1)
+        active[idx[~ok]] = False
+        idx, step = idx[ok], step[ok]
+        norm = np.linalg.norm(step, axis=1)
+        capped = norm > step_cap
+        step[capped] *= (step_cap / norm[capped])[:, None]
+        norm[capped] = step_cap
+        x[idx] += step
+        done = idx[norm < 1e-12 * (1.0 + np.linalg.norm(x[idx], axis=1))]
+        active[done] = False
+        if len(done):
+            p = kernel_pass(model, x[done], 1)
+            good = _rows_inside(box, x[done]) & ~p.on_cusp
+            good &= np.linalg.norm(p.gradient, axis=1) <= GRAD_TOL
+            converged[done[good]] = True
+    return x, converged
+
+
+def test_newton_check_in_the_next_pass_is_bit_identical(dimer, peak_and_cusp, monkeypatch):
+    three = model_from_frame(NuclearFrame([[0.0, 0.0, 0.0], [0.0, 0.2, 2.4], [2.1, -0.3, 0.6]], [2.0, 1.0, 1.5]))
+    rng = np.random.default_rng(11)
+    model, box, seeds = peak_and_cusp
+    runs = [(model, seeds, box, [])]
+    for model in (dimer, three):
+        box = default_search_box(model)
+        seeds = grid_seeds(box, 6) + rng.normal(scale=0.05, size=(216, 3))
+        runs.append((model, seeds, box, [c for c, _ in model.terms[:1]]))
+    # the seeds near the Gaussian peak stop after 4 to 7 iterations: with a cap of
+    # that many, some stop in the last one and are checked after the loop
+    newly = 0
+    for iterations in (1, 3, 4, 5, 6, 7, 8, NEWTON_ITERATIONS):
+        monkeypatch.setattr(topology, "NEWTON_ITERATIONS", iterations)
+        for model, seeds, box, cusps in runs:
+            x, ok = _newton(model, seeds, box, cusps)
+            x_ref, ok_ref = newton_with_separate_check(model, seeds, box, cusps, iterations)
+            assert x.tobytes() == x_ref.tobytes() and ok.tobytes() == ok_ref.tobytes()
+            if iterations > 1:
+                newly += np.count_nonzero(ok & ~newton_with_separate_check(model, seeds, box, cusps, iterations - 1)[1])
+    assert newly > 0
+
+
+def gaussian_mixture_and_seeds(seed):
+    """8 to 12 Gaussian terms of powers 0, 2 and 4 on 1 to 3 sites, and 4 seeds near the sites."""
+    rng = np.random.default_rng(seed)
+    sites = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 4)), 3))
+    terms = []
+    for _ in range(int(rng.integers(8, 13))):
+        site = sites[rng.integers(len(sites))]
+        prim = RadialPrimitive(PrimitiveKind.GAUSSIAN, rng.uniform(0.05, 1.0), rng.uniform(0.3, 2.5), int(rng.integers(0, 3)) * 2)
+        terms.append((site, prim))
+    return DensityModel(terms=tuple(terms)), sites[rng.integers(len(sites), size=4)] + rng.normal(scale=0.3, size=(4, 3))
+
+
+@pytest.mark.parametrize("seed", [18, 68, 92, 109, 144, 1, 2, 3])
+def test_newton_with_one_seed_left_is_bit_identical_on_many_terms(seed):
+    # with 8 or more terms, a one-point kernel pass sums them in another order
+    # than a larger one; in the first five of these mixtures one seed is still
+    # stepping when another has just stopped
+    model, seeds = gaussian_mixture_and_seeds(seed)
+    box = default_search_box(model)
+    x, ok = run_without_warnings(_newton, model, seeds, box, [])
+    x_ref, ok_ref = newton_with_separate_check(model, seeds, box, [], NEWTON_ITERATIONS)
+    assert x.tobytes() == x_ref.tobytes() and ok.tobytes() == ok_ref.tobytes()
 
 
 def dedupe_by_loop(candidates, model, radius):
