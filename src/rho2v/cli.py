@@ -127,17 +127,10 @@ def _write_output(text: str, path: str | None):
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _point_dict(p):
-    return {
-        "position": p.position,
-        "kind": p.kind.value,
-        "rank": p.rank,
-        "signature": p.signature,
-        "density_value": p.density_value,
-        "gradient_norm": p.gradient_norm,
-        "gradient_norm_floor": p.gradient_norm_floor,
-        "log_derivative": p.log_derivative,
-    }
+def _emit(args, inputs, tolerances: dict, result: dict):
+    """Write the report of args.command on inputs to --output (stdout by default)."""
+    doc = make_report(args.command, inputs, tolerances, result)
+    _write_output(render_report(doc, args.json_indent), args.output)
 
 
 def cmd_invert(args) -> int:
@@ -155,10 +148,9 @@ def cmd_invert(args) -> int:
         result = {
             "status": "no_cusps_found",
             "message": str(err),
-            "smooth_critical_points": [_point_dict(p) for p in err.critical_points],
+            "smooth_critical_points": err.critical_points,
         }
-        doc = make_report("invert", [args.spec], tolerances, result)
-        _write_output(render_report(doc, args.json_indent), args.output)
+        _emit(args, [args.spec], tolerances, result)
         return EXIT_NO_CUSPS
 
     result = {
@@ -185,22 +177,13 @@ def cmd_invert(args) -> int:
     if report.snapped_charges is not None:
         result["snapped_charges"] = report.snapped_charges
         result["snap_distances"] = report.snap_distances
-    if report.has_ground_truth:
+    if model.frame is not None:
         result["match"] = {
-            "centers": [
-                {
-                    "estimated_index": m.estimated_index,
-                    "true_index": m.true_index,
-                    "position_error": m.position_error,
-                    "charge_error": m.charge_error,
-                }
-                for m in report.matches
-            ],
-            "spurious_estimated_indices": list(report.spurious_indices),
-            "missed_true_indices": list(report.missed_true_indices),
+            "centers": report.matches,
+            "spurious_estimated_indices": report.spurious_indices,
+            "missed_true_indices": report.missed_true_indices,
         }
-    doc = make_report("invert", [args.spec], tolerances, result)
-    _write_output(render_report(doc, args.json_indent), args.output)
+    _emit(args, [args.spec], tolerances, result)
     return EXIT_OK
 
 
@@ -210,27 +193,13 @@ def cmd_verify_cusp(args) -> int:
     model, _ = load_spec(args.spec)
     if model.frame is None:
         raise SpecError("frame: required by verify-cusp but missing from the spec")
-    verification = verify_cusp_conditions(model, model.frame, tol=args.tol, order=args.lebedev_order)
+    checks = verify_cusp_conditions(model, model.frame, tol=args.tol, order=args.lebedev_order)
     tolerances = _tolerances(
         "radial_derivative", "cusp_verification", lebedev_order=args.lebedev_order, cusp_tol=args.tol
     )
-    result = {
-        "all_passed": verification.all_passed,
-        "checks": [
-            {
-                "center": c.center,
-                "charge": c.charge,
-                "lhs_slope": c.lhs,
-                "rhs_slope": c.rhs,
-                "residual": c.residual,
-                "passed": c.passed,
-            }
-            for c in verification.checks
-        ],
-    }
-    doc = make_report("verify-cusp", [args.spec], tolerances, result)
-    _write_output(render_report(doc, args.json_indent), args.output)
-    return EXIT_OK if verification.all_passed else EXIT_NO_CUSPS
+    all_passed = all(c.passed for c in checks)
+    _emit(args, [args.spec], tolerances, {"all_passed": all_passed, "checks": checks})
+    return EXIT_OK if all_passed else EXIT_NO_CUSPS
 
 
 # relative tolerance on the exponent and coefficient of an audited spec's
@@ -297,8 +266,7 @@ def cmd_audit(args) -> int:
             "case": report.cusp_verdict.case,
             "message": report.cusp_verdict.message,
         }
-    doc = make_report("audit", [args.spec1, args.spec2], tolerances, result)
-    _write_output(render_report(doc, args.json_indent), args.output)
+    _emit(args, [args.spec1, args.spec2], tolerances, result)
     return EXIT_OK
 
 
@@ -330,8 +298,7 @@ def cmd_lst(args) -> int:
             )
         ],
     }
-    doc = make_report("lst", [args.spec_source, args.spec_target], tolerances, result)
-    _write_output(render_report(doc, args.json_indent), args.output)
+    _emit(args, [args.spec_source, args.spec_target], tolerances, result)
     if args.table:
         lines = [f"{r:.12e} {f:.12e}" for r, f in zip(mapping.grid, mapping.f)]
         Path(args.table).write_text("\n".join(lines) + "\n", encoding="utf-8")

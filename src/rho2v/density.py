@@ -45,8 +45,6 @@ __all__ = [
     "evaluate_many",
     "gradient",
     "hessian",
-    "gradient_and_hessian",
-    "on_cusp",
     "kernel_pass",
     "KernelPass",
     "total_integral",
@@ -322,7 +320,13 @@ def _chunked(t: _TermArrays, points, order: int) -> tuple:
 
 def kernel_pass(model: DensityModel, points, order: int) -> KernelPass:
     """The density and its derivatives up to order at a batch of points (M, 3),
-    with the on-cusp mask for order >= 1."""
+    with the on-cusp mask for order >= 1.
+
+    Rounding depends on the batch size: numpy sums the terms of a one-point
+    pass pairwise and of a larger one in term order, so on a model of 8 or
+    more terms a point's value and Hessian can differ by an ulp between a pass
+    of its own and a pass with other points.  Its gradient and cusp mask
+    cannot.  A caller that must give the same bits keeps its batch size."""
     return KernelPass(*_chunked(model._arrays, points, order))
 
 
@@ -356,13 +360,6 @@ def gradient(model: DensityModel, point) -> np.ndarray:
     return g[0] if np.ndim(point) == 1 else g
 
 
-def gradient_and_hessian(model: DensityModel, points) -> tuple:
-    """Gradients (M, 3) and Hessians (M, 3, 3) at a batch of points (M, 3),
-    from one kernel pass; raises as gradient() does."""
-    p = _derivatives(model, points, 2)
-    return p.gradient, p.hessian
-
-
 def hessian(model: DensityModel, point) -> np.ndarray:
     """Analytic Hessian (symmetric 3x3) of the mixture at a point (3,) or a batch (M, 3).
 
@@ -370,13 +367,8 @@ def hessian(model: DensityModel, point) -> np.ndarray:
     u = (x - C)/r.  Terms smooth at their center contribute g''(0) * I
     when evaluated exactly there; singular terms raise as in gradient().
     """
-    h = gradient_and_hessian(model, point)[1]
+    h = _derivatives(model, point, 2).hessian
     return h[0] if np.ndim(point) == 1 else h
-
-
-def on_cusp(model: DensityModel, points) -> np.ndarray:
-    """(M,) mask of the points where gradient and hessian raise AtCuspSingularity."""
-    return kernel_pass(model, points, 1).on_cusp
 
 
 def total_integral(model: DensityModel) -> float:

@@ -29,7 +29,6 @@ __all__ = [
     "CenterMatch",
     "ReconstructionReport",
     "CuspCheck",
-    "CuspVerification",
     "IncompatibilityVerdict",
     "reconstruct_potential",
     "verify_cusp_conditions",
@@ -59,8 +58,6 @@ class CenterMatch:
     true_index: int
     position_error: float
     charge_error: float
-    estimated_charge: float
-    true_charge: float
 
 
 @dataclass(frozen=True)
@@ -82,7 +79,6 @@ class ReconstructionReport:
     matches: tuple = ()
     spurious_indices: tuple = ()
     missed_true_indices: tuple = ()
-    has_ground_truth: bool = False
 
     @property
     def estimated_frame(self) -> NuclearFrame:
@@ -117,8 +113,6 @@ def _match_centers(positions, charges, frame: NuclearFrame):
                 true_index=j,
                 position_error=dist,
                 charge_error=abs(float(charges[i]) - float(frame.charges[j])),
-                estimated_charge=float(charges[i]),
-                true_charge=float(frame.charges[j]),
             )
         )
     matches.sort(key=lambda m: m.estimated_index)
@@ -173,27 +167,20 @@ def reconstruct_potential(
         matches=matches,
         spurious_indices=spurious,
         missed_true_indices=missed,
-        has_ground_truth=model.frame is not None,
     )
 
 
 @dataclass(frozen=True)
 class CuspCheck:
+    """The cusp relation at one claimed nucleus: lhs_slope = rho_av'(R_a) against
+    rhs_slope = -2 Z_a rho(R_a)."""
+
     center: np.ndarray
     charge: float
-    lhs: float
-    rhs: float
+    lhs_slope: float
+    rhs_slope: float
     residual: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class CuspVerification:
-    checks: tuple
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def verify_cusp_conditions(
@@ -201,31 +188,31 @@ def verify_cusp_conditions(
     frame: NuclearFrame,
     tol: float = CUSP_TOL,
     order: int = DEFAULT_ORDER,
-) -> CuspVerification:
-    """Check rho_av'(R_a) = -2 Z_a rho(R_a) at every claimed nucleus.
+) -> tuple:
+    """Check rho_av'(R_a) = -2 Z_a rho(R_a) at every claimed nucleus: one
+    CuspCheck per center, in frame order.
 
     rho_av is averaged at Lebedev order `order`.  Failures are recorded in
-    the per-center checks, never raised.
+    the checks, never raised.
     """
     if len(frame) == 0:
         raise ValueError("frame must contain at least one center")
     checks = []
     for pos, z in zip(frame.positions, frame.charges):
-        est = radial_derivative_at_center(model, pos, order=order)
-        lhs = est.derivative
+        lhs = radial_derivative_at_center(model, pos, order=order).derivative
         rhs = -2.0 * float(z) * evaluate(model, pos)
         residual = abs(lhs - rhs)
         checks.append(
             CuspCheck(
                 center=pos.copy(),
                 charge=float(z),
-                lhs=lhs,
-                rhs=rhs,
+                lhs_slope=lhs,
+                rhs_slope=rhs,
                 residual=residual,
                 passed=residual <= tol * max(1.0, abs(rhs)),
             )
         )
-    return CuspVerification(checks=tuple(checks))
+    return tuple(checks)
 
 
 @dataclass(frozen=True)

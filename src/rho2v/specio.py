@@ -24,6 +24,8 @@ a rerun with identical inputs and flags is byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import hashlib
 import json
 import math
@@ -178,9 +180,14 @@ def make_report(command: str, input_paths, tolerances: dict, result: dict) -> di
 
 
 def _numpy_value(obj):
-    """json's default hook: numpy arrays and scalars as Python lists and numbers."""
+    """json's default hook: numpy arrays and scalars as Python lists and numbers,
+    a dataclass instance as the dict of its fields, an Enum member as its value."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, enum.Enum):
+        return obj.value
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -208,8 +215,8 @@ def _float_rows(rows) -> bool:
 def render_report(report: dict, indent: int = 2) -> str:
     """json.dumps(report, indent=indent, sort_keys=True) and a newline, byte for byte.
 
-    The report may hold numpy arrays and scalars; they are written as the
-    lists and numbers their tolist() gives (np.float64 is a float already).
+    The report may hold numpy arrays and scalars and library records
+    (dataclasses, Enum members); _numpy_value writes each as plain JSON.
 
     With an indent json runs its pure-Python encoder, which is slow on long
     tables.  So a result "table" of float rows (lst) is filled into one row

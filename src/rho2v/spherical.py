@@ -78,9 +78,12 @@ def _shell_averages(model: DensityModel, c: np.ndarray, order: int):
 class RadialDerivativeEstimate:
     """One-sided derivative of rho_av at r -> 0+ about a fixed center.
 
-    uncertainty is quoted on the log-derivative (i.e. the last diagonal
-    difference divided by rho(center)), which makes both the convergence
-    test and the estimate invariant under scaling of the density.
+    uncertainty is the smallest step between consecutive diagonal entries,
+    quoted on the log-derivative (divided by rho(center)), which makes both
+    the convergence test and the estimate invariant under scaling of the
+    density.  It estimates the error of log_derivative and does not bound
+    it: on random 2-4-center frames the error exceeded it in 3 of 537
+    readings, at worst 3.9e-12 against 1.7e-12.
     """
 
     derivative: float
@@ -114,9 +117,8 @@ def radial_derivative_at_center(model: DensityModel, center, order: int = DEFAUL
     is numerically meaningless there.
     """
     c = np.asarray(center, dtype=float).reshape(3)
-    # rho(center) takes a one-point pass of its own: numpy sums the terms of a
-    # one-point pass pairwise, and of a larger one in term order, which for 8 or
-    # more terms can round it differently
+    # rho(center) takes a one-point pass of its own: in a larger one it can round
+    # differently (see density.kernel_pass)
     rho0 = evaluate(model, c)
     if rho0 <= ZERO_VALUE_FLOOR:
         raise ZeroCenterValue(f"density at center is {rho0:g}; log-derivative undefined")

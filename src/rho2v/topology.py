@@ -306,9 +306,9 @@ def _newton(model, seeds, box, cusp_positions):
         ids, xa = ids[ok], xa[ok]
         if not len(ids):
             break
-        # numpy sums the terms of a one-point pass pairwise, and of any larger one in
-        # term order, which for 8 or more terms can round a Hessian differently: a
-        # lone stepping seed keeps its pass to itself, and the stopped ones take theirs
+        # a one-point pass can round a Hessian differently from a larger one (see
+        # density.kernel_pass): a lone stepping seed keeps its pass to itself, and the
+        # stopped ones take theirs
         m = len(ids)
         joint = m > 1 and len(stopped) > 0
         p = kernel_pass(model, np.concatenate((xa, xs)) if joint else xa, 2)

@@ -223,7 +223,8 @@ def test_case_iv_cross_check_reads_equal_frames():
     assert not report.wavefunctions_equal and report.densities_equal
     verdict = report.cusp_verdict
     assert verdict.case == "IV" and verdict.densities_equal
-    assert [m.estimated_charge for m in verdict.center_agreement] == pytest.approx([0.5], abs=1e-6)
+    charges = [verdict.report1.charges[m.estimated_index] for m in verdict.center_agreement]
+    assert charges == pytest.approx([0.5], abs=1e-6)
 
 
 def test_equal_wavefunctions_carry_equal_densities():

@@ -831,6 +831,56 @@ def test_invert_result_bytes_are_pinned(tmp_path, name):
     assert hashlib.sha256(result.encode()).hexdigest() == INVERT_DIGESTS[name]
 
 
+Z3Z1_1BOHR = spec_of(model_from_frame(NuclearFrame([[0, 0, 0], [0, 0, 1]], [3.0, 1.0])))
+# the Z3/Z1 density under a declared frame whose second center sits 4 bohr from
+# the Z=1 cusp: one match, one spurious estimate, one missed center
+MISSED_CENTER = Z3Z1_1BOHR | {"frame": [{"position": [0, 0, 0], "charge": 2.0}, {"position": [0, 0, 5], "charge": 1.0}]}
+# SHA-256 of the "result" section of each report branch that holds library
+# records (critical points, center matches, cusp checks, a cross-check verdict),
+# recorded while the CLI still copied every record field by field
+BRANCH_DIGESTS = {
+    "invert-snap-charges": "cbd11355adb89347adeba51e6328010eee453fba91973d6ba55f5f6138494147",
+    "invert-missed-center": "f4f49e0b74c13e07d4bd839c9ae15ae8aee4d3d2b3fb4d1c4e305fb4f9a37f2c",
+    "verify-cusp-fails": "1ec5620b4375be43a23f2ea0c883beefb81e7309acf4182592a2f693efd888dc",
+    "audit-cusp-cross-check": "b2c1e2392be88301b46902a88f754c8089dd576f18fb3e5de1f278b93bded069",
+    "invert-two-smooth-maxima": "8c8115f9da7b52d877d5b0b15673243a268eac3e5a7c2330f494023e02d1f1df",
+}
+# name: (command, spec documents, flags, exit code, the result key of the branch)
+BRANCH_CASES = {
+    "invert-snap-charges": ("invert", [Z3Z1_1BOHR], ["--seeds", "5", "--snap-charges"], 0, "snapped_charges"),
+    "invert-missed-center": ("invert", [MISSED_CENTER], ["--seeds", "5"], 0, "match"),
+    "verify-cusp-fails": ("verify-cusp", [MISSED_CENTER], [], 2, "checks"),
+    "audit-cusp-cross-check": ("audit", [z_spec(1.0), z_spec(1.0011)], ["--tol", "1e-3"], 0, "cusp_cross_check"),
+    "invert-two-smooth-maxima": (
+        "invert",
+        [
+            {
+                "electron_count": 1,
+                "terms": [
+                    {"kind": "gaussian", "center": [0, 0, z], "coefficient": 1.0, "exponent": 0.8}
+                    for z in (0.0, 2.5)
+                ],
+            }
+        ],
+        ["--seeds", "5"],
+        2,
+        "smooth_critical_points",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_CASES))
+def test_report_branch_result_bytes_are_pinned(tmp_path, name):
+    command, documents, flags, code, key = BRANCH_CASES[name]
+    paths = [write_spec(tmp_path, f"{i}.json", document) for i, document in enumerate(documents)]
+    out = tmp_path / "report.json"
+    assert run([command, *paths, *flags, "--output", str(out)]) == code
+    text = out.read_text(encoding="utf-8")
+    assert key in json.loads(text)["result"]
+    result = text[text.index('\n  "result": ') : text.index('\n  "tolerances": ')]
+    assert hashlib.sha256(result.encode()).hexdigest() == BRANCH_DIGESTS[name]
+
+
 # SHA-256 of stdout, a NUL byte and stderr, with the exit code, of rho2v's help
 # and usage output in an 80-column terminal under Python 3.11's argparse,
 # recorded while every call built the parser of every command

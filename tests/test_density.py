@@ -26,13 +26,11 @@ from rho2v.density import (
     evaluate,
     evaluate_many,
     gradient,
-    gradient_and_hessian,
     hessian,
     hydrogenic_model,
     kernel_pass,
     model_from_frame,
     normalize,
-    on_cusp,
     total_integral,
     translate,
 )
@@ -362,9 +360,9 @@ def test_fused_gradient_and_hessian_equal_separate_calls():
     rng = np.random.default_rng(24)
     for _ in range(20):
         model = random_model(rng, n_terms=int(rng.integers(1, 7)))
-        smooth = [c for c, _ in model.terms if not on_cusp(model, c[None])[0]]
+        smooth = [c for c, _ in model.terms if not kernel_pass(model, c[None], 1).on_cusp[0]]
         pts = np.concatenate([rng.uniform(-3, 3, size=(40, 3))] + [np.reshape(smooth, (-1, 3))])
-        g, h = gradient_and_hessian(model, pts)
+        _, g, h, _ = kernel_pass(model, pts, 2)
         np.testing.assert_allclose(g, gradient(model, pts), rtol=1e-15, atol=1e-300)
         stacked = np.array([hessian(model, p) for p in pts])
         np.testing.assert_allclose(h, stacked, rtol=1e-15, atol=1e-300)
@@ -378,15 +376,16 @@ def test_fused_kernel_raises_where_gradient_raises(kind, power):
     model = DensityModel(terms=(other, (center, RadialPrimitive(kind, 1.3, 0.8, power))))
     for at in (center, other[0], center + 1e-13, np.array([2.0, 0.0, 0.0])):
         batch = np.array([[-1.0, 0.5, 0.0], at])
+        fused = kernel_pass(model, batch, 2)
         try:
             gradient(model, batch)
         except AtCuspSingularity:
-            with pytest.raises(AtCuspSingularity):
-                gradient_and_hessian(model, batch)
+            assert fused.on_cusp.any()
             with pytest.raises(AtCuspSingularity):
                 hessian(model, batch)
         else:
-            assert np.all(np.isfinite(gradient_and_hessian(model, batch)[1]))
+            assert not fused.on_cusp.any()
+            assert np.all(np.isfinite(fused.hessian))
 
 
 def same_bits(a, b):
@@ -420,16 +419,35 @@ def test_kernel_pass_is_bit_identical_to_the_public_functions(size):
     assert k1.hessian is None
     value = evaluate_many(model, pts)
     assert same_bits(k0.value, value) and same_bits(k1.value, value) and same_bits(k2.value, value)
-    assert same_bits(k1.on_cusp, mask) and same_bits(k2.on_cusp, mask) and same_bits(on_cusp(model, pts), mask)
+    assert same_bits(k1.on_cusp, mask) and same_bits(k2.on_cusp, mask)
     with pytest.raises(AtCuspSingularity):
         gradient(model, pts)
-    g = gradient(model, pts[~mask])
-    g2, h = gradient_and_hessian(model, pts[~mask])
-    assert same_bits(g2, g) and same_bits(hessian(model, pts[~mask]), h)
+    g, h = gradient(model, pts[~mask]), hessian(model, pts[~mask])
+    off = kernel_pass(model, pts[~mask], 2)
+    assert same_bits(off.gradient, g) and same_bits(off.hessian, h)
     assert same_bits(k1.gradient[~mask], g) and same_bits(k2.gradient[~mask], g)
     assert same_bits(k2.hessian[~mask], h)
     # the entries on a cusp are finite, for callers that mask them out
     assert np.all(np.isfinite(k2.gradient)) and np.all(np.isfinite(k2.hessian))
+
+
+def test_batch_size_rounding_rule_on_ten_terms():
+    # the rule kernel_pass states: a one-point pass gives evaluate's value, and a
+    # point's gradient and cusp mask do not depend on the batch it rides in
+    rng = np.random.default_rng(10)
+    model = random_model(rng, n_terms=10)
+    pts = np.concatenate([rng.uniform(-3.0, 3.0, size=(40, 3)), [c for c, _ in model.terms]])
+    alone = [kernel_pass(model, x[None], 2) for x in pts]
+    assert any(p.on_cusp[0] for p in alone) and not all(p.on_cusp[0] for p in alone)
+    for x, p in zip(pts, alone):
+        assert same_bits(p.value, np.array([evaluate(model, x)]))
+        assert same_bits(kernel_pass(model, x[None], 1).gradient, p.gradient)
+    for size in (2, 3, len(pts)):
+        for lo in range(0, len(pts) - size + 1, size):
+            batch = kernel_pass(model, pts[lo : lo + size], 2)
+            assert same_bits(batch.gradient, np.concatenate([p.gradient for p in alone[lo : lo + size]]))
+            assert same_bits(batch.on_cusp, np.concatenate([p.on_cusp for p in alone[lo : lo + size]]))
+            np.testing.assert_allclose(batch.value, [p.value[0] for p in alone[lo : lo + size]], rtol=1e-15)
 
 
 @pytest.mark.parametrize("size", [9, 300, _CHUNK + 100])
@@ -583,7 +601,7 @@ def test_rigid_motion_invariance(q, shift, seed):
     pts = rng.uniform(-3, 3, size=(30, 3))
     moved_pts = pts @ rot.T + shift
     np.testing.assert_allclose(evaluate_many(moved, moved_pts), evaluate_many(model, pts), rtol=1e-12, atol=1e-300)
-    keep = ~on_cusp(model, pts)
+    keep = ~kernel_pass(model, pts, 1).on_cusp
     g, g_moved = gradient(model, pts[keep]), gradient(moved, moved_pts[keep])
     scale = np.max(np.linalg.norm(g, axis=1)) + 1e-300
     assert np.max(np.linalg.norm(g_moved - g @ rot.T, axis=1)) <= 1e-11 * scale
@@ -597,7 +615,7 @@ def test_cusp_singularity_raised_exactly_at_singular_centers(kind, power):
     model = DensityModel(terms=(other, (center, RadialPrimitive(kind, 1.3, 0.8, power))))
     singular = power == 1 or (power == 0 and kind is PrimitiveKind.SLATER_S)
     batch = np.array([[2.0, 0.0, 0.0], center])
-    assert on_cusp(model, batch).tolist() == [False, singular]
+    assert kernel_pass(model, batch, 1).on_cusp.tolist() == [False, singular]
     for at in (center, center + 1e-13):
         if singular:
             with pytest.raises(AtCuspSingularity):

@@ -24,7 +24,6 @@ from rho2v.density import (
     hydrogenic_model,
     kernel_pass,
     model_from_frame,
-    on_cusp,
     translate,
 )
 from rho2v.errors import AtCuspSingularity, EmptyResult
@@ -202,7 +201,7 @@ def test_gradient_norm_floor_skips_probe_on_cusp():
     cusp = RadialPrimitive(PrimitiveKind.SLATER_S, 0.2, 1.5, 0)
     smooth = (position, RadialPrimitive(PrimitiveKind.GAUSSIAN, 1.0, 0.7, 0))
     model = DensityModel(terms=(smooth, (probes[3], cusp)))
-    assert on_cusp(model, probes).tolist() == [i == 3 for i in range(len(probes))]
+    assert kernel_pass(model, probes, 1).on_cusp.tolist() == [i == 3 for i in range(len(probes))]
     with pytest.raises(AtCuspSingularity):
         gradient(model, probes[3])
     others = [np.linalg.norm(gradient(model, p)) for i, p in enumerate(probes) if i != 3]
