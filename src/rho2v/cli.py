@@ -19,9 +19,11 @@ Flags, per command (every one of them is read):
 Exit codes: 0 success, 1 input error (bad spec, out-of-range flag value, or
 usage error), 2 no cusps / cusp check failed, 3 out of scope (multi-center
 where single-center is required, or an audit spec whose terms are not the
-hydrogenic density of its frame), 4 electron-count mismatch, or a target
-density hole in lst.  Errors are reported as one "rho2v <command>: <message>"
-line on stderr (usage errors: argparse's usage text and its "error:" line).
+hydrogenic density of its frame), 4 electron-count mismatch, or an lst map
+that cannot be placed (a target density hole, or a source charge that
+underflows to 0 at a grid radius).  Errors are reported as one
+"rho2v <command>: <message>" line on stderr (usage errors: argparse's usage
+text and its "error:" line).
 All reports are deterministic JSON: same inputs and flags, same bytes.  Each
 records the tolerances its command used, with the values it passed.
 """
@@ -291,16 +293,11 @@ def cmd_lst(args) -> int:
     result = {
         "electron_count": mapping.source.electron_count,
         "jacobian_residual": mapping.jacobian_residual,
-        "table": [
-            {"r": r, "f": f, "f_prime": fp, "q_residual": q}
-            for r, f, fp, q in zip(
-                mapping.grid.tolist(), mapping.f.tolist(), mapping.f_prime.tolist(), mapping.q_residuals.tolist()
-            )
-        ],
+        "table": {"r": mapping.grid, "f": mapping.f, "f_prime": mapping.f_prime, "q_residual": mapping.q_residuals},
     }
     _emit(args, [args.spec_source, args.spec_target], tolerances, result)
     if args.table:
-        lines = [f"{r:.12e} {f:.12e}" for r, f in zip(mapping.grid, mapping.f)]
+        lines = [f"{r:.12e} {f:.12e}" for r, f in zip(mapping.grid.tolist(), mapping.f.tolist())]
         Path(args.table).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return EXIT_OK
 

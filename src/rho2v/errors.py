@@ -53,7 +53,8 @@ class MassMismatch(Rho2vError):
 
 
 class NonMonotoneCumulative(Rho2vError):
-    """Target cumulative charge is flat over a bracket (density hole)."""
+    """Target cumulative charge is flat over a bracket (density hole), or the
+    source charge matched at a radius underflows to 0."""
 
 
 class SpecError(Rho2vError):

@@ -208,15 +208,19 @@ def _solve_radii(target: RadialDensity, r: np.ndarray, charges) -> np.ndarray:
 
 def _match_radii(source: RadialDensity, target: RadialDensity, r: np.ndarray) -> tuple:
     """(f, rho_target(f), source charges at r) for the 1-d array r; raises
-    NonMonotoneCumulative where the target density vanishes at f."""
+    NonMonotoneCumulative where the target density vanishes at f, naming the
+    underflow when the source charge matched there is exactly 0."""
     charges = _source_charges(source, r)
     f = _solve_radii(target, r, charges)
     rho_t = np.asarray(target.rho(f), dtype=float)
     hole = rho_t == 0.0
     if np.any(hole):
-        raise NonMonotoneCumulative(
-            f"target density vanishes at f = {f[np.argmax(hole)]:g} (flat cumulative: density hole)"
-        )
+        i = np.argmax(hole)
+        q, qc, upper = charges
+        if (qc[i] if upper[i] else q[i]) == 0.0:
+            side, fix = ("beyond", "lower --grid-max") if upper[i] else ("within", "raise --grid-min")
+            raise NonMonotoneCumulative(f"source charge {side} r = {r[i]:g} underflows to 0; {fix}")
+        raise NonMonotoneCumulative(f"target density vanishes at f = {f[i]:g} (flat cumulative: density hole)")
     return f, rho_t, charges
 
 

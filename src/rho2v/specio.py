@@ -201,40 +201,33 @@ def _json_float(x: float) -> str:
     return repr(x) if math.isfinite(x) else ("Infinity" if x > 0 else "-Infinity")
 
 
-def _float_rows(rows) -> bool:
-    """rows is a nonempty list of dicts with the same keys and float values."""
-    if not isinstance(rows, list) or not rows or not isinstance(rows[0], dict):
-        return False
-    keys = rows[0].keys()
-    return all(
-        isinstance(row, dict) and row.keys() == keys and all(type(v) is float for v in row.values())
-        for row in rows
-    )
-
-
 def render_report(report: dict, indent: int = 2) -> str:
     """json.dumps(report, indent=indent, sort_keys=True) and a newline, byte for byte.
 
     The report may hold numpy arrays and scalars and library records
     (dataclasses, Enum members); _numpy_value writes each as plain JSON.
 
-    With an indent json runs its pure-Python encoder, which is slow on long
-    tables.  So a result "table" of float rows (lst) is filled into one row
-    template, as the cube text is, and put in place of a marker in the dump
-    of the rest of the report.
+    A result "table" that is a mapping of columns (lst) is written as the
+    list of its rows: each key names a 1-d float array, all of one length
+    n >= 1, and row i is the object {key: column[i]}.  json's pure-Python
+    encoder, which an indent selects, is slow on long tables, so the cells
+    are filled into one row template, as the cube text is, and the table is
+    put in place of a marker in the dump of the rest of the report.  Any
+    other result, a list table included, goes through json.dumps as it is.
     """
     result = report.get("result")
-    rows = result.get("table") if isinstance(result, dict) else None
-    if not isinstance(indent, int) or not _float_rows(rows):
+    columns = result.get("table") if isinstance(result, dict) else None
+    if not isinstance(columns, dict):
         return json.dumps(report, indent=indent, sort_keys=True, default=_numpy_value) + "\n"
-    keys = sorted(rows[0])
-    values = [row[k] for row in rows for k in keys]
-    if not all(map(math.isfinite, values)):
+    keys = sorted(columns)
+    cells = np.column_stack([columns[k] for k in keys])
+    values = cells.ravel().tolist()
+    if not np.isfinite(cells).all():
         values = [_json_float(v) for v in values]
     step = " " * indent  # as json spells an int indent; items of the table sit 3 levels deep
     item, field = "\n" + step * 3, "\n" + step * 4
     row = item + "{" + ",".join(f"{field}{json.dumps(k).replace('%', '%%')}: %s" for k in keys) + item + "}"
-    table = "[" + ",".join([row] * len(rows)) % tuple(values) + "\n" + step * 2 + "]"
+    table = "[" + ",".join([row] * len(cells)) % tuple(values) + "\n" + step * 2 + "]"
     text = json.dumps(
         {**report, "result": {**result, "table": _TABLE}}, indent=indent, sort_keys=True, default=_numpy_value
     )

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rho2v
 from rho2v import cli
@@ -508,6 +510,23 @@ def test_lst_on_a_term_past_the_gamma_overflow_exits_with_a_code(tmp_path):
     assert main(["lst", spec, spec]) in cli.EXIT_CODES.values()
 
 
+@pytest.mark.parametrize(
+    "documents, flags, message",
+    [
+        # the normalized power-169 term peaks near 85 bohr: its charge within 1e-3 bohr is below 1e-308
+        ([one_term("slater_s", 169)] * 2, [], "source charge within r = 0.001 underflows to 0; raise --grid-min"),
+        # hydrogen's charge beyond 377 bohr, e^-754 (1 + 2r + 2r^2), is below the float range
+        ([HYDROGEN] * 2, ["--grid-max", "1000"], "source charge beyond r = 377.112 underflows to 0; lower --grid-max"),
+    ],
+)
+def test_lst_names_an_underflowed_source_charge_not_a_density_hole(tmp_path, capsys, documents, flags, message):
+    paths = [write_spec(tmp_path, f"{i}.json", document) for i, document in enumerate(documents)]
+    assert main(["lst", *paths, *flags]) == cli.EXIT_MASS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rho2v lst: {message}\n"
+
+
 def test_normalize_with_a_total_integral_beyond_the_float_range_exits_1(tmp_path, capsys):
     # Gamma(201.5) ~ 1e375: the integral of the term itself overflows
     spec = write_spec(tmp_path, "g400.json", one_term("gaussian", 400))
@@ -775,6 +794,41 @@ TWO_ELECTRONS = {
 }
 
 
+# SHA-256 of whole lst outputs on a 2048-point pair of concentric mixtures shaped
+# as perfbench's (Slater powers 0 and 1-2, a Gaussian of power 0-2, two electrons,
+# normalized), with spec paths relative to the working directory: the report at
+# --json-indent 2, 0 and 4 and the --table file, recorded while cmd_lst still
+# built one dict per table row
+LST_OUTPUT_DIGESTS = {
+    "2": "9a2ed3d7e1bc525b74f7938ed8e4291b4e8b73933bdca94e44c4e029d2d238d2",
+    "0": "250a03ac192d1e71631f88d5b9fded3a18e2e80198e4208c1409db5912ee01ab",
+    "4": "5b245e980fd532698de37022b0a3d221786fccaafe2a2f23be6c9793317c2f13",
+    "table": "d3e22f66766967a7139bc10f74d6cb303184d8cae0238f88918660a35acd9e04",
+}
+
+
+def concentric_mixture(slater0, slater_n, gaussian_n):
+    """Two electrons in three normalized terms at one off-origin center; each
+    argument is (coefficient, exponent, power)."""
+    kinds = ("slater_s", "slater_s", "gaussian")
+    terms = [
+        {"kind": kind, "center": [0.4, -1.1, 0.7], "coefficient": c, "exponent": e, "power": n}
+        for kind, (c, e, n) in zip(kinds, (slater0, slater_n, gaussian_n))
+    ]
+    return {"electron_count": 2, "normalize": True, "terms": terms}
+
+
+@pytest.mark.parametrize("indent", ["2", "0", "4"])
+def test_lst_outputs_are_pinned(tmp_path, monkeypatch, indent):
+    monkeypatch.chdir(tmp_path)
+    write_spec(tmp_path, "source.json", concentric_mixture((0.74, 1.62, 0), (0.31, 0.97, 2), (0.27, 1.15, 1)))
+    write_spec(tmp_path, "target.json", concentric_mixture((0.58, 2.21, 0), (0.44, 0.63, 1), (0.12, 0.41, 2)))
+    argv = ["lst", "source.json", "target.json", "--grid-points", "2048", "--json-indent", indent]
+    assert run([*argv, "--output", "report.json", "--table", "table.txt"]) == 0
+    for name, path in ((indent, "report.json"), ("table", "table.txt")):
+        assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == LST_OUTPUT_DIGESTS[name]
+
+
 @pytest.mark.parametrize("command", ["lst", "audit"])
 def test_report_result_bytes_are_pinned(tmp_path, command):
     specs = {
@@ -970,19 +1024,45 @@ def test_shared_site_outputs_are_pinned(tmp_path):
     assert hashlib.sha256(result.encode()).hexdigest() == SHARED_SITES_DIGESTS["verify-cusp"]
 
 
+def lst_report(columns):
+    return {"tool": "rho2v", "command": "lst", "result": {"electron_count": 1.0, "table": columns}}
+
+
+def as_rows(columns):
+    """The table of a column mapping as json writes it: a list of row objects."""
+    return [dict(zip(columns, row)) for row in zip(*(np.asarray(c).tolist() for c in columns.values()))]
+
+
 def test_lst_table_rendering_spells_non_finite_values_as_json():
-    rows = [
-        {"r": r, "f": 0.5 * r, "f_prime": fp, "q_residual": 1e-16 * r}
-        for r, fp in zip([0.1, 0.2, 0.3, 0.4], [0.5, math.inf, -math.inf, math.nan])
-    ]
-    report = {"tool": "rho2v", "command": "lst", "result": {"electron_count": 1.0, "table": rows}}
+    r = np.array([0.1, 0.2, 0.3, 0.4])
+    columns = {"r": r, "f": 0.5 * r, "f_prime": np.array([0.5, math.inf, -math.inf, math.nan]), "q_residual": 1e-16 * r}
     for indent in (0, 2, 4):
-        text = render_report(report, indent)
-        assert text == json.dumps(report, indent=indent, sort_keys=True) + "\n"
+        text = render_report(lst_report(columns), indent)
+        assert text == json.dumps(lst_report(as_rows(columns)), indent=indent, sort_keys=True) + "\n"
         assert "Infinity" in text and "NaN" in text
-    # rows that are not all floats under the same keys go through json as they are
+    # a list table goes through json as it is, whatever its rows hold
+    rows = as_rows(columns)
     rows[1] = {"r": 1, "f": 0.5}
-    assert render_report(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert render_report(lst_report(rows)) == json.dumps(lst_report(rows), indent=2, sort_keys=True) + "\n"
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e-300, 1.7976931348623157e308, 5e-324]
+CELLS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(1e295, 1e305), st.floats(-1e-295, -1e-305))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    keys=st.lists(st.text(max_size=4), min_size=0, max_size=3, unique=True),
+    odd_key=st.sampled_from(['%', '%s', '"', 'q"%d']),
+    rows=st.integers(1, 12),
+    indent=st.sampled_from([0, 2, 4]),
+)
+def test_column_table_renders_as_json_dumps_of_its_rows(data, keys, odd_key, rows, indent):
+    names = list(dict.fromkeys([*keys, odd_key]))
+    columns = {k: np.array(data.draw(st.lists(CELLS, min_size=rows, max_size=rows)), dtype=float) for k in names}
+    expected = json.dumps(lst_report(as_rows(columns)), indent=indent, sort_keys=True) + "\n"
+    assert render_report(lst_report(columns), indent) == expected
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -230,7 +230,7 @@ def test_density_hole_raises():
         return inner + outer
 
     holed = RadialDensity.from_callables(rho, cumulative, 1.0)
-    with pytest.raises(NonMonotoneCumulative):
+    with pytest.raises(NonMonotoneCumulative, match="vanishes at f = 1.5 .flat cumulative: density hole.$"):
         solve_scaling_map(holed, holed, grid=np.array([0.5, 1.5, 2.5]))
 
 
