@@ -31,8 +31,6 @@ from .density import (  # noqa: F401
 from .audit import (  # noqa: F401
     OneElectronSystem,
     audit_pair,
-    cross_energy,
-    difference_integral,
     potential_from_wavefunction,
 )
 from .inversion import (  # noqa: F401

@@ -9,7 +9,7 @@ argument's inequality chain has a closed form:
     difference integrals     int (v_1 - v_2) rho
 
 together with the identity cross = E_own + difference-integral that links
-them (the ground energy computed as a cross energy is cross_energy(s, s)).
+them (a system's ground energy is its own cross energy).
 Cross energies and difference integrals are closed-form frame attractions
 (rho2v.radial: incomplete gamma functions and Newton's shell theorem), for
 concentric and displaced centers alike.  Constant
@@ -34,12 +34,9 @@ from .radial import frame_attraction
 
 __all__ = [
     "ExponentialWavefunction",
-    "GaussianWavefunction",
     "OneElectronSystem",
     "PotentialTable",
     "HKAuditReport",
-    "cross_energy",
-    "difference_integral",
     "potential_from_wavefunction",
     "audit_pair",
 ]
@@ -68,22 +65,6 @@ class ExponentialWavefunction:
     @classmethod
     def hydrogenic(cls, z: float) -> "ExponentialWavefunction":
         return cls(decay=z, amplitude=math.sqrt(z**3 / math.pi))
-
-
-@dataclass(frozen=True)
-class GaussianWavefunction:
-    """psi(r) = amplitude * exp(-width * r^2); harmonic-oscillator form."""
-
-    width: float
-    amplitude: float = 1.0
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.amplitude * np.exp(-self.width * r * r)
-
-    def kinetic_ratio(self, r):
-        r = np.asarray(r, dtype=float)
-        return 3.0 * self.width - 2.0 * self.width**2 * r * r
 
 
 @dataclass(frozen=True)
@@ -119,38 +100,16 @@ class OneElectronSystem:
         return -0.5 * self.charge**2 + self.offset
 
 
-def cross_energy(psi_system: OneElectronSystem, potential_system: OneElectronSystem) -> float:
-    """<psi_A | T + v_B | psi_A> from radial moments and the shell theorem.
-
-    For concentric hydrogenic pairs this equals Z_A^2/2 - Z_B*Z_A (plus
-    B's offset).
-    """
-    rho_a = psi_system.density
-    attraction = frame_attraction(rho_a, potential_system.frame)
-    return _cross_energy(psi_system.charge, total_integral(rho_a), attraction, potential_system.offset)
-
-
 def _cross_energy(charge: float, total: float, attraction: float, offset: float) -> float:
-    """Cross energy from int rho_A and A's attraction to B's frame."""
+    """<psi_A | T + v_B | psi_A> from int rho_A and A's attraction to B's frame;
+    for concentric hydrogenic pairs Z_A^2/2 - Z_B*Z_A (plus B's offset)."""
     # <T> = (1/2) int |psi'|^2 d^3x = (Z^2/2) int psi^2 d^3x, as psi' = -Z psi
     return 0.5 * charge**2 * total + attraction + offset
 
 
-def difference_integral(
-    v1: NuclearFrame,
-    v2: NuclearFrame,
-    rho: DensityModel,
-    offset1: float = 0.0,
-    offset2: float = 0.0,
-) -> float:
-    """int [v1(x) - v2(x)] rho(x) d^3x, offsets contributing (c1-c2)*N."""
-    return _difference_integral(
-        frame_attraction(rho, v1), frame_attraction(rho, v2), total_integral(rho), offset1, offset2
-    )
-
-
 def _difference_integral(attraction1, attraction2, total, offset1, offset2) -> float:
-    """Difference integral from rho's attractions to the two frames and int rho."""
+    """int [v1(x) - v2(x)] rho(x) d^3x from rho's attractions to the two frames
+    and int rho, offsets contributing (c1-c2)*N."""
     return attraction1 - attraction2 + (offset1 - offset2) * total
 
 
@@ -161,11 +120,6 @@ class PotentialTable:
     radii: np.ndarray
     values: np.ndarray
     energy: float
-    psi: object
-
-    def __call__(self, r):
-        # exact continuation off the sample grid via the defining relation
-        return self.energy - self.psi.kinetic_ratio(r)
 
 
 def potential_from_wavefunction(psi, energy: float) -> PotentialTable:
@@ -181,7 +135,7 @@ def potential_from_wavefunction(psi, energy: float) -> PotentialTable:
     if np.any(vals <= 0.0):
         bad = radii[np.argmax(vals <= 0.0)]
         raise NodeEncountered(f"wavefunction is non-positive at r = {bad:g}")
-    return PotentialTable(radii=radii, values=energy - psi.kinetic_ratio(radii), energy=energy, psi=psi)
+    return PotentialTable(radii=radii, values=energy - psi.kinetic_ratio(radii), energy=energy)
 
 
 @dataclass(frozen=True)

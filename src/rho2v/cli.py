@@ -17,11 +17,13 @@ Flags, per command (every one of them is read):
     grid-export  --output --origin --step --counts
 
 Exit codes: 0 success, 1 input error (bad spec, out-of-range flag value, or
-usage error), 2 no cusps / cusp check failed, 3 out of scope (multi-center
+usage error), 2 no cusps / cusp check failed (a claimed nucleus where the
+density has no cusp, or whose slopes disagree), 3 out of scope (multi-center
 where single-center is required, or an audit spec whose terms are not the
 hydrogenic density of its frame), 4 electron-count mismatch, or an lst map
-that cannot be placed (a target density hole, or a source charge that
-underflows to 0 at a grid radius).  Errors are reported as one
+that cannot be placed (a target density hole, a source charge that
+underflows to 0 at a grid radius, or a map that misses the q_residual
+target at a grid radius).  Errors are reported as one
 "rho2v <command>: <message>" line on stderr (usage errors: argparse's usage
 text and its "error:" line).
 All reports are deterministic JSON: same inputs and flags, same bytes.  Each
@@ -105,7 +107,7 @@ def _tolerances(
             "tau_cusp": TAU_CUSP,
             "dedupe_radius": DEDUPE_RADIUS,
         },
-        "cusp_verification": {"tol": cusp_tol},
+        "cusp_verification": {"tol": cusp_tol, "tau_cusp": TAU_CUSP},
         "audit": {
             "tol": audit_tol,
             "cross_check_density_tol": DENSITY_TOL,
@@ -289,6 +291,13 @@ def cmd_lst(args) -> int:
     mapping = solve_scaling_map(
         RadialDensity.from_model(model_s), RadialDensity.from_model(model_t), grid
     )
+    # a NaN residual misses the target as well
+    missed = np.flatnonzero(~(mapping.q_residuals <= Q_RESIDUAL_TARGET))
+    if missed.size:
+        i = missed[0]
+        raise NonMonotoneCumulative(
+            f"q_residual {mapping.q_residuals[i]:.3g} at r = {grid[i]:g} misses the target {Q_RESIDUAL_TARGET:g}"
+        )
     tolerances = _tolerances("local_scaling")
     result = {
         "electron_count": mapping.source.electron_count,

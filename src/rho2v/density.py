@@ -49,7 +49,6 @@ __all__ = [
     "KernelPass",
     "total_integral",
     "normalize",
-    "translate",
     "hydrogenic_model",
     "model_from_frame",
 ]
@@ -392,16 +391,6 @@ def normalize(model: DensityModel, electron_count: int | None = None) -> Density
         for center, prim in model.terms
     )
     return DensityModel(terms=terms, electron_count=n, frame=model.frame)
-
-
-def translate(model: DensityModel, shift) -> DensityModel:
-    """Rigidly translate every term center (and the frame) by shift."""
-    s = np.asarray(shift, dtype=float).reshape(3)
-    terms = tuple((center + s, prim) for center, prim in model.terms)
-    frame = None
-    if model.frame is not None:
-        frame = NuclearFrame(model.frame.positions + s, model.frame.charges)
-    return DensityModel(terms=terms, electron_count=model.electron_count, frame=frame)
 
 
 def hydrogenic_model(z: float, center=(0.0, 0.0, 0.0)) -> DensityModel:

@@ -53,8 +53,9 @@ class MassMismatch(Rho2vError):
 
 
 class NonMonotoneCumulative(Rho2vError):
-    """Target cumulative charge is flat over a bracket (density hole), or the
-    source charge matched at a radius underflows to 0."""
+    """A radial map that cannot be placed: the target cumulative charge is flat
+    over a bracket (density hole), the source charge matched at a radius
+    underflows to 0, or the solved map misses the charge-residual target."""
 
 
 class SpecError(Rho2vError):

@@ -21,7 +21,7 @@ from .density import DensityModel, NuclearFrame, evaluate, evaluate_many
 from .errors import NoCuspsFound
 from .lebedev import lebedev_grid
 from .spherical import DEFAULT_ORDER, radial_derivative_at_center
-from .topology import DEFAULT_SEEDS, find_critical_points
+from .topology import DEFAULT_SEEDS, TAU_CUSP, find_critical_points
 
 __all__ = [
     "MATCH_GATE",
@@ -173,7 +173,8 @@ def reconstruct_potential(
 @dataclass(frozen=True)
 class CuspCheck:
     """The cusp relation at one claimed nucleus: lhs_slope = rho_av'(R_a) against
-    rhs_slope = -2 Z_a rho(R_a)."""
+    rhs_slope = -2 Z_a rho(R_a).  passed needs a cusp there as well, a
+    log-derivative below -TAU_CUSP, as the search reads one."""
 
     center: np.ndarray
     charge: float
@@ -190,7 +191,8 @@ def verify_cusp_conditions(
     order: int = DEFAULT_ORDER,
 ) -> tuple:
     """Check rho_av'(R_a) = -2 Z_a rho(R_a) at every claimed nucleus: one
-    CuspCheck per center, in frame order.
+    CuspCheck per center, in frame order.  A center passes where the density
+    has a cusp and the two slopes agree within tol * max(1, |rhs|).
 
     rho_av is averaged at Lebedev order `order`.  Failures are recorded in
     the checks, never raised.
@@ -199,7 +201,8 @@ def verify_cusp_conditions(
         raise ValueError("frame must contain at least one center")
     checks = []
     for pos, z in zip(frame.positions, frame.charges):
-        lhs = radial_derivative_at_center(model, pos, order=order).derivative
+        estimate = radial_derivative_at_center(model, pos, order=order)
+        lhs = estimate.derivative
         rhs = -2.0 * float(z) * evaluate(model, pos)
         residual = abs(lhs - rhs)
         checks.append(
@@ -209,7 +212,7 @@ def verify_cusp_conditions(
                 lhs_slope=lhs,
                 rhs_slope=rhs,
                 residual=residual,
-                passed=residual <= tol * max(1.0, abs(rhs)),
+                passed=estimate.log_derivative < -TAU_CUSP and residual <= tol * max(1.0, abs(rhs)),
             )
         )
     return tuple(checks)

@@ -12,8 +12,8 @@ the distinct signed permutations of one generator (x, y, z):
     abc      (a, b, c), c = sqrt(1 - a^2 - b^2)    48 points
 
 Weights are normalized to sum to 1, so sum_i w_i f(u_i) is directly the
-average of f over the sphere.  A grid with N points integrates spherical
-polynomials up to the tabulated algebraic degree exactly.
+average of f over the sphere.  Each grid integrates spherical polynomials
+exactly up to its Lebedev-Laikov algebraic degree (3 for 6 points, 23 for 194).
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ import numpy as np
 
 from .errors import UnsupportedOrder
 
-__all__ = ["SUPPORTED_ORDERS", "grid_degree", "lebedev_grid"]
-
-# point count -> exact algebraic degree
-_DEGREE = {6: 3, 14: 5, 26: 7, 38: 9, 50: 11, 86: 15, 110: 17, 146: 19, 194: 23}
-
-SUPPORTED_ORDERS = tuple(sorted(_DEGREE))
+__all__ = ["SUPPORTED_ORDERS", "lebedev_grid"]
 
 _VERTEX = (1.0, 0.0, 0.0)
 _EDGE = (math.sqrt(0.5), math.sqrt(0.5), 0.0)
@@ -122,12 +117,7 @@ _TABLES = {
     ],
 }
 
-
-def grid_degree(order: int) -> int:
-    """Exact polynomial degree of the grid with the given point count."""
-    if order not in _DEGREE:
-        raise UnsupportedOrder(f"no Lebedev grid with {order} points; supported: {SUPPORTED_ORDERS}")
-    return _DEGREE[order]
+SUPPORTED_ORDERS = tuple(sorted(_TABLES))
 
 
 @lru_cache(maxsize=None)

@@ -25,9 +25,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from rho2v.density import DensityModel, NuclearFrame, RadialPrimitive
+    from rho2v.density import DensityModel, NuclearFrame
 
-__all__ = ["radial_moment", "primitive_attraction", "frame_attraction"]
+__all__ = ["frame_attraction"]
 
 FOUR_PI = 4.0 * math.pi
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -167,18 +167,6 @@ def _attraction(c, a, b, n, d) -> np.ndarray:
         return outer
     inner = _moment(FOUR_PI * c, a, b, n, 2)(d, complement=False)
     return np.divide(inner, d, out=np.zeros_like(inner), where=d > 0.0) + outer
-
-
-def radial_moment(prim: RadialPrimitive, m: int, lower: float = 0.0) -> float:
-    """int_lower^inf r^m * g_prim(r) dr."""
-    return float(_moment(*_columns([prim]), m)(lower, complement=True)[0, 0])
-
-
-def primitive_attraction(prim: RadialPrimitive, d: float) -> float:
-    """int g_prim(|x|) / |x - d*ez| d^3x for a spherical term at distance d."""
-    if d < 0.0:
-        raise ValueError("distance must be nonnegative")
-    return float(_attraction(*_columns([prim]), np.full((1, 1), float(d)))[0, 0])
 
 
 def frame_attraction(model: DensityModel, frame: NuclearFrame) -> float:

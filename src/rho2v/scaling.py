@@ -98,11 +98,6 @@ class RadialDensity:
             raise ValueError("model must have a single common center to be spherical")
         return cls.from_primitives(p for _, p in model.terms)
 
-    @classmethod
-    def from_callables(cls, rho, cumulative, electron_count: float) -> "RadialDensity":
-        complement = lambda r: electron_count - np.asarray(cumulative(r), dtype=float)
-        return cls(rho=rho, cumulative=cumulative, complement=complement, electron_count=electron_count)
-
 
 def _source_charges(source: RadialDensity, r: np.ndarray):
     """(Q_source(r), N - Q_source(r), upper) where upper marks the radii matched

@@ -19,14 +19,15 @@ from rho2v.density import NuclearFrame, PrimitiveKind, RadialPrimitive, hydrogen
 from rho2v.errors import NodeEncountered
 from rho2v.audit import (
     ExponentialWavefunction,
-    GaussianWavefunction,
     OneElectronSystem,
     audit_pair,
-    cross_energy,
-    difference_integral,
     potential_from_wavefunction,
 )
-from rho2v.radial import primitive_attraction, radial_moment
+from rho2v.radial import _columns, _moment, frame_attraction
+
+
+def unit_charge_at(d):
+    return NuclearFrame([[0.0, 0.0, d]], [1.0])
 
 
 # --- radial moments against scipy's incomplete gamma ---------------------------
@@ -50,23 +51,22 @@ def test_radial_moment_closed_form(prim, m, lower):
         a = prim.exponent
         half = 0.5 * (p + 1)
         oracle = c * math.gamma(half) * gammaincc(half, a * lower * lower) / (2.0 * a**half)
-    assert radial_moment(prim, m, lower=lower) == pytest.approx(oracle, rel=1e-12)
+    assert _moment(*_columns([prim]), m)(lower, complement=True)[0, 0] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_displaced_attraction_screened_coulomb():
     z, d = 2.0, 1.4
-    prim = RadialPrimitive(PrimitiveKind.SLATER_S, z**3 / math.pi, z, 0)
     oracle = (1.0 - math.exp(-2.0 * z * d) * (1.0 + z * d)) / d
-    assert primitive_attraction(prim, d) == pytest.approx(oracle, rel=1e-12)
+    assert -frame_attraction(hydrogenic_model(z), unit_charge_at(d)) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_same_center_attraction_is_mean_inverse_radius():
     z = 3.0
-    prim = RadialPrimitive(PrimitiveKind.SLATER_S, z**3 / math.pi, z, 0)
-    assert primitive_attraction(prim, 0.0) == pytest.approx(z, rel=1e-13)
+    assert -frame_attraction(hydrogenic_model(z), unit_charge_at(0.0)) == pytest.approx(z, rel=1e-13)
 
 
 # --- ground and cross energies --------------------------------------------------
+# audit_pair(A, B).cross21 is <psi_A | T + v_B | psi_A>
 
 @pytest.mark.parametrize("z,expected", [(1.0, -0.5), (2.0, -2.0)])
 def test_ground_energy_analytic(z, expected):
@@ -75,25 +75,25 @@ def test_ground_energy_analytic(z, expected):
 
 def test_ground_energy_quadrature_matches_analytic():
     sys1 = OneElectronSystem(1.0)
-    assert cross_energy(sys1, sys1) == pytest.approx(sys1.energy, abs=1e-8)
+    assert audit_pair(sys1, sys1).cross21 == pytest.approx(sys1.energy, abs=1e-8)
     shifted = OneElectronSystem(2.0, offset=0.3)
-    assert cross_energy(shifted, shifted) == pytest.approx(-2.0 + 0.3, abs=1e-8)
+    assert audit_pair(shifted, shifted).cross21 == pytest.approx(-2.0 + 0.3, abs=1e-8)
 
 
 def test_cross_energy_oracle_values():
     z1, z2 = OneElectronSystem(1.0), OneElectronSystem(2.0)
     # psi(Z=2) in v(Z=1): Z_A^2/2 - Z_B Z_A = 2 - 2
-    assert cross_energy(z2, z1) == pytest.approx(0.0, abs=1e-10)
+    assert audit_pair(z2, z1).cross21 == pytest.approx(0.0, abs=1e-10)
     # psi(Z=1) in v(Z=2): 0.5 - 2
-    assert cross_energy(z1, z2) == pytest.approx(-1.5, abs=1e-10)
+    assert audit_pair(z1, z2).cross21 == pytest.approx(-1.5, abs=1e-10)
     # self-consistency
-    assert cross_energy(z1, z1) == pytest.approx(-0.5, abs=1e-10)
+    assert audit_pair(z1, z1).cross21 == pytest.approx(-0.5, abs=1e-10)
 
 
 def test_variational_strictness():
     for za in (1.0, 2.0, 3.0):
         for zb in (1.0, 2.0, 3.0):
-            gap = cross_energy(OneElectronSystem(za), OneElectronSystem(zb)) - OneElectronSystem(zb).energy
+            gap = audit_pair(OneElectronSystem(za), OneElectronSystem(zb)).cross21 - OneElectronSystem(zb).energy
             if za == zb:
                 assert abs(gap) <= 1e-10
             else:
@@ -117,34 +117,33 @@ def test_displaced_audit_matches_screened_coulomb():
 
 
 # --- difference integrals --------------------------------------------------------
+# diff_integral_rho* is int (v1 - v2) rho* of the pair's frames and densities
 
 def test_difference_integral_oracle():
-    v1 = NuclearFrame(np.zeros((1, 3)), np.array([1.0]))
-    v2 = NuclearFrame(np.zeros((1, 3)), np.array([2.0]))
-    rho2 = hydrogenic_model(2.0)
+    report = audit_pair(OneElectronSystem(1.0), OneElectronSystem(2.0))
     # (v1 - v2) = +1/r; <1/r>_{Z=2} = 2
-    assert difference_integral(v1, v2, rho2) == pytest.approx(2.0, abs=1e-10)
-    rho1 = hydrogenic_model(1.0)
-    assert difference_integral(v1, v2, rho1) == pytest.approx(1.0, abs=1e-10)
+    assert report.diff_integral_rho2 == pytest.approx(2.0, abs=1e-10)
+    assert report.diff_integral_rho1 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_difference_integral_same_potential_is_zero():
-    v = NuclearFrame(np.zeros((1, 3)), np.array([1.5]))
-    assert difference_integral(v, v, hydrogenic_model(2.0)) == pytest.approx(0.0, abs=1e-12)
+    report = audit_pair(OneElectronSystem(2.0), OneElectronSystem(2.0))
+    assert report.diff_integral_rho1 == pytest.approx(0.0, abs=1e-12)
+    assert report.diff_integral_rho2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_difference_integral_constant_shift():
-    v = NuclearFrame(np.zeros((1, 3)), np.array([1.0]))
-    rho = hydrogenic_model(1.0)
     c = 0.37
-    assert difference_integral(v, v, rho, offset1=c) == pytest.approx(c * 1.0, abs=1e-10)
+    report = audit_pair(OneElectronSystem(1.0, offset=c), OneElectronSystem(1.0))
+    assert report.diff_integral_rho1 == pytest.approx(c * 1.0, abs=1e-10)
 
 
 # --- potential_from_wavefunction ---------------------------------------------------
 
 def test_exponential_inversion_recovers_coulomb():
     table = potential_from_wavefunction(ExponentialWavefunction(1.0), energy=-0.5)
-    assert table(1.0) == pytest.approx(-1.0, abs=1e-12)
+    (v_at_1,) = table.values[table.radii == 1.0]  # the grid holds r = 1 exactly
+    assert v_at_1 == pytest.approx(-1.0, abs=1e-12)
     assert np.max(np.abs(table.values + 1.0 / table.radii)) <= 1e-10
 
 
@@ -152,6 +151,21 @@ def test_exponential_inversion_recovers_coulomb():
 def test_hydrogenic_inversion_all_z(z):
     table = potential_from_wavefunction(ExponentialWavefunction(z), energy=-0.5 * z * z)
     assert np.max(np.abs(table.values + z / table.radii)) <= 1e-10
+
+
+class GaussianWavefunction:
+    """psi(r) = exp(-width * r^2), the harmonic-oscillator ground state."""
+
+    def __init__(self, width):
+        self.width = width
+
+    def value(self, r):
+        r = np.asarray(r, dtype=float)
+        return np.exp(-self.width * r * r)
+
+    def kinetic_ratio(self, r):
+        r = np.asarray(r, dtype=float)
+        return 3.0 * self.width - 2.0 * self.width**2 * r * r
 
 
 def test_gaussian_inversion_gives_harmonic_potential():

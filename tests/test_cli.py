@@ -527,6 +527,16 @@ def test_lst_names_an_underflowed_source_charge_not_a_density_hole(tmp_path, cap
     assert captured.err == f"rho2v lst: {message}\n"
 
 
+def test_lst_refuses_a_map_that_misses_the_q_residual_target(tmp_path, capsys):
+    # from r = 0.54 bohr on, the power-169 term's charge (9e-307 and up) puts the
+    # true f far below the 1e-15 bohr floor of the solver's step test
+    paths = [write_spec(tmp_path, f"{i}.json", d) for i, d in enumerate((one_term("slater_s", 169), HYDROGEN))]
+    assert main(["lst", *paths]) == cli.EXIT_MASS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rho2v lst: q_residual 6.62e+259 at r = 0.540031 misses the target 1e-12\n"
+
+
 def test_normalize_with_a_total_integral_beyond_the_float_range_exits_1(tmp_path, capsys):
     # Gamma(201.5) ~ 1e375: the integral of the term itself overflows
     spec = write_spec(tmp_path, "g400.json", one_term("gaussian", 400))
@@ -891,11 +901,13 @@ Z3Z1_1BOHR = spec_of(model_from_frame(NuclearFrame([[0, 0, 0], [0, 0, 1]], [3.0,
 MISSED_CENTER = Z3Z1_1BOHR | {"frame": [{"position": [0, 0, 0], "charge": 2.0}, {"position": [0, 0, 5], "charge": 1.0}]}
 # SHA-256 of the "result" section of each report branch that holds library
 # records (critical points, center matches, cusp checks, a cross-check verdict),
-# recorded while the CLI still copied every record field by field
+# recorded while the CLI still copied every record field by field; verify-cusp-fails
+# re-recorded when a claimed nucleus had to be a cusp to pass, which fails the
+# second center, 4 bohr from any nucleus, as well
 BRANCH_DIGESTS = {
     "invert-snap-charges": "cbd11355adb89347adeba51e6328010eee453fba91973d6ba55f5f6138494147",
     "invert-missed-center": "f4f49e0b74c13e07d4bd839c9ae15ae8aee4d3d2b3fb4d1c4e305fb4f9a37f2c",
-    "verify-cusp-fails": "1ec5620b4375be43a23f2ea0c883beefb81e7309acf4182592a2f693efd888dc",
+    "verify-cusp-fails": "58de2d977187bc416ec530bbe2e3b48fc159d167367e0c941303043b8c13fcea",
     "audit-cusp-cross-check": "b2c1e2392be88301b46902a88f754c8089dd576f18fb3e5de1f278b93bded069",
     "invert-two-smooth-maxima": "8c8115f9da7b52d877d5b0b15673243a268eac3e5a7c2330f494023e02d1f1df",
 }

@@ -23,10 +23,10 @@ from rho2v.density import (
     evaluate,
     hydrogenic_model,
     model_from_frame,
-    translate,
 )
 from rho2v.errors import NoCuspsFound
 from rho2v.inversion import (
+    CUSP_TOL,
     incompatibility_check,
     reconstruct_potential,
     verify_cusp_conditions,
@@ -107,7 +107,7 @@ def test_charge_scale_invariance():
 def test_reconstruction_translation_equivariance():
     shift = np.array([0.5, -0.75, 1.25])
     base = hydrogenic_model(2.0)
-    moved = translate(base, shift)
+    moved = hydrogenic_model(2.0, center=shift)
     r1 = reconstruct_potential(base, seeds_per_axis=5)
     r2 = reconstruct_potential(moved, seeds_per_axis=5)
     assert np.linalg.norm(r2.positions[0] - (r1.positions[0] + shift)) < 1e-8
@@ -228,6 +228,16 @@ def test_verify_fails_on_perturbed_charge():
     )
     assert not all(c.passed for c in checks2)
     assert checks2[0].residual > 10.0 * tol
+
+
+@pytest.mark.parametrize("z,height", [(1.0, 5.0), (3.0, 5.0), (10.0, 8.0)])
+def test_verify_fails_a_claimed_nucleus_where_the_density_has_no_cusp(z, height):
+    # 4 to 7 bohr from the nearer nucleus of the Z3/Z1 1-bohr density, rho is so
+    # small that the slopes agree within tol's absolute floor; no cusp, no pass
+    model = model_from_frame(NuclearFrame([[0, 0, 0], [0, 0, 1]], [3.0, 1.0]))
+    (check,) = verify_cusp_conditions(model, NuclearFrame([[0.0, 0.0, height]], [z]))
+    assert check.residual <= CUSP_TOL * max(1.0, abs(check.rhs_slope))
+    assert not check.passed
 
 
 # --- incompatibility_check -----------------------------------------------------

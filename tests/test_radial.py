@@ -16,8 +16,20 @@ import mpmath
 import numpy as np
 import pytest
 
-from rho2v.density import DensityModel, PrimitiveKind, RadialPrimitive, normalize
-from rho2v.radial import _columns, _moment, _regularized_gamma, primitive_attraction, radial_moment
+from rho2v.density import DensityModel, NuclearFrame, PrimitiveKind, RadialPrimitive, normalize
+from rho2v.radial import _columns, _moment, _regularized_gamma, frame_attraction
+
+
+def radial_moment(prim, m, lower=0.0):
+    """int_lower^inf r^m g dr of one term, from the package's moment kernel."""
+    return _moment(*_columns([prim]), m)(lower, complement=True)[0, 0]
+
+
+def attraction(prim, d):
+    """int g(|x|) / |x - d*ez| d^3x of one term at the origin: minus its frame
+    attraction to a unit charge at (0, 0, d)."""
+    model = DensityModel(terms=((np.zeros(3), prim),))
+    return -frame_attraction(model, NuclearFrame([[0.0, 0.0, d]], [1.0]))
 
 
 @pytest.mark.parametrize("power", [0, 1, 2, 5])
@@ -136,4 +148,4 @@ def test_displaced_attraction_is_the_shell_theorem(kind, exponent):
             s, x = mpmath.mpf(rate), mpmath.mpf(d)
             inner = gamma(power + 2, s, 0, x) / x
             exact = float(4 * mpmath.pi * 0.7 * (inner + gamma(power + 1, s, x, mpmath.inf)))
-        assert primitive_attraction(prim, d) == pytest.approx(exact, rel=1e-14, abs=0.0), (power, d)
+        assert attraction(prim, d) == pytest.approx(exact, rel=1e-14, abs=0.0), (power, d)

@@ -229,7 +229,7 @@ def test_density_hole_raises():
         outer = 0.5 * (np.clip(r, 2.0, 3.0) ** 3 - 8.0) / 19.0
         return inner + outer
 
-    holed = RadialDensity.from_callables(rho, cumulative, 1.0)
+    holed = RadialDensity(rho=rho, cumulative=cumulative, complement=lambda r: 1.0 - cumulative(r), electron_count=1.0)
     with pytest.raises(NonMonotoneCumulative, match="vanishes at f = 1.5 .flat cumulative: density hole.$"):
         solve_scaling_map(holed, holed, grid=np.array([0.5, 1.5, 2.5]))
 
@@ -240,7 +240,10 @@ def test_target_that_never_reaches_the_charge_raises():
         r = np.asarray(r, dtype=float)
         return 0.5 * np.exp(-r) / (4.0 * math.pi * r * r)
 
-    short = RadialDensity.from_callables(rho, lambda r: 0.5 * -np.expm1(-np.asarray(r, dtype=float)), 1.0)
+    def cumulative(r):
+        return 0.5 * -np.expm1(-np.asarray(r, dtype=float))
+
+    short = RadialDensity(rho=rho, cumulative=cumulative, complement=lambda r: 1.0 - cumulative(r), electron_count=1.0)
     # r = 0.5 holds 0.08 of the source's charge and is matched; r = 3 holds 0.94
     with pytest.raises(NonMonotoneCumulative, match="never reaches the source charge at r = 3"):
         solve_scaling_map(RadialDensity.hydrogenic(1.0), short, grid=np.array([0.5, 3.0]))
