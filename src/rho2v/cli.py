@@ -18,7 +18,7 @@ Flags, per command (every one of them is read):
 
 Exit codes: 0 success, 1 input error (bad spec, out-of-range flag value, or
 usage error), 2 no cusps / cusp check failed (a claimed nucleus where the
-density has no cusp, or whose slopes disagree), 3 out of scope (multi-center
+density has no cusp or is at most 1e-30, or whose slopes disagree), 3 out of scope (multi-center
 where single-center is required, or an audit spec whose terms are not the
 hydrogenic density of its frame), 4 electron-count mismatch, or an lst map
 that cannot be placed (a target density hole, a source charge that
@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import CENTER_EPS, DensityModel, PrimitiveKind, evaluate_many
+from .density import CENTER_EPS, DensityModel, PrimitiveKind, evaluate_grid
 from .errors import (
     MassMismatch,
     NoCuspsFound,
@@ -404,8 +404,7 @@ def cmd_grid_export(args) -> int:
                 f"{int(round(z)):5d} {z:12.6f} {pos[0]:12.6f} {pos[1]:12.6f} {pos[2]:12.6f}"
             )
 
-    # z fastest; the points are freed before the text is built
-    values = evaluate_many(model, origin + np.indices(counts).reshape(3, -1).T * step)
+    values = evaluate_grid(model, origin, step, counts)  # z fastest
     _write_output(_cube_text("\n".join(lines) + "\n", values), args.output)
     return EXIT_OK
 

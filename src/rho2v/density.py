@@ -21,7 +21,8 @@ and |x - C| once per site, a distinct term center, and gathers them per
 term, so the shells that share a nucleus share its separations.  A model
 whose terms have no power, or that has no Gaussian term, leaves out of the
 kernel the factors and terms that are then exactly 1 or 0, with the same
-results bit for bit.
+results bit for bit.  evaluate_grid gives those values on a regular grid from
+squared separations taken once per axis and site, without building its points.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "DensityModel",
     "evaluate",
     "evaluate_many",
+    "evaluate_grid",
     "gradient",
     "hessian",
     "kernel_pass",
@@ -254,6 +256,15 @@ def _separation(centers, pts):
     return d, np.sqrt(np.add.reduce(d * d, axis=2))
 
 
+def _site_values(t: _TermArrays, r: np.ndarray) -> tuple:
+    """From the site separations r (K, P): the term separations (T, P), g of every
+    term there and the density, their sum in term order."""
+    if t.site_of is not None:
+        r = r[t.site_of]
+    g = _term_values(t, r)
+    return r, g, np.add.reduce(g, axis=0)
+
+
 class KernelPass(NamedTuple):
     """One pass of the density kernel over a batch of points (P, 3)."""
 
@@ -273,10 +284,7 @@ def _term_sum(t: _TermArrays, pts: np.ndarray, order: int) -> tuple:
     which is g * (s^2 - n/r^2 - 2*b) without its cancellation for n = 1.
     """
     d, r = _separation(t.sites, pts)
-    if t.site_of is not None:
-        r = r[t.site_of]
-    g = _term_values(t, r)
-    value = np.add.reduce(g, axis=0)
+    r, g, value = _site_values(t, r)
     if order == 0:
         return value, None, None, None
     if t.site_of is not None:
@@ -341,6 +349,25 @@ def _derivatives(model: DensityModel, points, order: int) -> KernelPass:
 def evaluate_many(model: DensityModel, points) -> np.ndarray:
     """Density at a batch of points (M, 3) -> (M,)."""
     return _chunked(model._arrays, points, 0)[0]
+
+
+def evaluate_grid(model: DensityModel, origin, step, counts) -> np.ndarray:
+    """Density at origin + (i, j, k) * step for 0 <= (i, j, k) < counts, z fastest:
+    evaluate_many at those points bit for bit, without building them.  Each
+    (x_k - C_k)^2 is taken once per axis and site, (K, n_k), and r is
+    sqrt((sq_x + sq_y) + sq_z), _separation's sum, over the z-rows of each of
+    evaluate_many's chunks, since the power loop can round by layout."""
+    t = model._arrays
+    sq = [np.square(o + np.arange(n) * h - c[:, None]) for o, h, n, c in zip(origin, step, counts, t.sites.T)]
+    ny, nz = counts[1], counts[2]
+    out = np.empty(counts[0] * ny * nz)
+    for lo in range(0, len(out), _CHUNK):
+        hi = min(lo + _CHUNK, len(out))
+        rows = np.arange(lo // nz, (hi - 1) // nz + 1)  # the z-rows the chunk touches
+        s = (sq[0][:, rows // ny] + sq[1][:, rows % ny])[:, :, None] + sq[2][:, None, :]
+        s = s.reshape(len(t.sites), len(rows) * nz)[:, lo - rows[0] * nz : hi - rows[0] * nz]
+        out[lo:hi] = _site_values(t, np.sqrt(s))[2]
+    return out
 
 
 def evaluate(model: DensityModel, point) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityModel, NuclearFrame, evaluate, evaluate_many
-from .errors import NoCuspsFound
+from .errors import NoCuspsFound, ZeroCenterValue
 from .lebedev import lebedev_grid
 from .spherical import DEFAULT_ORDER, radial_derivative_at_center
 from .topology import DEFAULT_SEEDS, TAU_CUSP, find_critical_points
@@ -174,13 +174,15 @@ def reconstruct_potential(
 class CuspCheck:
     """The cusp relation at one claimed nucleus: lhs_slope = rho_av'(R_a) against
     rhs_slope = -2 Z_a rho(R_a).  passed needs a cusp there as well, a
-    log-derivative below -TAU_CUSP, as the search reads one."""
+    log-derivative below -TAU_CUSP, as the search reads one.  Where rho(R_a)
+    is at most 1e-30 there is no log-derivative: lhs_slope and residual are
+    None and the check fails."""
 
     center: np.ndarray
     charge: float
-    lhs_slope: float
+    lhs_slope: float | None
     rhs_slope: float
-    residual: float
+    residual: float | None
     passed: bool
 
 
@@ -201,15 +203,18 @@ def verify_cusp_conditions(
         raise ValueError("frame must contain at least one center")
     checks = []
     for pos, z in zip(frame.positions, frame.charges):
-        estimate = radial_derivative_at_center(model, pos, order=order)
-        lhs = estimate.derivative
         rhs = -2.0 * float(z) * evaluate(model, pos)
-        residual = abs(lhs - rhs)
+        try:
+            estimate = radial_derivative_at_center(model, pos, order=order)
+        except ZeroCenterValue:  # no density there to have a cusp
+            checks.append(CuspCheck(pos.copy(), float(z), None, rhs, None, False))
+            continue
+        residual = abs(estimate.derivative - rhs)
         checks.append(
             CuspCheck(
                 center=pos.copy(),
                 charge=float(z),
-                lhs_slope=lhs,
+                lhs_slope=estimate.derivative,
                 rhs_slope=rhs,
                 residual=residual,
                 passed=estimate.log_derivative < -TAU_CUSP and residual <= tol * max(1.0, abs(rhs)),

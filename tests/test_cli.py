@@ -291,6 +291,21 @@ def test_verify_cusp_wrong_charge_fails(tmp_path):
     assert report["result"]["all_passed"] is False
 
 
+def test_verify_cusp_claimed_nucleus_at_zero_density_fails_with_its_report(tmp_path, capsys):
+    # rho = 5.7e-36 at z = 40 bohr, below the 1e-30 floor of the log-derivative
+    data = json.loads(json.dumps(HYDROGEN))
+    data["frame"].append({"position": [0.0, 0.0, 40.0], "charge": 1.0})
+    spec = write_spec(tmp_path, "far.json", data)
+    out = tmp_path / "v.json"
+    assert run(["verify-cusp", spec, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    true_center, far = json.loads(out.read_text())["result"]["checks"]
+    assert true_center["passed"] is True and true_center["residual"] < 1e-12
+    assert far["passed"] is False and far["lhs_slope"] is None and far["residual"] is None
+    assert far["rhs_slope"] == -2.0 * evaluate_many(load_spec(spec)[0], np.array([[0.0, 0.0, 40.0]]))[0]
+    assert -1.2e-35 < far["rhs_slope"] < -1.1e-35
+
+
 # --- audit -----------------------------------------------------------------------
 
 def test_audit_z1_z2(tmp_path):
@@ -626,20 +641,6 @@ def test_grid_export_far_field_takes_the_exact_fallback(tmp_path):
     assert np.any((values > 0.0) & (values < 1e-99)) and np.any(values == 0.0)
     lines = cube.read_text(encoding="utf-8").split("\n", 7)
     assert lines[1] == "source: h-\u03c1.json" and lines[7] == _per_value_rows(values)
-
-
-def test_grid_points_equal_the_meshgrid_product_bit_for_bit(tmp_path, monkeypatch):
-    spec = write_spec(tmp_path, "h.json", HYDROGEN)
-    seen = []
-    monkeypatch.setattr(cli, "evaluate_many", lambda model, points: seen.append(points) or np.zeros(len(points)))
-    counts, origin, step = (5, 4, 3), (0.3, -1.7, 2.25), (0.37, -0.113, 1.0 / 3.0)
-    argv = ["grid-export", spec, "--counts", *map(str, counts), "--output", str(tmp_path / "p.cube")]
-    assert run(argv + ["--origin", *map(repr, origin), "--step", *map(repr, step)]) == 0
-    ix, iy, iz = np.meshgrid(*map(np.arange, counts), indexing="ij")
-    idx = np.stack([ix.ravel(), iy.ravel(), iz.ravel()], axis=1)
-    expected = np.asarray(origin)[None, :] + idx @ np.diag(step)
-    assert seen[0].shape == expected.shape
-    assert np.array_equal(seen[0].view(np.int64), expected.view(np.int64))
 
 
 def test_grid_export_counts_too_small(tmp_path):
@@ -1034,6 +1035,59 @@ def test_shared_site_outputs_are_pinned(tmp_path):
     text = out.read_text(encoding="utf-8")
     result = text[text.index('\n  "result": ') : text.index('\n  "tolerances": ')]
     assert hashlib.sha256(result.encode()).hexdigest() == SHARED_SITES_DIGESTS["verify-cusp"]
+
+
+# ten terms on three sites in grid-verify's pattern: a Slater term of power 0
+# on each site and seven shells of Slater powers 0-2 and Gaussian powers 0-2;
+# frame charges from the exact cusp slopes
+GRID_SITES = ([-1.1, 0.6, 1.3], [0.7, -1.4, -0.5], [1.6, 1.2, -1.0])
+GRID_MIXTURE = {
+    "electron_count": 1,
+    "frame": [
+        {"position": p, "charge": z}
+        for p, z in zip(GRID_SITES, [1.3902273220030898, 1.159168318925718, 2.152754301098178])
+    ],
+    "terms": [
+        {"kind": kind, "center": GRID_SITES[site], "coefficient": c, "exponent": e, "power": n}
+        for kind, site, c, e, n in [
+            ("slater_s", 0, 0.7, 1.9, 0),
+            ("slater_s", 1, 0.45, 1.2, 0),
+            ("slater_s", 2, 0.9, 2.3, 0),
+            ("gaussian", 1, 0.3, 0.6, 2),
+            ("slater_s", 2, 0.08, 1.5, 1),
+            ("gaussian", 0, 0.25, 1.8, 0),
+            ("slater_s", 0, 0.35, 0.9, 2),
+            ("gaussian", 2, 0.06, 0.45, 1),
+            ("slater_s", 1, 0.2, 2.4, 2),
+            ("gaussian", 0, 0.15, 1.1, 2),
+        ]
+    ],
+}
+# counts -> (origin, step, SHA-256 of the cube text), recorded while grid-export
+# still evaluated a (P, 3) array of the grid points; the second grid steps
+# backwards along x, and its 8815 values cross one kernel chunk boundary
+GRID_CUBES = {
+    (24, 24, 24): (
+        (-5.1, -5.4, -5.0),
+        (0.469565, 0.469565, 0.443478),
+        "60bcda866062b2911ad5279876b1bf9b59b5465e1c69ba4db135cb9fae0af8d8",
+    ),
+    (5, 41, 43): (
+        (5.6, -5.4, -5.0),
+        (-2.7, 0.27, 0.2452381),
+        "a6b137a9a58d2b8e3e9f54196f25cc73b0d874caf35f84faddcab5d86542060b",
+    ),
+}
+
+
+@pytest.mark.parametrize("counts", sorted(GRID_CUBES))
+def test_grid_mixture_cubes_are_pinned(tmp_path, counts):
+    spec = write_spec(tmp_path, "mix.json", GRID_MIXTURE)
+    origin, step, digest = GRID_CUBES[counts]
+    cube = tmp_path / "m.cube"
+    argv = ["grid-export", spec, "--counts", *map(str, counts), "--output", str(cube)]
+    assert run(argv + ["--origin", *map(repr, origin), "--step", *map(repr, step)]) == 0
+    assert hashlib.sha256(cube.read_bytes()).hexdigest() == digest
 
 
 def lst_report(columns):

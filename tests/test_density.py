@@ -6,6 +6,7 @@ quadrature (scipy.integrate.quad).
 """
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -24,6 +25,7 @@ from rho2v.density import (
     PrimitiveKind,
     RadialPrimitive,
     evaluate,
+    evaluate_grid,
     evaluate_many,
     gradient,
     hessian,
@@ -559,6 +561,54 @@ def test_evaluate_many_across_chunk_boundary_equals_pieces():
     pts = rng.uniform(-4, 4, size=(20000, 3))  # more than two 8192-point chunks
     pieces = np.concatenate([evaluate_many(model, pts[lo : lo + 3000]) for lo in range(0, len(pts), 3000)])
     np.testing.assert_allclose(evaluate_many(model, pts), pieces, rtol=1e-15, atol=0)
+
+
+GRID_SITES = ([0.3, -0.2, 0.1], [1.9, 0.4, -0.6], [0.5, -0.25, 1.0])
+
+
+def grid_mixture(power_169=True):
+    """Ten terms on three shared sites, Slater and Gaussian powers 0-2, and a
+    power-169 Slater term (log form) on the third site."""
+    terms = [
+        (0, slater(0.8, 1.7)), (1, slater(0.6, 1.3)), (2, slater(0.5, 2.1)), (0, slater(0.05, 1.2, 1)),
+        (2, gauss(0.2, 1.4)), (1, gauss(0.04, 0.7, 1)), (0, gauss(0.3, 0.9, 2)), (2, slater(0.03, 0.9, 1)),
+        (1, slater(0.2, 1.1, 2)), (2, gauss(0.1, 0.5, 2)),
+    ]
+    if power_169:
+        terms.append((2, slater(1e17, 40.0, 169)))  # about 1e-5 at 2 bohr
+    return DensityModel(terms=tuple((np.array(GRID_SITES[s]), p) for s, p in terms))
+
+
+def test_evaluate_grid_equals_evaluate_many_at_the_meshgrid_points_bit_for_bit():
+    grids = [
+        ((2, 2, 2), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        ((5, 4, 3), (0.3, -1.7, 2.25), (0.37, -0.113, 1.0 / 3.0)),
+        ((5, 100, 100), (-2.1, -3.0, -3.3), (1.1, 0.061, 0.067)),  # x-planes straddle chunks
+        ((3, 3, 9000), (-1.0, -1.0, -20.0), (0.5, 0.5, 40.0 / 8999)),  # a z-row longer than _CHUNK
+        ((4, 3, 5), (0.0, 0.0, 0.0), (0.25, -0.125, 0.5)),  # point (2, 2, 2) on the third site
+    ]
+    assert np.array_equal(np.array(grids[-1][1]) + 2 * np.array(grids[-1][2]), GRID_SITES[2])
+    for model in (grid_mixture(), hydrogenic_model(1.3, center=(0.3, -0.2, 0.1)), DensityModel(terms=())):
+        for counts, origin, step in grids:
+            ix, iy, iz = np.meshgrid(*map(np.arange, counts), indexing="ij")
+            idx = np.stack([ix.ravel(), iy.ravel(), iz.ravel()], axis=1)  # z fastest
+            points = np.asarray(origin)[None, :] + idx @ np.diag(step)
+            expected = evaluate_many(model, points)
+            assert same_bits(evaluate_grid(model, origin, step, counts), expected), (counts, len(model.terms))
+            assert np.all(np.isfinite(expected)) and expected.any() == bool(model.terms)
+
+
+def test_evaluate_grid_builds_no_point_array():
+    # a (P, 3) point array alone is 3 times the output; the kernel's per-chunk
+    # temporaries stay near 3 MB on 10 terms
+    counts = (64, 64, 64)
+    tracemalloc.start()
+    try:
+        values = evaluate_grid(grid_mixture(power_169=False), (-4.0, -4.0, -4.0), (0.125, 0.125, 0.125), counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (64**3,) and peak < values.nbytes + 4 * 2**20
 
 
 def test_term_order_does_not_change_results():
