@@ -314,38 +314,50 @@ def cmd_lst(args) -> int:
 # cube values: 6 per row of 13-byte cells, formatted a block of whole rows at a time
 CUBE_BLOCK = 6 * 1365
 _CUBE_ROW = np.frombuffer(b"  0.00000E+00" * 6 + b"\n", dtype=np.uint8)
-# 10^(5-e) at e + 100, correctly rounded; the digit triples 000-999; the
-# exponents -99 to +99
+# 10^(5-e) at e + 100, correctly rounded
 _SCALE = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in range(105, -96, -1)])
-_TRIPLES = np.array([f"{i:03d}" for i in range(1000)], dtype="S3").view(np.uint8).reshape(-1, 3)
-_EXPONENTS = np.array([f"{i:+03d}" for i in range(-99, 100)], dtype="S3").view(np.uint8).reshape(-1, 3)
+# a cell's bytes 2-5, 6-9 and 9-12 as 4-byte words: "d.dd" and "dddE" for the
+# digit triples 000-999, "E+ee" for the exponents -99 to +99; little-endian
+# here and in the stores, so the host's byte order cannot matter
+_LEAD = np.array([f"{i // 100}.{i % 100:02d}" for i in range(1000)], dtype="S4").view("<u4")
+_TAIL = np.array([f"{i:03d}E" for i in range(1000)], dtype="S4").view("<u4")
+_EXPONENT = np.array([f"E{i:+03d}" for i in range(-99, 100)], dtype="S4").view("<u4")
 
 
-def _cube_block(v: np.ndarray, out: np.ndarray) -> None:
-    """Fill the rows out (r, 79) with the values in v, 6 to a row, each cell as
-    "%13.5E" writes it; a partial last row is filled up with 1.0."""
-    rows = len(out)
-    x = np.ones(rows * 6)
+def _cube_block(v: np.ndarray, cells: np.ndarray, words: list, work: tuple) -> None:
+    """Write the values v into the cells (r, 6, 13) of whole rows, which hold
+    the row template, each cell as "%13.5E" writes it; a partial last row is
+    filled up with 1.0.  words are the cells' little-endian 4-byte words at
+    bytes 2, 6 and 9, (r, 6) each; work is _cube_text's float and int arrays,
+    one block long, that every block reuses."""
+    m = len(cells) * 6
+    x, s, d = work[0][:, :m]
+    e, lead, tail = work[1][:, :m]
     x[: len(v)] = v
-    # two-digit exponents only; 1.0 stands in for every other cell
-    fast = (x > 1e-98) & (x < 1e98)
-    x[~fast] = 1.0
-    e = np.floor(np.log10(x)).astype(np.intp)
-    s = x * _SCALE.take(e + 100)
-    d = np.rint(s)
+    x[len(v) :] = 1.0
+    # two-digit exponents and +0.0 only; 1.0 stands in for every other cell
+    zero = x.view(np.int64) == 0  # +0.0 alone: -0.0 prints its sign
+    slow = ~((x > 1e-98) & (x < 1e98))
+    x[slow] = 1.0
+    np.floor(np.log10(x, out=s), out=s)
+    e[:] = s
+    np.take(_SCALE, np.add(e, 100, out=lead), out=s)
+    s *= x
+    np.rint(s, out=d)
     carry = d == 1e6
     e += carry
     d[carry] = 1e5
-
-    out[:] = _CUBE_ROW
-    cells = out[:, :-1].reshape(rows, 6, 13)
-    lead, tail = np.divmod(d.astype(np.int32), 1000)
-    lead = _TRIPLES.take(lead, axis=0).reshape(rows, 6, 3)
-    cells[..., 2] = lead[..., 0]
-    cells[..., 4:6] = lead[..., 1:]
-    cells[..., 6:9] = _TRIPLES.take(tail, axis=0).reshape(rows, 6, 3)
-    cells[..., 10:] = _EXPONENTS.take(e + 99, axis=0).reshape(rows, 6, 3)
-    for i in np.flatnonzero(~fast | (np.abs(s - np.floor(s) - 0.5) < 1e-6)):
+    d[zero] = 0.0  # with e = 0 the words spell "  0.00000E+00"
+    lead[:] = d
+    np.divmod(lead, 1000, out=(lead, tail))
+    e += 99
+    for table, index, word in zip((_LEAD, _TAIL, _EXPONENT), (lead, tail, e), words):
+        word[...] = table.take(index).reshape(word.shape)
+    # the distance of s from a .5 tie, in x
+    np.subtract(s, np.floor(s, out=x), out=x)
+    x -= 0.5
+    tie = np.abs(x, out=x) < 1e-6
+    for i in np.flatnonzero((slow & ~zero) | tie):
         cells[i // 6, i % 6] = np.frombuffer(b"%13.5E" % v[i], dtype=np.uint8)
 
 
@@ -358,20 +370,35 @@ def _cube_text(header: str, values: np.ndarray) -> str:
     its exact value, and d is the correctly rounded digit string wherever s
     is farther than 1e-6 from a .5 tie: a 1000x margin.  log10 is one off only
     within about 1e-13 of a power of ten, where s is within 1e-7 of 1e5 (d =
-    1e5) or of 1e6 (carried), so e needs no other fix.  Cells within the tie
-    margin, and every zero, negative, non-finite or out-of-range value, go
+    1e5) or of 1e6 (carried), so e needs no other fix.  A +0.0 cell takes d = 0
+    and e = 0, which the same tables spell "  0.00000E+00".  Cells within the
+    tie margin, and every -0.0, negative, non-finite or out-of-range value, go
     through "%13.5E" itself; such a cell is also 13 bytes, so it overwrites its
     own slot.  log10 sees only values in range, and e only indexes inside the
-    tables, so no floating-point warning can arise.  The text is built in one
-    byte buffer and decoded once.
+    tables, so no floating-point warning can arise.
+
+    The text is built in one byte buffer, filled with the row template once
+    and decoded once.  Each cell's digits go in as three 4-byte word stores
+    (bytes 2-5 "d.dd", 6-9 "dddE", 9-12 "E+ee"), through strided views of
+    the buffer, rather than as byte copies of 1-3 bytes each; the float and
+    int work arrays of one block are allocated once and reused by every block.
     """
-    head = header.encode("utf-8")
     n, width = len(values), _CUBE_ROW.size
-    buf = np.empty(len(head) + -(-n // 6) * width, dtype=np.uint8)
+    if not n:
+        return header
+    head = header.encode("utf-8")
+    nrows = -(-n // 6)
+    buf = np.empty(len(head) + nrows * width, dtype=np.uint8)
     buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
     rows = buf[len(head) :].reshape(-1, width)
-    for r in range(0, len(rows), CUBE_BLOCK // 6):
-        _cube_block(values[6 * r : 6 * r + CUBE_BLOCK], rows[r : r + CUBE_BLOCK // 6])
+    rows[:] = _CUBE_ROW
+    cells = rows[:, :-1].reshape(nrows, 6, 13)
+    words = [np.ndarray((nrows, 6), "<u4", buf, len(head) + k, (width, 13)) for k in (2, 6, 9)]
+    work = (np.empty((3, CUBE_BLOCK)), np.empty((3, CUBE_BLOCK), dtype=np.intp))
+    block = CUBE_BLOCK // 6
+    for r in range(0, nrows, block):
+        rs = slice(r, r + block)
+        _cube_block(values[6 * r : 6 * r + CUBE_BLOCK], cells[rs], [w[rs] for w in words], work)
     end = len(head) + n // 6 * width + n % 6 * 13
     if n % 6:
         buf[end] = 10  # "\n" after a partial last row
@@ -383,6 +410,10 @@ def cmd_grid_export(args) -> int:
     counts = args.counts
     if any(c < 2 for c in counts):
         raise OptionError("--counts must be >= 2 per axis")
+    points = math.prod(counts)
+    too_large = f"--counts asks for {points} grid points, more than memory can hold"
+    if points > sys.maxsize // 8:  # numpy refuses such a float array by its size alone
+        raise OptionError(too_large)
     for flag, values in (("--origin", args.origin), ("--step", args.step)):
         if not all(map(math.isfinite, values)):
             raise OptionError(f"{flag} must be finite")
@@ -404,8 +435,11 @@ def cmd_grid_export(args) -> int:
                 f"{int(round(z)):5d} {z:12.6f} {pos[0]:12.6f} {pos[1]:12.6f} {pos[2]:12.6f}"
             )
 
-    values = evaluate_grid(model, origin, step, counts)  # z fastest
-    _write_output(_cube_text("\n".join(lines) + "\n", values), args.output)
+    try:
+        text = _cube_text("\n".join(lines) + "\n", evaluate_grid(model, origin, step, counts))  # z fastest
+    except MemoryError:
+        raise OptionError(too_large) from None
+    _write_output(text, args.output)
     return EXIT_OK
 
 

@@ -232,19 +232,33 @@ def _log_form(c, a, b, n, r):
         return np.exp(np.log(c) + n * np.log(r) - (a + b * r) * r)
 
 
-def _term_values(t: _TermArrays, r: np.ndarray) -> np.ndarray:
+def _term_values(t: _TermArrays, r: np.ndarray, out=None) -> np.ndarray:
     """g of every term at its separations r, (T, P); terms of power > 2 in log form.
 
     Without powers, or without Gaussians, the factors and terms that are then
     exactly 1 or 0 are left out: at finite r, g is the same bit for bit
-    (r^0 = 1, c*1 = c, a + 0*r = a)."""
-    e = np.exp(-(t.a + t.b * r) * r if t.gaussian else -t.a * r)
+    (r^0 = 1, c*1 = c, a + 0*r = a).  out is None, or two arrays shaped like
+    r: the first takes exp's argument and then g, the second exp's value.
+    The ufuncs and their operands are the same either way, and exp and power
+    never write over their own input, so g is the same bit for bit."""
+    x, e = (None, None) if out is None else out
+    # x = -(a + b*r) * r, or -a * r
+    if t.gaussian:
+        x = np.multiply(t.b, r, out=x)
+        np.add(t.a, x, out=x)
+        np.negative(x, out=x)
+        np.multiply(x, r, out=x)
+    else:
+        x = np.multiply(-t.a, r, out=x)
+    e = np.exp(x, out=e)
     if not t.powered:
-        return t.c * e
-    # one (T, P) power over every row: numpy picks its power loop by layout, so
-    # rows taken apart, or one term at a time, can round an ulp differently;
-    # the log-form rows take power 0 here and are overwritten
-    g = t.c * r ** (t.n if t.high is None else np.where(t.high[:, None], 0.0, t.n)) * e
+        return np.multiply(t.c, e, out=x)
+    # g = c * r^n * e: one (T, P) power over every row: numpy picks its power
+    # loop by layout, so rows taken apart, or one term at a time, can round an
+    # ulp differently; the log-form rows take power 0 here and are overwritten
+    g = np.power(r, t.n if t.high is None else np.where(t.high[:, None], 0.0, t.n), out=x)
+    np.multiply(t.c, g, out=g)
+    np.multiply(g, e, out=g)
     if t.high is not None:
         g[t.high] = _log_form(t.c[t.high], t.a[t.high], t.b[t.high], t.n[t.high], r[t.high])
     return g
@@ -256,13 +270,17 @@ def _separation(centers, pts):
     return d, np.sqrt(np.add.reduce(d * d, axis=2))
 
 
-def _site_values(t: _TermArrays, r: np.ndarray) -> tuple:
+def _site_values(t: _TermArrays, r: np.ndarray, out=None) -> tuple:
     """From the site separations r (K, P): the term separations (T, P), g of every
-    term there and the density, their sum in term order."""
+    term there and the density, their sum in term order.  out is None, or the
+    arrays that take them: (T, P) for the term separations (unused when every
+    term has its own site), two (T, P) for _term_values, and (P,) for the
+    density."""
     if t.site_of is not None:
-        r = r[t.site_of]
-    g = _term_values(t, r)
-    return r, g, np.add.reduce(g, axis=0)
+        # the rows are in range; "clip" writes straight into out, "raise" through a copy
+        r = r[t.site_of] if out is None else np.take(r, t.site_of, axis=0, out=out[0], mode="clip")
+    g = _term_values(t, r, None if out is None else out[1:3])
+    return r, g, np.add.reduce(g, axis=0, out=None if out is None else out[3])
 
 
 class KernelPass(NamedTuple):
@@ -356,17 +374,30 @@ def evaluate_grid(model: DensityModel, origin, step, counts) -> np.ndarray:
     evaluate_many at those points bit for bit, without building them.  Each
     (x_k - C_k)^2 is taken once per axis and site, (K, n_k), and r is
     sqrt((sq_x + sq_y) + sq_z), _separation's sum, over the z-rows of each of
-    evaluate_many's chunks, since the power loop can round by layout."""
+    evaluate_many's 8192-point chunks.  The chunks stay, with evaluate_many's
+    boundaries and contiguous (T, P) layout, since the power loop can round
+    by layout.  The work arrays of the largest chunk are allocated once and
+    every chunk's ufuncs write into them, so that (T, 8192) temporaries are
+    not allocated, and their pages faulted in, chunk after chunk."""
+    ny, nz = counts[1], counts[2]
+    out = np.empty(counts[0] * ny * nz)  # first: a grid too large to hold fails here
     t = model._arrays
     sq = [np.square(o + np.arange(n) * h - c[:, None]) for o, h, n, c in zip(origin, step, counts, t.sites.T)]
-    ny, nz = counts[1], counts[2]
-    out = np.empty(counts[0] * ny * nz)
+    k, n = len(t.sites), len(t.c)
+    # flat, so that each chunk's views are contiguous: the squares summed over
+    # the z-rows a chunk touches (at most span), r per site, and _site_values'
+    # r per term (unused when every term has its own site), x and g, and exp
+    span = ((_CHUNK - 1) // nz + 2) * nz
+    s_buf = np.empty(k * span)
+    r_buf, *work = (np.empty(m * _CHUNK) for m in (k, n, n, n))
     for lo in range(0, len(out), _CHUNK):
         hi = min(lo + _CHUNK, len(out))
         rows = np.arange(lo // nz, (hi - 1) // nz + 1)  # the z-rows the chunk touches
-        s = (sq[0][:, rows // ny] + sq[1][:, rows % ny])[:, :, None] + sq[2][:, None, :]
-        s = s.reshape(len(t.sites), len(rows) * nz)[:, lo - rows[0] * nz : hi - rows[0] * nz]
-        out[lo:hi] = _site_values(t, np.sqrt(s))[2]
+        s = s_buf[: k * len(rows) * nz].reshape(k, len(rows), nz)
+        np.add((sq[0][:, rows // ny] + sq[1][:, rows % ny])[:, :, None], sq[2][:, None, :], out=s)
+        s = s.reshape(k, len(rows) * nz)[:, lo - rows[0] * nz : hi - rows[0] * nz]
+        r = np.sqrt(s, out=r_buf[: k * (hi - lo)].reshape(k, hi - lo))
+        _site_values(t, r, [w[: n * (hi - lo)].reshape(n, hi - lo) for w in work] + [out[lo:hi]])
     return out
 
 

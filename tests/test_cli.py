@@ -622,6 +622,13 @@ def test_cube_text_matches_per_value_formatting_byte_for_byte():
     special = np.array([0.0, -0.0, -1.0, -2.5e-7, np.nan, np.inf, -np.inf, 5e-324, 2.2e-308, 1e-310, 1.7e308])
     values = rng.permutation(np.concatenate([spread, near, special]))
     assert cli._cube_text("", values) == _per_value_rows(values)
+    # an all-zero block, then a run of zeros with a -0.0 in it across a block boundary
+    block = cli.CUBE_BLOCK
+    zeros = values[: 3 * block].copy()
+    zeros[:block] = 0.0
+    zeros[2 * block - 9 : 2 * block + 14] = 0.0
+    zeros[2 * block + 3] = -0.0
+    assert cli._cube_text("", zeros) == _per_value_rows(zeros)
     # every partial last row, also after one and two whole blocks
     for n in (1, 2, 3, 4, 5, 7, 11, cli.CUBE_BLOCK - 1, cli.CUBE_BLOCK + 5, 2 * cli.CUBE_BLOCK + 1):
         assert cli._cube_text("", values[:n]) == _per_value_rows(values[:n]), n
@@ -646,6 +653,18 @@ def test_grid_export_far_field_takes_the_exact_fallback(tmp_path):
 def test_grid_export_counts_too_small(tmp_path):
     spec = write_spec(tmp_path, "h.json", HYDROGEN)
     assert run(["grid-export", spec, "--counts", "1", "2", "2"]) == 1
+
+
+@pytest.mark.parametrize("n", [100000, 3000000])
+def test_grid_export_oversized_grid_exits_1_with_one_line(tmp_path, capsys, n):
+    # numpy refuses both (points,) arrays before touching memory: 7.11 PiB
+    # cannot be mapped, and 2.7e19 points exceed its index type
+    spec = write_spec(tmp_path, "h.json", HYDROGEN)
+    cube = tmp_path / "big.cube"
+    assert run(["grid-export", spec, "--counts", str(n), str(n), str(n), "--output", str(cube)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"rho2v grid-export: --counts asks for {n**3} grid points, more than memory can hold\n"
+    assert not cube.exists()
 
 
 # --- errors and usage ------------------------------------------------------------------

@@ -585,10 +585,26 @@ def test_evaluate_grid_equals_evaluate_many_at_the_meshgrid_points_bit_for_bit()
         ((5, 4, 3), (0.3, -1.7, 2.25), (0.37, -0.113, 1.0 / 3.0)),
         ((5, 100, 100), (-2.1, -3.0, -3.3), (1.1, 0.061, 0.067)),  # x-planes straddle chunks
         ((3, 3, 9000), (-1.0, -1.0, -20.0), (0.5, 0.5, 40.0 / 8999)),  # a z-row longer than _CHUNK
+        ((5, 29, 113), (-2.6, -1.9, -2.4), (1.3, 0.14, 0.043)),  # 2 * _CHUNK + 1: a last chunk of one point
         ((4, 3, 5), (0.0, 0.0, 0.0), (0.25, -0.125, 0.5)),  # point (2, 2, 2) on the third site
     ]
     assert np.array_equal(np.array(grids[-1][1]) + 2 * np.array(grids[-1][2]), GRID_SITES[2])
-    for model in (grid_mixture(), hydrogenic_model(1.3, center=(0.3, -0.2, 0.1)), DensityModel(terms=())):
+    assert math.prod(grids[-2][0]) == 2 * _CHUNK + 1
+    distinct = [np.array(GRID_SITES[i % 3]) + 0.1 * i for i in range(9)]
+    kinds = [slater(0.4, 1.6), gauss(0.2, 0.8, 2), slater(0.05, 1.1, 1), gauss(0.3, 1.2), slater(0.1, 0.9, 2)]
+    models = [
+        grid_mixture(),
+        hydrogenic_model(1.3, center=(0.3, -0.2, 0.1)),
+        DensityModel(terms=()),
+        # each kernel fold: no power and no Gaussian on distinct sites; Gaussians
+        # only; powered Slater terms only; 9 terms on distinct sites (site_of None)
+        DensityModel(terms=tuple((np.array(s), slater(0.3, 1.0 + 0.4 * i)) for i, s in enumerate(GRID_SITES))),
+        DensityModel(terms=tuple((np.array(GRID_SITES[i % 2]), gauss(0.2, 0.5 + 0.3 * i, i % 3)) for i in range(5))),
+        DensityModel(terms=tuple((np.array(GRID_SITES[i % 3]), slater(0.1, 1.0 + 0.2 * i, 1 + i % 2)) for i in range(4))),
+        DensityModel(terms=tuple((c, kinds[i % len(kinds)]) for i, c in enumerate(distinct))),
+    ]
+    assert models[-1]._arrays.site_of is None and len(models[-1].terms) >= 8
+    for model in models:
         for counts, origin, step in grids:
             ix, iy, iz = np.meshgrid(*map(np.arange, counts), indexing="ij")
             idx = np.stack([ix.ravel(), iy.ravel(), iz.ravel()], axis=1)  # z fastest
@@ -599,8 +615,8 @@ def test_evaluate_grid_equals_evaluate_many_at_the_meshgrid_points_bit_for_bit()
 
 
 def test_evaluate_grid_builds_no_point_array():
-    # a (P, 3) point array alone is 3 times the output; the kernel's per-chunk
-    # temporaries stay near 3 MB on 10 terms
+    # a (P, 3) point array alone is 3 times the output; the kernel's work
+    # arrays, allocated once per call, are about 2.4 MB on 10 terms
     counts = (64, 64, 64)
     tracemalloc.start()
     try:
