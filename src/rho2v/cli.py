@@ -28,6 +28,13 @@ target at a grid radius).  Errors are reported as one
 text and its "error:" line).
 All reports are deterministic JSON: same inputs and flags, same bytes.  Each
 records the tolerances its command used, with the values it passed.
+
+Each command imports only the library modules it runs.  This module loads
+numpy, errors, density (with radial), lebedev (its orders are the
+--lebedev-order choices) and specio; the command functions, the parser branch
+of each command and each tolerance section import the rest where they use it.
+So grid-export loads nothing more, lst adds scaling, invert and verify-cusp
+add inversion, topology and spherical, and audit adds those and audit.
 """
 
 from __future__ import annotations
@@ -51,23 +58,8 @@ from .errors import (
     Rho2vError,
     SpecError,
 )
-from .audit import AUDIT_TOL, CUSP_CHECK_SEEDS, OneElectronSystem, audit_pair
-from .inversion import CUSP_TOL, DENSITY_TOL, IDENTICAL_CHARGE_TOL, IDENTICAL_POSITION_TOL, MATCH_GATE
-from .inversion import reconstruct_potential, verify_cusp_conditions
 from .lebedev import SUPPORTED_ORDERS
-from .scaling import (
-    GRID_MAX,
-    GRID_MIN,
-    GRID_POINTS,
-    MASS_TOL,
-    Q_RESIDUAL_TARGET,
-    RadialDensity,
-    default_grid,
-    solve_scaling_map,
-)
 from .specio import load_spec, make_report, render_report, spec_offset
-from .spherical import DEFAULT_LEVELS, DEFAULT_ORDER, DEFAULT_R0, DEFAULT_SHRINK, DEFAULT_TOL
-from .topology import DEDUPE_RADIUS, DEFAULT_SEEDS, GRAD_TOL, MIN_SEEDS, TAU_CUSP
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -85,43 +77,65 @@ EXIT_CODES = {
 }
 
 
-def _tolerances(
-    *sections,
-    lebedev_order=DEFAULT_ORDER,
-    seeds=DEFAULT_SEEDS,
-    cusp_tol=CUSP_TOL,
-    audit_tol=AUDIT_TOL,
-) -> dict:
-    """The named tolerance sections (all when none is named) with the values in force."""
-    full = {
-        "radial_derivative": {
-            "r0": DEFAULT_R0,
-            "shrink": DEFAULT_SHRINK,
-            "max_levels": DEFAULT_LEVELS,
-            "tol": DEFAULT_TOL,
-            "lebedev_order": lebedev_order,
-        },
-        "topology": {
-            "seeds_per_axis": seeds,
-            "gradient_tol": GRAD_TOL,
-            "tau_cusp": TAU_CUSP,
-            "dedupe_radius": DEDUPE_RADIUS,
-        },
-        "cusp_verification": {"tol": cusp_tol, "tau_cusp": TAU_CUSP},
-        "audit": {
-            "tol": audit_tol,
-            "cross_check_density_tol": DENSITY_TOL,
-            "cross_check_match_gate": MATCH_GATE,
-            "cross_check_position_tol": IDENTICAL_POSITION_TOL,
-            "cross_check_charge_tol": IDENTICAL_CHARGE_TOL,
-        },
-        "local_scaling": {"mass_tol": MASS_TOL, "q_residual": Q_RESIDUAL_TARGET},
-        "supported_lebedev_orders": list(SUPPORTED_ORDERS),
-    }
-    return {name: full[name] for name in sections or full}
+# every tolerance section, in the order --tolerances names them
+TOLERANCE_SECTIONS = (
+    "radial_derivative",
+    "topology",
+    "cusp_verification",
+    "audit",
+    "local_scaling",
+    "supported_lebedev_orders",
+)
 
 
-DEFAULT_TOLERANCES = _tolerances()
+def _tolerances(*sections, lebedev_order=None, seeds=None, cusp_tol=None, audit_tol=None) -> dict:
+    """The named tolerance sections (all when none is named) with the values in
+    force; a value left None is the library default.  Each section imports the
+    module whose constants it reads, so a command loads only what it runs."""
+    full = {}
+    for name in sections or TOLERANCE_SECTIONS:
+        if name == "radial_derivative":
+            from .spherical import DEFAULT_LEVELS, DEFAULT_ORDER, DEFAULT_R0, DEFAULT_SHRINK, DEFAULT_TOL
+
+            full[name] = {
+                "r0": DEFAULT_R0,
+                "shrink": DEFAULT_SHRINK,
+                "max_levels": DEFAULT_LEVELS,
+                "tol": DEFAULT_TOL,
+                "lebedev_order": DEFAULT_ORDER if lebedev_order is None else lebedev_order,
+            }
+        elif name == "topology":
+            from .topology import DEDUPE_RADIUS, DEFAULT_SEEDS, GRAD_TOL, TAU_CUSP
+
+            full[name] = {
+                "seeds_per_axis": DEFAULT_SEEDS if seeds is None else seeds,
+                "gradient_tol": GRAD_TOL,
+                "tau_cusp": TAU_CUSP,
+                "dedupe_radius": DEDUPE_RADIUS,
+            }
+        elif name == "cusp_verification":
+            from .inversion import CUSP_TOL
+            from .topology import TAU_CUSP
+
+            full[name] = {"tol": CUSP_TOL if cusp_tol is None else cusp_tol, "tau_cusp": TAU_CUSP}
+        elif name == "audit":
+            from .audit import AUDIT_TOL
+            from .inversion import DENSITY_TOL, IDENTICAL_CHARGE_TOL, IDENTICAL_POSITION_TOL, MATCH_GATE
+
+            full[name] = {
+                "tol": AUDIT_TOL if audit_tol is None else audit_tol,
+                "cross_check_density_tol": DENSITY_TOL,
+                "cross_check_match_gate": MATCH_GATE,
+                "cross_check_position_tol": IDENTICAL_POSITION_TOL,
+                "cross_check_charge_tol": IDENTICAL_CHARGE_TOL,
+            }
+        elif name == "local_scaling":
+            from .scaling import MASS_TOL, Q_RESIDUAL_TARGET
+
+            full[name] = {"mass_tol": MASS_TOL, "q_residual": Q_RESIDUAL_TARGET}
+        elif name == "supported_lebedev_orders":
+            full[name] = list(SUPPORTED_ORDERS)
+    return full
 
 
 def _write_output(text: str, path: str | None):
@@ -138,6 +152,9 @@ def _emit(args, inputs, tolerances: dict, result: dict):
 
 
 def cmd_invert(args) -> int:
+    from .inversion import reconstruct_potential
+    from .topology import MIN_SEEDS
+
     if args.seeds < MIN_SEEDS:
         raise OptionError(f"--seeds must be >= {MIN_SEEDS}")
     model, _ = load_spec(args.spec)
@@ -192,6 +209,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_verify_cusp(args) -> int:
+    from .inversion import verify_cusp_conditions
+
     if not 0.0 <= args.tol < math.inf:
         raise OptionError("--tol must be finite and >= 0")
     model, _ = load_spec(args.spec)
@@ -211,9 +230,11 @@ def cmd_verify_cusp(args) -> int:
 HYDROGENIC_RTOL = 1e-12
 
 
-def _single_center_system(model: DensityModel, offset: float, label: str) -> OneElectronSystem:
-    """The hydrogenic system of the spec's one-center frame; the spec's terms
-    must be exactly that system's density, Z^3/pi exp(-2 Z r) at the center."""
+def _single_center_system(model: DensityModel, offset: float, label: str):
+    """The audit.OneElectronSystem of the spec's one-center frame; the spec's
+    terms must be exactly that system's density, Z^3/pi exp(-2 Z r) at the center."""
+    from .audit import OneElectronSystem
+
     if model.frame is None or len(model.frame) != 1:
         raise OutOfScope(f"{label}: audit requires a spec with a single-center frame")
     if model.electron_count != 1:
@@ -236,6 +257,8 @@ def _single_center_system(model: DensityModel, offset: float, label: str) -> One
 
 
 def cmd_audit(args) -> int:
+    from .audit import CUSP_CHECK_SEEDS, audit_pair
+
     if not 0.0 <= args.tol < math.inf:
         raise OptionError("--tol must be finite and >= 0")
     model1, raw1 = load_spec(args.spec1)
@@ -275,6 +298,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_lst(args) -> int:
+    from .scaling import Q_RESIDUAL_TARGET, RadialDensity, default_grid, solve_scaling_map
+
     if not args.grid_min > 0.0:
         raise OptionError("--grid-min must be > 0")
     if not args.grid_min < args.grid_max < math.inf:
@@ -483,6 +508,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     if command in (None, "invert"):
+        from .spherical import DEFAULT_ORDER
+        from .topology import DEFAULT_SEEDS
+
         p = sub.add_parser("invert", help="reconstruct the Coulomb frame from a density")
         p.add_argument("spec")
         _report_flags(p)
@@ -492,6 +520,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_invert)
 
     if command in (None, "verify-cusp"):
+        from .inversion import CUSP_TOL
+        from .spherical import DEFAULT_ORDER
+
         p = sub.add_parser("verify-cusp", help="check cusp relations against the declared frame")
         p.add_argument("spec")
         _report_flags(p)
@@ -500,6 +531,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_verify_cusp)
 
     if command in (None, "audit"):
+        from .audit import AUDIT_TOL
+
         p = sub.add_parser("audit", help="cross-energy audit of two one-electron systems")
         p.add_argument("spec1")
         p.add_argument("spec2")
@@ -508,6 +541,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_audit)
 
     if command in (None, "lst"):
+        from .scaling import GRID_MAX, GRID_MIN, GRID_POINTS
+
         p = sub.add_parser("lst", help="solve the radial local-scaling map between two densities")
         p.add_argument("spec_source")
         p.add_argument("spec_target")
@@ -536,7 +571,7 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if args.tolerances:
-        sys.stdout.write(json.dumps(DEFAULT_TOLERANCES, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(_tolerances(), indent=2, sort_keys=True) + "\n")
         return EXIT_OK
     if args.command is None:
         parser.print_help()

@@ -373,30 +373,39 @@ def evaluate_grid(model: DensityModel, origin, step, counts) -> np.ndarray:
     """Density at origin + (i, j, k) * step for 0 <= (i, j, k) < counts, z fastest:
     evaluate_many at those points bit for bit, without building them.  Each
     (x_k - C_k)^2 is taken once per axis and site, (K, n_k), and r is
-    sqrt((sq_x + sq_y) + sq_z), _separation's sum, over the z-rows of each of
-    evaluate_many's 8192-point chunks.  The chunks stay, with evaluate_many's
-    boundaries and contiguous (T, P) layout, since the power loop can round
-    by layout.  The work arrays of the largest chunk are allocated once and
-    every chunk's ufuncs write into them, so that (T, 8192) temporaries are
-    not allocated, and their pages faulted in, chunk after chunk."""
+    sqrt((sq_x + sq_y) + sq_z), _separation's sum, over each of evaluate_many's
+    8192-point chunks: the tail of the first z-row the chunk touches, its whole
+    z-rows and the head of its last, so no chunk sums more than its own points.
+    The chunks stay, with evaluate_many's boundaries and contiguous (T, P)
+    layout, since the power loop can round by layout.  The work arrays of the
+    largest chunk are allocated once and every chunk's ufuncs write into them,
+    so that (T, 8192) temporaries are not allocated, and their pages faulted
+    in, chunk after chunk."""
     ny, nz = counts[1], counts[2]
     out = np.empty(counts[0] * ny * nz)  # first: a grid too large to hold fails here
     t = model._arrays
-    sq = [np.square(o + np.arange(n) * h - c[:, None]) for o, h, n, c in zip(origin, step, counts, t.sites.T)]
+    sq = [o + np.arange(n) * h - c[:, None] for o, h, n, c in zip(origin, step, counts, t.sites.T)]
+    for d in sq:
+        np.square(d, out=d)
     k, n = len(t.sites), len(t.c)
-    # flat, so that each chunk's views are contiguous: the squares summed over
-    # the z-rows a chunk touches (at most span), r per site, and _site_values'
-    # r per term (unused when every term has its own site), x and g, and exp
-    span = ((_CHUNK - 1) // nz + 2) * nz
-    s_buf = np.empty(k * span)
+    # flat, so that each chunk's views are contiguous: the squares summed and r
+    # per site, and _site_values' r per term (unused when every term has its
+    # own site), x and g, and exp
     r_buf, *work = (np.empty(m * _CHUNK) for m in (k, n, n, n))
     for lo in range(0, len(out), _CHUNK):
         hi = min(lo + _CHUNK, len(out))
-        rows = np.arange(lo // nz, (hi - 1) // nz + 1)  # the z-rows the chunk touches
-        s = s_buf[: k * len(rows) * nz].reshape(k, len(rows), nz)
-        np.add((sq[0][:, rows // ny] + sq[1][:, rows % ny])[:, :, None], sq[2][:, None, :], out=s)
-        s = s.reshape(k, len(rows) * nz)[:, lo - rows[0] * nz : hi - rows[0] * nz]
-        r = np.sqrt(s, out=r_buf[: k * (hi - lo)].reshape(k, hi - lo))
+        (first, z0), last = divmod(lo, nz), (hi - 1) // nz
+        rows = np.arange(first, last + 1)  # the z-rows the chunk touches
+        xy = sq[0][:, rows // ny] + sq[1][:, rows % ny]
+        r = r_buf[: k * (hi - lo)].reshape(k, hi - lo)
+        if first == last:
+            np.add(xy, sq[2][:, z0 : z0 + hi - lo], out=r)
+        else:
+            head, tail = nz - z0, hi - last * nz
+            np.add(xy[:, :1], sq[2][:, z0:], out=r[:, :head])
+            np.add(xy[:, 1:-1, None], sq[2][:, None, :], out=r[:, head : hi - lo - tail].reshape(k, last - first - 1, nz))
+            np.add(xy[:, -1:], sq[2][:, :tail], out=r[:, hi - lo - tail :])
+        np.sqrt(r, out=r)
         _site_values(t, r, [w[: n * (hi - lo)].reshape(n, hi - lo) for w in work] + [out[lo:hi]])
     return out
 

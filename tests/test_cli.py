@@ -3,17 +3,13 @@
 import hashlib
 import json
 import math
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rho2v
 from rho2v import cli
 from rho2v.audit import CUSP_CHECK_SEEDS
 from rho2v.cli import main
@@ -995,6 +991,25 @@ def test_help_and_usage_bytes_are_pinned(argv, capsys, monkeypatch):
     assert (code, digest) == HELP_DIGESTS[argv]
 
 
+# the same digests of the outputs that no argparse wording enters, recorded
+# while the cli imported every library module up front
+OUTPUT_DIGESTS = {
+    "--tolerances": (0, "265c36ce83e12755d64dfc69a236c9efc679f150eee9224d66c76cf79f04408d"),
+    "--version": (0, "ba86b9346c8e7cb6c098c7fb6c0c566ddf58d90b3ccc6ad4010c9504eb347bfd"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(OUTPUT_DIGESTS))
+def test_tolerances_and_version_bytes_are_pinned(argv, capsys):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    digest = hashlib.sha256((captured.out + "\0" + captured.err).encode()).hexdigest()
+    assert (code, digest) == OUTPUT_DIGESTS[argv]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1150,9 +1165,52 @@ def test_column_table_renders_as_json_dumps_of_its_rows(data, keys, odd_key, row
     assert render_report(lst_report(columns), indent) == expected
 
 
-def test_importing_the_cli_loads_no_scipy():
-    code = "import sys, rho2v.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    src = str(Path(rho2v.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+def test_importing_the_cli_loads_no_scipy(fresh_python):
+    done = fresh_python("-c", "import sys, rho2v.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert (done.returncode, done.stdout.strip()) == (0, "[]")
+
+
+# the rho2v modules that `python -m rho2v <command>` loads: the cli's own
+# imports (numpy, errors, density with radial, lebedev for the --lebedev-order
+# choices, specio) and those of the library code the command runs
+CLI_MODULES = {
+    "rho2v",
+    "rho2v.cli",
+    "rho2v.density",
+    "rho2v.errors",
+    "rho2v.lebedev",
+    "rho2v.radial",
+    "rho2v.specio",
+}
+SEARCH_MODULES = {"rho2v.inversion", "rho2v.spherical", "rho2v.topology"}
+COMMAND_MODULES = {
+    "invert": SEARCH_MODULES,
+    "verify-cusp": SEARCH_MODULES,
+    "audit": SEARCH_MODULES | {"rho2v.audit"},
+    "lst": {"rho2v.scaling"},
+    "grid-export": set(),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(command, tmp_path, capsys, fresh_python):
+    # in a new interpreter, since in this one the other tests have loaded every
+    # module, which would hide an import that a command misses
+    h = write_spec(tmp_path, "h.json", HYDROGEN)
+    z2 = write_spec(tmp_path, "z2.json", z_spec(2.0))
+    argv = {
+        "invert": ["invert", h, "--seeds", "5"],
+        "verify-cusp": ["verify-cusp", h],
+        "audit": ["audit", h, z2],
+        "lst": ["lst", h, z2, "--grid-points", "64"],
+        "grid-export": ["grid-export", h, "--counts", "3", "4", "5"],
+    }[command]
+    done = fresh_python("-X", "importtime", "-m", "rho2v", *argv)
+    lines = done.stderr.splitlines(keepends=True)
+    timed = [line.rpartition("|")[2].strip() for line in lines if line.startswith("import time:")]
+    assert {name for name in timed if name.split(".")[0] == "rho2v"} == CLI_MODULES | COMMAND_MODULES[command]
+    stderr = "".join(line for line in lines if not line.startswith("import time:"))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (done.returncode, done.stdout, stderr) == (code, captured.out, captured.err)
+    assert code == 0 and done.stdout

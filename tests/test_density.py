@@ -585,11 +585,13 @@ def test_evaluate_grid_equals_evaluate_many_at_the_meshgrid_points_bit_for_bit()
         ((5, 4, 3), (0.3, -1.7, 2.25), (0.37, -0.113, 1.0 / 3.0)),
         ((5, 100, 100), (-2.1, -3.0, -3.3), (1.1, 0.061, 0.067)),  # x-planes straddle chunks
         ((3, 3, 9000), (-1.0, -1.0, -20.0), (0.5, 0.5, 40.0 / 8999)),  # a z-row longer than _CHUNK
+        ((2, 2, 20000), (-0.9, 0.4, -20.0), (1.5, -0.6, 0.002)),  # chunks inside one z-row, and astride two
         ((5, 29, 113), (-2.6, -1.9, -2.4), (1.3, 0.14, 0.043)),  # 2 * _CHUNK + 1: a last chunk of one point
         ((4, 3, 5), (0.0, 0.0, 0.0), (0.25, -0.125, 0.5)),  # point (2, 2, 2) on the third site
     ]
     assert np.array_equal(np.array(grids[-1][1]) + 2 * np.array(grids[-1][2]), GRID_SITES[2])
     assert math.prod(grids[-2][0]) == 2 * _CHUNK + 1
+    assert grids[4][0][2] > 2 * _CHUNK
     distinct = [np.array(GRID_SITES[i % 3]) + 0.1 * i for i in range(9)]
     kinds = [slater(0.4, 1.6), gauss(0.2, 0.8, 2), slater(0.05, 1.1, 1), gauss(0.3, 1.2), slater(0.1, 0.9, 2)]
     models = [
@@ -625,6 +627,24 @@ def test_evaluate_grid_builds_no_point_array():
     finally:
         tracemalloc.stop()
     assert values.shape == (64**3,) and peak < values.nbytes + 4 * 2**20
+
+
+def test_evaluate_grid_sums_only_its_chunk_on_long_z_rows():
+    # each chunk sums the squares of its own points only: besides the output the
+    # call holds the per-axis squares, (K, n) per axis, and one chunk's work
+    # arrays, r per site and three (T, _CHUNK) arrays; summing whole z-rows of
+    # 200,000 points per chunk would add 2 * K * 200,000 floats
+    model = grid_mixture(power_169=False)
+    counts = (2, 2, 200_000)
+    k, t = len(GRID_SITES), len(model.terms)
+    tracemalloc.start()
+    try:
+        values = evaluate_grid(model, (-1.0, -1.0, -20.0), (0.5, 0.5, 2e-4), counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    work = 8 * (k * sum(counts) + (k + 3 * t) * _CHUNK)
+    assert values.shape == (math.prod(counts),) and peak < values.nbytes + work + 2**16
 
 
 def test_term_order_does_not_change_results():

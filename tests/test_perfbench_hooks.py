@@ -63,3 +63,34 @@ def test_reconstruction_and_scaling_results_carry_what_the_tracer_reads():
         RadialDensity.from_model(hydrogenic_model(1.0)), RadialDensity.from_model(hydrogenic_model(2.0)), grid
     )
     assert len(mapping.grid) == 16
+
+
+def test_importing_the_cli_loads_every_memo_cache(fresh_python):
+    # perfbench/run.py finds the memo caches that it clears before every job
+    # by walking sys.modules once, right after `import rho2v.cli`; a cache that
+    # only a command's own import brought in would stay warm from job to job
+    code = """
+import importlib, pkgutil, sys
+import rho2v.cli
+
+
+def caches():
+    return sorted({
+        f"{value.__module__}.{value.__qualname__}"
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "rho2v"
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_clear", None))
+    })
+
+
+print(caches())
+for info in pkgutil.iter_modules(rho2v.__path__):
+    if info.name != "__main__":
+        importlib.import_module(f"rho2v.{info.name}")
+print(caches())
+"""
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    after_cli, after_all = done.stdout.splitlines()
+    assert after_cli == after_all == "['rho2v.lebedev.lebedev_grid']"

@@ -5,11 +5,19 @@ own body: elsewhere in src/rho2v, in the acceptance suite, in the README or in
 the benchmark (perfbench/).  A name that only unit tests call is API kept alive
 for its tests alone.  An import or an __all__ entry is not a use; an override
 of an inherited method is exempt, since its base class calls it.
+
+The package itself re-exports the library's main names lazily: `import rho2v`
+loads no submodule, and `rho2v.<name>` imports the name's home module.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
+
+import pytest
+
+import rho2v
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "rho2v").glob("*.py"))
@@ -60,3 +68,52 @@ def test_every_public_name_is_used_outside_the_unit_tests():
                 continue
             unused.append(f"{path.name}: {cls + '.' if cls else ''}{node.name}")
     assert unused == []
+
+
+# home module -> the names that rho2v/__init__ re-exports from it
+REEXPORTS = {
+    "density": (
+        "DensityModel",
+        "NuclearFrame",
+        "PrimitiveKind",
+        "RadialPrimitive",
+        "evaluate",
+        "gradient",
+        "hessian",
+        "hydrogenic_model",
+        "model_from_frame",
+        "normalize",
+        "total_integral",
+    ),
+    "audit": ("OneElectronSystem", "audit_pair", "potential_from_wavefunction"),
+    "inversion": ("incompatibility_check", "reconstruct_potential", "verify_cusp_conditions"),
+    "scaling": ("RadialDensity", "solve_scaling_map", "transform_wavefunction"),
+    "spherical": ("radial_derivative_at_center", "spherical_average"),
+    "topology": ("CriticalKind", "CriticalPoint", "classify", "find_critical_points"),
+}
+
+
+def test_each_reexported_name_is_its_home_modules_object():
+    for module, names in REEXPORTS.items():
+        home = importlib.import_module(f"rho2v.{module}")
+        for name in names:
+            assert getattr(rho2v, name) is getattr(home, name), f"rho2v.{name}"
+            assert name in dir(rho2v)
+
+
+def test_an_unknown_package_attribute_raises_attribute_error():
+    assert not hasattr(rho2v, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rho2v.no_such_name
+
+
+def test_importing_the_package_loads_no_submodule(fresh_python):
+    done = fresh_python(
+        "-c",
+        "import sys, rho2v\n"
+        "print(sorted(m for m in sys.modules if m.startswith('rho2v.')))\n"
+        "from rho2v import cli, audit, lebedev\n"
+        "print(cli.__name__, audit.__name__, lebedev.__name__, rho2v.audit is audit)",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "rho2v.cli rho2v.audit rho2v.lebedev True"]
