@@ -18,7 +18,8 @@ Flags, per command (every one of them is read):
 
 Exit codes: 0 success, 1 input error (bad spec, out-of-range flag value, or
 usage error), 2 no cusps / cusp check failed (a claimed nucleus where the
-density has no cusp or is at most 1e-30, or whose slopes disagree), 3 out of scope (multi-center
+density has no cusp, read by a converged ladder, or is at most 1e-30, or
+whose slopes disagree), 3 out of scope (multi-center
 where single-center is required, or an audit spec whose terms are not the
 hydrogenic density of its frame), 4 electron-count mismatch, or an lst map
 that cannot be placed (a target density hole, a source charge that
@@ -33,8 +34,9 @@ Each command imports only the library modules it runs.  This module loads
 numpy, errors, density (with radial), lebedev (its orders are the
 --lebedev-order choices) and specio; the command functions, the parser branch
 of each command and each tolerance section import the rest where they use it.
-So grid-export loads nothing more, lst adds scaling, invert and verify-cusp
-add inversion, topology and spherical, and audit adds those and audit.
+So grid-export adds cube (the cube writer), lst adds scaling, invert and
+verify-cusp add inversion, topology and spherical, and audit adds those and
+audit.
 """
 
 from __future__ import annotations
@@ -151,6 +153,21 @@ def _emit(args, inputs, tolerances: dict, result: dict):
     _write_output(render_report(doc, args.json_indent), args.output)
 
 
+def _skip_reason(p) -> str:
+    """Why invert reads no charge at the critical point p, which is not a cusp."""
+    from .topology import TAU_CUSP
+
+    if p.log_derivative < -TAU_CUSP:  # a cusp reading whose ladder did not converge
+        return (
+            f"cusp reading did not converge: log-derivative {p.log_derivative:.6g}, uncertainty "
+            f"estimate {p.log_derivative_uncertainty_estimate:.3g} after {p.ladder_levels_used} levels"
+        )
+    return (
+        f"smooth critical point (rank {p.rank}, signature {p.signature}): "
+        "vanishing one-sided slope, not a nuclear cusp"
+    )
+
+
 def cmd_invert(args) -> int:
     from .inversion import reconstruct_potential
     from .topology import MIN_SEEDS
@@ -180,20 +197,16 @@ def cmd_invert(args) -> int:
             {
                 "position": pos,
                 "charge": charge,
+                "charge_uncertainty_estimate": 0.5 * p.log_derivative_uncertainty_estimate,
+                "ladder_converged": p.ladder_converged,
+                "ladder_levels_used": p.ladder_levels_used,
                 "log_derivative": p.log_derivative,
                 "density_value": p.density_value,
             }
             for pos, charge, p in zip(report.positions, report.charges, report.cusp_points)
         ],
         "potential_form": "-sum_a Z_a / |x - R_a|",
-        "skipped_points": [
-            {
-                "position": p.position,
-                "reason": f"smooth critical point (rank {p.rank}, signature {p.signature}): "
-                "vanishing one-sided slope, not a nuclear cusp",
-            }
-            for p in report.skipped_points
-        ],
+        "skipped_points": [{"position": p.position, "reason": _skip_reason(p)} for p in report.skipped_points],
     }
     if report.snapped_charges is not None:
         result["snapped_charges"] = report.snapped_charges
@@ -336,102 +349,9 @@ def cmd_lst(args) -> int:
     return EXIT_OK
 
 
-# cube values: 6 per row of 13-byte cells, formatted a block of whole rows at a time
-CUBE_BLOCK = 6 * 1365
-_CUBE_ROW = np.frombuffer(b"  0.00000E+00" * 6 + b"\n", dtype=np.uint8)
-# 10^(5-e) at e + 100, correctly rounded
-_SCALE = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in range(105, -96, -1)])
-# a cell's bytes 2-5, 6-9 and 9-12 as 4-byte words: "d.dd" and "dddE" for the
-# digit triples 000-999, "E+ee" for the exponents -99 to +99; little-endian
-# here and in the stores, so the host's byte order cannot matter
-_LEAD = np.array([f"{i // 100}.{i % 100:02d}" for i in range(1000)], dtype="S4").view("<u4")
-_TAIL = np.array([f"{i:03d}E" for i in range(1000)], dtype="S4").view("<u4")
-_EXPONENT = np.array([f"E{i:+03d}" for i in range(-99, 100)], dtype="S4").view("<u4")
-
-
-def _cube_block(v: np.ndarray, cells: np.ndarray, words: list, work: tuple) -> None:
-    """Write the values v into the cells (r, 6, 13) of whole rows, which hold
-    the row template, each cell as "%13.5E" writes it; a partial last row is
-    filled up with 1.0.  words are the cells' little-endian 4-byte words at
-    bytes 2, 6 and 9, (r, 6) each; work is _cube_text's float and int arrays,
-    one block long, that every block reuses."""
-    m = len(cells) * 6
-    x, s, d = work[0][:, :m]
-    e, lead, tail = work[1][:, :m]
-    x[: len(v)] = v
-    x[len(v) :] = 1.0
-    # two-digit exponents and +0.0 only; 1.0 stands in for every other cell
-    zero = x.view(np.int64) == 0  # +0.0 alone: -0.0 prints its sign
-    slow = ~((x > 1e-98) & (x < 1e98))
-    x[slow] = 1.0
-    np.floor(np.log10(x, out=s), out=s)
-    e[:] = s
-    np.take(_SCALE, np.add(e, 100, out=lead), out=s)
-    s *= x
-    np.rint(s, out=d)
-    carry = d == 1e6
-    e += carry
-    d[carry] = 1e5
-    d[zero] = 0.0  # with e = 0 the words spell "  0.00000E+00"
-    lead[:] = d
-    np.divmod(lead, 1000, out=(lead, tail))
-    e += 99
-    for table, index, word in zip((_LEAD, _TAIL, _EXPONENT), (lead, tail, e), words):
-        word[...] = table.take(index).reshape(word.shape)
-    # the distance of s from a .5 tie, in x
-    np.subtract(s, np.floor(s, out=x), out=x)
-    x -= 0.5
-    tie = np.abs(x, out=x) < 1e-6
-    for i in np.flatnonzero((slow & ~zero) | tie):
-        cells[i // 6, i % 6] = np.frombuffer(b"%13.5E" % v[i], dtype=np.uint8)
-
-
-def _cube_text(header: str, values: np.ndarray) -> str:
-    """header, then the values 6 to a row, byte-identical to "%13.5E" per value.
-
-    For 1e-98 < v < 1e98 the cell comes from numpy digits: e = floor(log10 v)
-    and d = rint(s), s = v 10^(5-e), with d = 1e6 carried into e.  The power of
-    ten and the product each round once, so s is within 2.3e-10 (< 1e-9) of
-    its exact value, and d is the correctly rounded digit string wherever s
-    is farther than 1e-6 from a .5 tie: a 1000x margin.  log10 is one off only
-    within about 1e-13 of a power of ten, where s is within 1e-7 of 1e5 (d =
-    1e5) or of 1e6 (carried), so e needs no other fix.  A +0.0 cell takes d = 0
-    and e = 0, which the same tables spell "  0.00000E+00".  Cells within the
-    tie margin, and every -0.0, negative, non-finite or out-of-range value, go
-    through "%13.5E" itself; such a cell is also 13 bytes, so it overwrites its
-    own slot.  log10 sees only values in range, and e only indexes inside the
-    tables, so no floating-point warning can arise.
-
-    The text is built in one byte buffer, filled with the row template once
-    and decoded once.  Each cell's digits go in as three 4-byte word stores
-    (bytes 2-5 "d.dd", 6-9 "dddE", 9-12 "E+ee"), through strided views of
-    the buffer, rather than as byte copies of 1-3 bytes each; the float and
-    int work arrays of one block are allocated once and reused by every block.
-    """
-    n, width = len(values), _CUBE_ROW.size
-    if not n:
-        return header
-    head = header.encode("utf-8")
-    nrows = -(-n // 6)
-    buf = np.empty(len(head) + nrows * width, dtype=np.uint8)
-    buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
-    rows = buf[len(head) :].reshape(-1, width)
-    rows[:] = _CUBE_ROW
-    cells = rows[:, :-1].reshape(nrows, 6, 13)
-    words = [np.ndarray((nrows, 6), "<u4", buf, len(head) + k, (width, 13)) for k in (2, 6, 9)]
-    work = (np.empty((3, CUBE_BLOCK)), np.empty((3, CUBE_BLOCK), dtype=np.intp))
-    block = CUBE_BLOCK // 6
-    for r in range(0, nrows, block):
-        rs = slice(r, r + block)
-        _cube_block(values[6 * r : 6 * r + CUBE_BLOCK], cells[rs], [w[rs] for w in words], work)
-    end = len(head) + n // 6 * width + n % 6 * 13
-    if n % 6:
-        buf[end] = 10  # "\n" after a partial last row
-        end += 1
-    return str(buf[:end].data, "utf-8")
-
-
 def cmd_grid_export(args) -> int:
+    from .cube import _cube_text
+
     counts = args.counts
     if any(c < 2 for c in counts):
         raise OptionError("--counts must be >= 2 per axis")

@@ -66,8 +66,9 @@ class ReconstructionReport:
 
     charges are reported raw (not rounded); when snap_charges was requested
     snapped_charges/snap_distances carry the rounded values and how far the
-    raw estimates sat from them.  skipped_points are the smooth critical
-    points, which have no cusp to read a charge from.
+    raw estimates sat from them.  skipped_points are the critical points
+    that are not cusps: the smooth ones, which have no cusp to read a charge
+    from, and any whose cusp reading did not converge.
     """
 
     cusp_points: tuple
@@ -131,7 +132,7 @@ def reconstruct_potential(
 
     The cusp search runs on a seeds_per_axis^3 grid and reads every charge
     off a spherical average of Lebedev order `order`.  Raises NoCuspsFound
-    (carrying the smooth critical points that were located) when the
+    (carrying the critical points that were located) when the
     density has no cusp maxima: a cusp-free density admits no Coulomb
     reconstruction.
     """
@@ -174,9 +175,11 @@ def reconstruct_potential(
 class CuspCheck:
     """The cusp relation at one claimed nucleus: lhs_slope = rho_av'(R_a) against
     rhs_slope = -2 Z_a rho(R_a).  passed needs a cusp there as well, a
-    log-derivative below -TAU_CUSP, as the search reads one.  Where rho(R_a)
-    is at most 1e-30 there is no log-derivative: lhs_slope and residual are
-    None and the check fails."""
+    log-derivative below -TAU_CUSP from a ladder that converged, as the
+    search reads one: lhs_slope is the ladder's best estimate either way, so
+    a check whose ladder did not converge fails whatever its residual.
+    Where rho(R_a) is at most 1e-30 there is no log-derivative: lhs_slope
+    and residual are None and the check fails."""
 
     center: np.ndarray
     charge: float
@@ -194,7 +197,8 @@ def verify_cusp_conditions(
 ) -> tuple:
     """Check rho_av'(R_a) = -2 Z_a rho(R_a) at every claimed nucleus: one
     CuspCheck per center, in frame order.  A center passes where the density
-    has a cusp and the two slopes agree within tol * max(1, |rhs|).
+    has a cusp, read by a converged ladder, and the two slopes agree within
+    tol * max(1, |rhs|).
 
     rho_av is averaged at Lebedev order `order`.  Failures are recorded in
     the checks, never raised.
@@ -217,7 +221,9 @@ def verify_cusp_conditions(
                 lhs_slope=estimate.derivative,
                 rhs_slope=rhs,
                 residual=residual,
-                passed=estimate.log_derivative < -TAU_CUSP and residual <= tol * max(1.0, abs(rhs)),
+                passed=estimate.converged
+                and estimate.log_derivative < -TAU_CUSP
+                and residual <= tol * max(1.0, abs(rhs)),
             )
         )
     return tuple(checks)

@@ -45,16 +45,29 @@ def _abc(a, b):
     return (a, b, math.sqrt(max(1.0 - a * a - b * b, 0.0)))
 
 
-def _orbit(generator):
-    """Distinct signed permutations of generator, each where it first occurs.
+# the index permutations and the sign patterns, in itertools order
+_PERMUTATIONS = np.array(list(itertools.permutations(range(3))))
+_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
 
+
+def _orbits(generators: np.ndarray) -> tuple:
+    """(points (n, 3), orbit (n,)): the distinct signed permutations of each
+    generator of (K, 3), orbit after orbit, and the generator of each point.
+
+    Each point stands where it first occurs, with the signs running fastest
+    within each permutation, as in itertools.product((1.0, -1.0), repeat=3).
     -0.0 == 0.0, and a point first occurs with every zero signed +0.0.
-    """
-    return dict.fromkeys(
-        (sx * x, sy * y, sz * z)
-        for x, y, z in itertools.permutations(generator)
-        for sx, sy, sz in itertools.product((1.0, -1.0), repeat=3)
-    )
+    Distinct orbits share no point, so the points are compared across orbits
+    at once."""
+    points = (generators[:, _PERMUTATIONS][:, :, None, :] * _SIGNS).reshape(-1, 3)
+    # equal points sort into one run, in their order of occurrence (lexsort is stable)
+    order = np.lexsort((points + 0.0).T[::-1])
+    run = points[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(run[1:] != run[:-1], axis=1)
+    kept = np.zeros(len(points), dtype=bool)
+    kept[order[first]] = True
+    return points[kept], np.flatnonzero(kept) // len(_PERMUTATIONS) // len(_SIGNS)
 
 
 # Lebedev-Laikov orbits per grid size: (generator, weight).
@@ -125,9 +138,9 @@ def lebedev_grid(order: int):
     """Unit vectors (order, 3) and weights (order,) summing to 1."""
     if order not in _TABLES:
         raise UnsupportedOrder(f"no Lebedev grid with {order} points; supported: {SUPPORTED_ORDERS}")
-    orbits = [(_orbit(generator), weight) for generator, weight in _TABLES[order]]
-    points = np.array([p for orbit, _ in orbits for p in orbit])
-    weights = np.array([weight for orbit, weight in orbits for _ in orbit])
+    generators, orbit_weights = zip(*_TABLES[order])
+    points, orbit = _orbits(np.array(generators))
+    weights = np.array(orbit_weights)[orbit]
     if len(points) != order:
         raise AssertionError(f"grid size mismatch: built {len(points)}, expected {order}")
     points.setflags(write=False)

@@ -3,18 +3,22 @@
 Two families of stationary features are distinguished:
 
   * cusp maxima -- kinks of the mixture at Slater centers, detected by a
-    strictly negative one-sided log-derivative of the spherical average;
-    the gradient is undefined at the kink itself, so the ascent stops
-    next to it, and a batched compass search (six axis steps per point,
-    halved when none is uphill) settles every cusp onto its kink down to a
-    1e-14 bohr step;
+    strictly negative one-sided log-derivative of the spherical average
+    whose Richardson ladder converged; the gradient is undefined at the
+    kink itself, so the ascent stops next to it, and a batched compass
+    search (six axis steps per point, halved when none is uphill) settles
+    every cusp onto its kink down to a 1e-14 bohr step;
   * smooth critical points (non-nuclear maxima, saddles, minima), found
     by safeguarded Newton iteration on grad rho = 0 and classified by the
     rank and signature of the Hessian spectrum.
 
 Search is multistart over a uniform seed grid, and every seed moves at
 once: one batched gradient ascent with a step length per seed, then one
-batched Newton iteration whose Hessians are solved as a stack.  Every step
+batched Newton iteration whose Hessians are solved as a stack.  The ascent
+halves a seed's step after a downhill trial and doubles it after an uphill
+one, unless the uphill trial already slopes down along the step: then it
+has crossed a kink, and the next step goes back to the peak that the two
+slopes and values give for a V-shaped profile (_ascend).  Every step
 is one pass of the density kernel, which returns the values, the
 derivatives and the mask of the points on a cusp together, over a
 compacted set of the seeds still moving; a Newton seed whose step has
@@ -38,7 +42,7 @@ import numpy as np
 
 from .density import DensityModel, evaluate_many, kernel_pass
 from .errors import EmptyResult, ZeroCenterValue
-from .spherical import DEFAULT_ORDER, radial_derivative_at_center
+from .spherical import DEFAULT_ORDER, RadialDerivativeEstimate, radial_derivative_at_center
 
 __all__ = [
     "CriticalKind",
@@ -90,7 +94,15 @@ class CriticalKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """Classified stationary/maximum point of the density."""
+    """Classified stationary/maximum point of the density.
+
+    log_derivative and the three ladder fields come from the Richardson
+    ladder of the spherical average at the point: whether it converged, how
+    many levels it ran and its uncertainty estimate on the log-derivative,
+    which estimates the error and does not bound it.  Where the density is
+    at most 1e-30 no ladder runs: log_derivative is 0.0, the ladder did not
+    converge, ran 0 levels and has no estimate (None).
+    """
 
     position: np.ndarray
     kind: CriticalKind
@@ -100,6 +112,9 @@ class CriticalPoint:
     gradient_norm: float | None
     gradient_norm_floor: float
     log_derivative: float
+    ladder_converged: bool
+    ladder_levels_used: int
+    log_derivative_uncertainty_estimate: float | None
 
     @property
     def is_cusp(self) -> bool:
@@ -140,29 +155,34 @@ def _gradient_norm_floor(model: DensityModel, position: np.ndarray) -> float:
     return float(np.min(_norms(g)))
 
 
-def _cusp_reading(model: DensityModel, x, order: int) -> tuple[float, bool]:
-    """(log-derivative of the spherical average at x, whether it marks a cusp).
+# the reading where the density is at most 1e-30: no ladder runs, so it has no
+# levels and no uncertainty estimate, and the log-derivative 0.0 marks no cusp
+_NO_LADDER = RadialDerivativeEstimate(
+    derivative=0.0, log_derivative=0.0, uncertainty=None, converged=False, levels_used=0
+)
 
-    A cusp has a log-derivative below -TAU_CUSP; where the density vanishes
-    the log-derivative reads 0.0, which is no cusp."""
+
+def _ladder(model: DensityModel, x, order: int) -> RadialDerivativeEstimate:
+    """The Richardson ladder's estimate at x, or _NO_LADDER where the density vanishes."""
     try:
-        log_derivative = radial_derivative_at_center(model, x, order=order).log_derivative
+        return radial_derivative_at_center(model, x, order=order)
     except ZeroCenterValue:
-        log_derivative = 0.0
-    return log_derivative, log_derivative < -TAU_CUSP
+        return _NO_LADDER
 
 
 def classify(model: DensityModel, position, order: int = DEFAULT_ORDER) -> CriticalPoint:
     """Full diagnostic of the density at a point.
 
     kind is CUSP_MAXIMUM iff the one-sided log-derivative of the spherical
-    average (Lebedev order `order`) is below -TAU_CUSP; rank/signature come
-    from the Hessian spectrum and are reported only for smooth points off a
-    cusp singularity, where gradient_norm is None as well.
+    average (Lebedev order `order`) is below -TAU_CUSP and its ladder
+    converged; rank/signature come from the Hessian spectrum and are
+    reported only for smooth points off a cusp singularity, where
+    gradient_norm is None as well.
     """
     x = np.asarray(position, dtype=float).reshape(3)
     p = kernel_pass(model, x[None], 2)
-    log_derivative, is_cusp = _cusp_reading(model, x, order)
+    estimate = _ladder(model, x, order)
+    is_cusp = estimate.converged and estimate.log_derivative < -TAU_CUSP
 
     grad_norm = rank = signature = None
     if not p.on_cusp[0]:
@@ -182,7 +202,10 @@ def classify(model: DensityModel, position, order: int = DEFAULT_ORDER) -> Criti
         density_value=float(p.value[0]),
         gradient_norm=grad_norm,
         gradient_norm_floor=_gradient_norm_floor(model, x),
-        log_derivative=log_derivative,
+        log_derivative=estimate.log_derivative,
+        ladder_converged=estimate.converged,
+        ladder_levels_used=estimate.levels_used,
+        log_derivative_uncertainty_estimate=estimate.uncertainty,
     )
 
 
@@ -194,22 +217,30 @@ def _rows_inside(box: np.ndarray, x: np.ndarray, slack: float = 1e-6) -> np.ndar
 def _ascend(model, seeds, box):
     """Gradient ascent from every seed at once; (endpoints (S, 3), kept (S,)).
 
-    Each seed steps along its normalized gradient with its own step length,
-    starting at 0.05 box widths, doubled after an uphill step and halved
-    after a rejected one.  A seed stops when its step falls below
+    Each seed steps along its normalized gradient u with its own step length
+    s, starting at 0.05 box widths.  A rejected (downhill) trial halves s.
+    An uphill trial whose slope along the step, k_t = grad rho(trial) . u,
+    is still >= 0 doubles s.  An uphill trial with k_t < 0 has crossed the
+    peak of its line, and the next step is the distance back to that peak
+    in the V model of a Slater kink, rho along the line rising at the start
+    slope k = |grad rho| and falling at k_t: s - s*, with
+    s* = (f_t - f - k_t s) / (k - k_t), clipped to [1e-3 s, s].  On a kink
+    that lands on the peak at once, where doubling would overshoot it again
+    after every uphill step.  A seed stops when its step falls below
     ASCENT_MIN_STEP, when it sits on a cusp (where the gradient is
     undefined) or where its gradient vanishes.  Endpoints outside the box or
     at zero density are not kept.  Each iteration is one kernel pass over
     the trial points of the seeds still moving, and an uphill trial point
-    brings its own next direction.
+    brings its own next direction and slope.
     """
     x = np.array(seeds, dtype=float)
     p = kernel_pass(model, x, 1)
     f = p.value
     norm = _norms(p.gradient)
-    # the seeds still moving: their index, position, density, step and direction
+    # the seeds still moving: their index, position, density, step, direction and
+    # slope along it
     ids = np.flatnonzero(~p.on_cusp & (norm > 0.0))
-    xa, fa = x[ids], f[ids]
+    xa, fa, ka = x[ids], f[ids], norm[ids]
     sa = np.full(len(ids), 0.05 * float(np.max(box[1] - box[0])))
     ua = p.gradient[ids] / norm[ids, None]
     for _ in range(ASCENT_ITERATIONS):
@@ -218,17 +249,23 @@ def _ascend(model, seeds, box):
         trial = xa + sa[:, None] * ua
         p = kernel_pass(model, trial, 1)
         up = p.value > fa
+        # an uphill trial sloping down along the step has crossed the peak of its
+        # line: the next step is the V model's distance back to it
+        kt = np.add.reduce(p.gradient * ua, axis=1)
+        crossed = up & (kt < 0.0)
+        back = sa - (p.value - fa - kt * sa) / np.where(crossed, ka - kt, 1.0)
         np.copyto(xa, trial, where=up[:, None])
         np.copyto(fa, p.value, where=up)
-        sa *= np.where(up, 2.0, 0.5)
+        sa = np.where(crossed, np.clip(back, 1e-3 * sa, sa), sa * np.where(up, 2.0, 0.5))
         norm = _norms(p.gradient)
         turn = up & ~p.on_cusp & (norm > 0.0)
         np.divide(p.gradient, norm[:, None], out=ua, where=turn[:, None])
+        np.copyto(ka, norm, where=turn)
         stop = (sa < ASCENT_MIN_STEP) | (up & ~turn)
         if stop.any():
             x[ids[stop]], f[ids[stop]] = xa[stop], fa[stop]
             keep = ~stop
-            ids, xa, fa, sa, ua = ids[keep], xa[keep], fa[keep], sa[keep], ua[keep]
+            ids, xa, fa, ka, sa, ua = ids[keep], xa[keep], fa[keep], ka[keep], sa[keep], ua[keep]
     x[ids], f[ids] = xa, fa
     return x, _rows_inside(box, x) & (f > 0.0)
 
@@ -357,16 +394,19 @@ def find_critical_points(
 
     From every seed of a seeds_per_axis^3 grid over default_search_box at
     once, a batched gradient ascent collects maxima.  Maxima whose spherical
-    average (Lebedev order `order`) has a negative one-sided slope are
-    cusps, settled onto the kink by a compass search down to a CUSP_MIN_STEP
+    average (Lebedev order `order`) has a negative one-sided slope, read on
+    its sign alone, are routed as cusps, settled onto the kink by a compass search down to a CUSP_MIN_STEP
     step; the others are polished by Newton.  A batched safeguarded Newton
     iteration from the grid seeds and from seeds between every pair of
     maxima then collects the smooth stationary points; it is kept out of a
     1e-2 bohr exclusion ball around each cusp.  Survivors are deduplicated
     within DEDUPE_RADIUS (highest density wins, ties broken by lexicographic
-    position), classified, and sorted on their positions rounded to
-    multiples of DEDUPE_RADIUS, ties broken by the raw positions, so that
-    roundoff in a coordinate near zero cannot flip the order.
+    position) and classified; a point is kept when it is a cusp, when its
+    ladder read a cusp without converging (not a cusp then), or when its
+    gradient is at most GRAD_TOL.  The kept points are sorted on their
+    positions rounded to multiples of DEDUPE_RADIUS, ties broken by the raw
+    positions, so that roundoff in a coordinate near zero cannot flip the
+    order.
 
     Raises EmptyResult when no seed converges to anything (flat model).
     """
@@ -384,11 +424,13 @@ def find_critical_points(
         raise EmptyResult("no seed converged; model appears flat or degenerate")
 
     # probe cusp-ness of each candidate maximum cluster, then polish: a
-    # compass search from the ascent's last step on the cusps, Newton on the rest
+    # compass search from the ascent's last step on the cusps, Newton on the rest.
+    # The sign routes, converged or not: at an ascent endpoint, next to a kink
+    # rather than on it, the ladder need not converge; classify reads the settled point
     cusps: list[np.ndarray] = []
     maxima: list[np.ndarray] = []
     for x in _dedupe(ends[kept], model, radius=MAXIMA_MERGE_RADIUS):
-        (cusps if _cusp_reading(model, x, order)[1] else maxima).append(x)
+        (cusps if _ladder(model, x, order).log_derivative < -TAU_CUSP else maxima).append(x)
     cusps = list(_settle(model, cusps))
     polished, ok = _newton(model, maxima, box, cusps)
     smooth = list(np.where(ok[:, None], polished, np.reshape(maxima, (-1, 3))))
@@ -409,7 +451,8 @@ def find_critical_points(
     points = []
     for x in _dedupe(cusps + smooth, model, radius=DEDUPE_RADIUS):
         cp = classify(model, x, order)
-        if cp.is_cusp or (cp.gradient_norm is not None and cp.gradient_norm <= GRAD_TOL):
+        # a cusp reading whose ladder did not converge stays, as a point that is not a cusp
+        if cp.log_derivative < -TAU_CUSP or (cp.gradient_norm is not None and cp.gradient_norm <= GRAD_TOL):
             points.append(cp)
     if not points:
         raise EmptyResult("no critical points survived classification")

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from rho2v import cli
 from rho2v.audit import CUSP_CHECK_SEEDS
 from rho2v.cli import main
-from rho2v.density import NuclearFrame, evaluate_many, model_from_frame
+from rho2v.cube import CUBE_BLOCK, _cube_text
+from rho2v.density import DensityModel, NuclearFrame, PrimitiveKind, RadialPrimitive, evaluate_many, model_from_frame
 from rho2v.errors import (
     EmptyResult,
     MassMismatch,
@@ -25,7 +26,8 @@ from rho2v.errors import (
 from rho2v.inversion import DENSITY_TOL, IDENTICAL_CHARGE_TOL, IDENTICAL_POSITION_TOL, MATCH_GATE
 from rho2v.scaling import Q_RESIDUAL_TARGET
 from rho2v.specio import load_spec, render_report
-from rho2v.topology import find_critical_points
+from rho2v.spherical import radial_derivative_at_center
+from rho2v.topology import classify, find_critical_points
 
 HYDROGEN = {
     "electron_count": 1,
@@ -617,18 +619,18 @@ def test_cube_text_matches_per_value_formatting_byte_for_byte():
     near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
     special = np.array([0.0, -0.0, -1.0, -2.5e-7, np.nan, np.inf, -np.inf, 5e-324, 2.2e-308, 1e-310, 1.7e308])
     values = rng.permutation(np.concatenate([spread, near, special]))
-    assert cli._cube_text("", values) == _per_value_rows(values)
+    assert _cube_text("", values) == _per_value_rows(values)
     # an all-zero block, then a run of zeros with a -0.0 in it across a block boundary
-    block = cli.CUBE_BLOCK
+    block = CUBE_BLOCK
     zeros = values[: 3 * block].copy()
     zeros[:block] = 0.0
     zeros[2 * block - 9 : 2 * block + 14] = 0.0
     zeros[2 * block + 3] = -0.0
-    assert cli._cube_text("", zeros) == _per_value_rows(zeros)
+    assert _cube_text("", zeros) == _per_value_rows(zeros)
     # every partial last row, also after one and two whole blocks
-    for n in (1, 2, 3, 4, 5, 7, 11, cli.CUBE_BLOCK - 1, cli.CUBE_BLOCK + 5, 2 * cli.CUBE_BLOCK + 1):
-        assert cli._cube_text("", values[:n]) == _per_value_rows(values[:n]), n
-    assert cli._cube_text("", np.empty(0)) == ""
+    for n in (1, 2, 3, 4, 5, 7, 11, CUBE_BLOCK - 1, CUBE_BLOCK + 5, 2 * CUBE_BLOCK + 1):
+        assert _cube_text("", values[:n]) == _per_value_rows(values[:n]), n
+    assert _cube_text("", np.empty(0)) == ""
 
 
 def test_grid_export_far_field_takes_the_exact_fallback(tmp_path):
@@ -870,16 +872,16 @@ def test_report_result_bytes_are_pinned(tmp_path, command):
 
 
 # SHA-256 of the "result" section of invert reports: z30 and 3center at --seeds 5,
-# recorded before the search took each step's values, gradients and cusp mask from
-# one kernel pass, and h at the default 8 seeds per axis and a power-0 Gaussian with
-# no cusp (exit 2) at --seeds 5, recorded before the kernel left out the terms that a
-# model without powers or without Gaussians does not need; the search must land on
-# the same points bit for bit
+# h at the default 8 seeds per axis and a power-0 Gaussian with no cusp (exit 2) at
+# --seeds 5; the search must land on the same points bit for bit.  Re-recorded when
+# the reports gained each reading's ladder fields and the ascent stepped back to
+# the peak of a crossed kink: 3center and h moved by at most 1.4e-14 bohr and
+# 9.3e-12 in charge, z30 and gaussian only by the new fields
 INVERT_DIGESTS = {
-    "z30": "7f8331cefb0fa9dfa40773b3f1182705b3b660edc76fab4d115b6fdf06dd342f",
-    "3center": "9988a10dd065c419fc5cba64c1265e7ba7f56626cc323518496628807ba86a73",
-    "h": "28ac5ea5fdf72ef34867c4b12d394cc183283caea8e07fe6ffd99d187571492f",
-    "gaussian": "cdfe152aeca5aed16ba8def0f2b68d73129a1413457290826c0f99412252054e",
+    "z30": "df53c8a3f970ee6308497fa713eb9a56e32c40ff654ca951535afcd51747a2ed",
+    "3center": "5faed0899a7cd03cb50390c3e5596baec911bcb8e46c0f6ccafbb3bf2efa2f37",
+    "h": "a04ab0434b047b094ab6585c2784427b6d75f77a8b79da44600958f749616ba3",
+    "gaussian": "648769f46593e86f741a62a40d36150998759b767ff3c602797e2e562b9e7dd9",
 }
 INVERT_SPECS = {
     "z30": (spec_of(model_from_frame(NuclearFrame([[0.31, -0.17, 0.05]], [30.0]))), ["--seeds", "5"], 0),
@@ -911,6 +913,29 @@ def test_invert_result_bytes_are_pinned(tmp_path, name):
     assert hashlib.sha256(result.encode()).hexdigest() == INVERT_DIGESTS[name]
 
 
+def test_invert_reports_each_charges_ladder(tmp_path):
+    spec = write_spec(tmp_path, "h.json", HYDROGEN)
+    out = tmp_path / "report.json"
+    assert run(["invert", spec, "--seeds", "5", "--output", str(out)]) == 0
+    (center,) = json.loads(out.read_text(encoding="utf-8"))["result"]["estimated_centers"]
+    estimate = radial_derivative_at_center(load_spec(spec)[0], center["position"])
+    assert center["log_derivative"] == estimate.log_derivative
+    assert center["charge_uncertainty_estimate"] == 0.5 * estimate.uncertainty
+    assert (center["ladder_converged"], center["ladder_levels_used"]) == (True, estimate.levels_used)
+
+
+def test_a_cusp_reading_that_did_not_converge_is_skipped_with_its_uncertainty():
+    # 1e-8 bohr from a power-2 slater_s center the ladder reads about -4 unconverged
+    prim = RadialPrimitive(PrimitiveKind.SLATER_S, 1.0, 1.0, 2)
+    point = classify(DensityModel(terms=((np.zeros(3), prim),)), (1e-8, 0.0, 0.0))
+    reason = cli._skip_reason(point)
+    assert reason.startswith("cusp reading did not converge: log-derivative -3.99")
+    assert f"uncertainty estimate {point.log_derivative_uncertainty_estimate:.3g}" in reason
+    gaussian = RadialPrimitive(PrimitiveKind.GAUSSIAN, 1.0, 0.8, 0)
+    smooth = classify(DensityModel(terms=((np.zeros(3), gaussian),)), np.zeros(3))
+    assert cli._skip_reason(smooth).startswith("smooth critical point (rank 3, signature -3)")
+
+
 Z3Z1_1BOHR = spec_of(model_from_frame(NuclearFrame([[0, 0, 0], [0, 0, 1]], [3.0, 1.0])))
 # the Z3/Z1 density under a declared frame whose second center sits 4 bohr from
 # the Z=1 cusp: one match, one spurious estimate, one missed center
@@ -919,13 +944,17 @@ MISSED_CENTER = Z3Z1_1BOHR | {"frame": [{"position": [0, 0, 0], "charge": 2.0}, 
 # records (critical points, center matches, cusp checks, a cross-check verdict),
 # recorded while the CLI still copied every record field by field; verify-cusp-fails
 # re-recorded when a claimed nucleus had to be a cusp to pass, which fails the
-# second center, 4 bohr from any nucleus, as well
+# second center, 4 bohr from any nucleus, as well; the three invert branches
+# re-recorded when the reports gained each reading's ladder fields and the ascent
+# stepped back to the peak of a crossed kink (snap-charges and missed-center moved
+# by at most 8.5e-15 bohr and 7.4e-11 in charge, two-smooth-maxima only by the new
+# fields)
 BRANCH_DIGESTS = {
-    "invert-snap-charges": "cbd11355adb89347adeba51e6328010eee453fba91973d6ba55f5f6138494147",
-    "invert-missed-center": "f4f49e0b74c13e07d4bd839c9ae15ae8aee4d3d2b3fb4d1c4e305fb4f9a37f2c",
+    "invert-snap-charges": "110ede526a19e931dc4d07d50b5f5a7ae81edbe89a28a98072cd79df07ea8874",
+    "invert-missed-center": "084e6ba86d499faa38b89705c138ecf6015d3fd926b2748de007697ad8a3f400",
     "verify-cusp-fails": "58de2d977187bc416ec530bbe2e3b48fc159d167367e0c941303043b8c13fcea",
     "audit-cusp-cross-check": "b2c1e2392be88301b46902a88f754c8089dd576f18fb3e5de1f278b93bded069",
-    "invert-two-smooth-maxima": "8c8115f9da7b52d877d5b0b15673243a268eac3e5a7c2330f494023e02d1f1df",
+    "invert-two-smooth-maxima": "d8925e7ad47e89ca8acef232ccf684be85660e373d5b95fd81c7e20c6d9c7799",
 }
 # name: (command, spec documents, flags, exit code, the result key of the branch)
 BRANCH_CASES = {
@@ -1188,7 +1217,7 @@ COMMAND_MODULES = {
     "verify-cusp": SEARCH_MODULES,
     "audit": SEARCH_MODULES | {"rho2v.audit"},
     "lst": {"rho2v.scaling"},
-    "grid-export": set(),
+    "grid-export": {"rho2v.cube"},
 }
 
 

@@ -23,6 +23,7 @@ from rho2v.density import (
     evaluate,
     hydrogenic_model,
     model_from_frame,
+    normalize,
 )
 from rho2v.errors import NoCuspsFound
 from rho2v.inversion import (
@@ -31,6 +32,7 @@ from rho2v.inversion import (
     reconstruct_potential,
     verify_cusp_conditions,
 )
+from rho2v.spherical import radial_derivative_at_center
 from rho2v.topology import DEFAULT_SEEDS
 
 
@@ -237,6 +239,25 @@ def test_verify_fails_a_claimed_nucleus_where_the_density_has_no_cusp(z, height)
     model = model_from_frame(NuclearFrame([[0, 0, 0], [0, 0, 1]], [3.0, 1.0]))
     (check,) = verify_cusp_conditions(model, NuclearFrame([[0.0, 0.0, height]], [z]))
     assert check.residual <= CUSP_TOL * max(1.0, abs(check.rhs_slope))
+    assert not check.passed
+
+
+def power2_model():
+    """One normalized slater_s term of power 2 (c = zeta = 1) at the origin: rho is
+    0 there, a minimum, and the term has no radial slope, so no nucleus."""
+    prim = RadialPrimitive(PrimitiveKind.SLATER_S, 1.0, 1.0, 2)
+    return normalize(DensityModel(terms=((np.zeros(3), prim),), electron_count=1))
+
+
+@pytest.mark.parametrize("z", [1.0, 2.0, 3.0])
+def test_verify_fails_a_claimed_nucleus_whose_ladder_did_not_converge(z):
+    # 1e-8 bohr from the power-2 center the ladder reads a log-derivative of
+    # about -4 without converging; with the check on convergence, Z = 1, 2 and 3 fail alike
+    x = np.array([1e-8, 0.0, 0.0])
+    estimate = radial_derivative_at_center(power2_model(), x)
+    assert not estimate.converged and estimate.log_derivative == pytest.approx(-4.0, abs=1e-2)
+    (check,) = verify_cusp_conditions(power2_model(), NuclearFrame([x], [z]))
+    assert check.lhs_slope == estimate.derivative
     assert not check.passed
 
 

@@ -8,12 +8,13 @@ and zero whenever any exponent is odd.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from rho2v.errors import UnsupportedOrder
-from rho2v.lebedev import SUPPORTED_ORDERS, lebedev_grid
+from rho2v.lebedev import _TABLES, SUPPORTED_ORDERS, lebedev_grid
 
 # point count -> exact algebraic degree (Lebedev & Laikov 1999)
 DEGREE = {6: 3, 14: 5, 26: 7, 38: 9, 50: 11, 86: 15, 110: 17, 146: 19, 194: 23}
@@ -83,6 +84,26 @@ def test_grids_are_pinned_bit_for_bit():
         pts, wts = lebedev_grid(order)
         digest.update(pts.tobytes() + wts.tobytes())
     assert digest.hexdigest() == "fa7aff710923882afa1277c42b918fc59c61806c7b316ea22c06ce656eeb298e"
+
+
+def tuple_orbit(generator):
+    """The signed permutations of generator as Python tuples, each where it first
+    occurs (dict.fromkeys; -0.0 == 0.0): how the grids were first built."""
+    return dict.fromkeys(
+        (sx * x, sy * y, sz * z)
+        for x, y, z in itertools.permutations(generator)
+        for sx, sy, sz in itertools.product((1.0, -1.0), repeat=3)
+    )
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_numpy_orbits_match_the_tuple_built_grid_bit_for_bit(order):
+    orbits = [(tuple_orbit(generator), weight) for generator, weight in _TABLES[order]]
+    points = np.array([p for orbit, _ in orbits for p in orbit])
+    weights = np.array([weight for orbit, weight in orbits for _ in orbit])
+    pts, wts = lebedev_grid(order)
+    # tobytes tells -0.0 from 0.0
+    assert pts.tobytes() == points.tobytes() and wts.tobytes() == weights.tobytes()
 
 
 def test_unsupported_order_raises():

@@ -24,8 +24,10 @@ from rho2v.density import (
     hydrogenic_model,
     kernel_pass,
     model_from_frame,
+    normalize,
 )
 from rho2v.errors import AtCuspSingularity, EmptyResult
+from rho2v.spherical import radial_derivative_at_center
 from rho2v.topology import (
     _FLOOR_RADII,
     CUSP_EXCLUSION,
@@ -170,6 +172,33 @@ def test_classify_translation_invariance():
     assert cp0.kind is cp1.kind
     assert cp0.log_derivative == pytest.approx(cp1.log_derivative, abs=1e-9)
     assert cp0.density_value == pytest.approx(cp1.density_value, rel=1e-12)
+
+
+def test_classify_carries_the_ladder_reading():
+    model = hydrogenic_model(2.0)
+    estimate = radial_derivative_at_center(model, np.zeros(3))
+    cp = classify(model, (0.0, 0.0, 0.0))
+    assert cp.is_cusp and estimate.converged
+    assert cp.log_derivative == estimate.log_derivative
+    assert (cp.ladder_converged, cp.ladder_levels_used) == (True, estimate.levels_used)
+    assert cp.log_derivative_uncertainty_estimate == estimate.uncertainty
+    # no density, no ladder
+    cp = classify(hydrogenic_model(1.0), (60.0, 0.0, 0.0))
+    assert (cp.log_derivative, cp.ladder_converged, cp.ladder_levels_used) == (0.0, False, 0)
+    assert cp.log_derivative_uncertainty_estimate is None
+
+
+def test_classify_reads_no_cusp_from_a_ladder_that_did_not_converge():
+    # one normalized power-2 slater_s term (c = zeta = 1): rho is 0 at the center and
+    # has no radial slope there, so there is no cusp; 1e-8 bohr away the ladder reads
+    # a log-derivative of about -4 without converging
+    prim = RadialPrimitive(PrimitiveKind.SLATER_S, 1.0, 1.0, 2)
+    model = normalize(DensityModel(terms=((np.zeros(3), prim),), electron_count=1))
+    cp = classify(model, (1e-8, 0.0, 0.0))
+    assert cp.log_derivative == pytest.approx(-4.0, abs=1e-2)
+    assert not cp.ladder_converged and cp.ladder_levels_used > 2
+    assert cp.kind is CriticalKind.SMOOTH_CRITICAL
+    assert cp.rank == 3 and cp.signature == 3  # a minimum of rho
 
 
 # --- guards ----------------------------------------------------------------
@@ -457,3 +486,62 @@ def test_dedupe_keeps_the_winners_of_the_rank_order_pass(seed):
     points = points[rng.permutation(len(points))]
     kept, expected = _dedupe(points, model, radius), dedupe_by_loop(points, model, radius)
     assert np.array_equal(np.reshape(kept, (-1, 3)), np.reshape(expected, (-1, 3)))
+
+
+# --- the seed ascent -------------------------------------------------------
+
+def random_maxima_frame(seed):
+    """2-4 nuclei uniform in [-2, 2]^3, every pair more than 0.6 bohr apart, Z in 1-4,
+    drawn again until every nucleus is a maximum of the model_from_frame density:
+    the slope of the other terms there is below the own kink's 2 zeta c = 2 Z^5/pi."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    while True:
+        positions = rng.uniform(-2.0, 2.0, (k, 3))
+        charges = rng.integers(1, 5, k).astype(float)
+        model = model_from_frame(NuclearFrame(positions, charges))
+        apart = np.linalg.norm(positions[:, None] - positions[None], axis=-1)[np.triu_indices(k, 1)]
+        maxima = all(
+            np.linalg.norm(gradient(DensityModel(terms=model.terms[:a] + model.terms[a + 1 :]), positions[a]))
+            < 2.0 * charges[a] ** 5 / math.pi
+            for a in range(k)
+        )
+        if np.all(apart > 0.6) and maxima:
+            return model
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_search_lands_on_every_nucleus_and_reads_its_kato_charge(seed):
+    # the closed-form Kato reading of a model_from_frame nucleus: only its own term
+    # has a slope there, -2 zeta c = -2 Z^5/pi, so Z = (Z^5/pi) / rho(R)
+    model = random_maxima_frame(seed)
+    cusps = [p for p in find_critical_points(model, seeds_per_axis=5) if p.is_cusp]
+    assert len(cusps) == len(model.frame)
+    for position, z in zip(model.frame.positions, model.frame.charges):
+        cp = min(cusps, key=lambda p: np.linalg.norm(p.position - position))
+        assert np.linalg.norm(cp.position - position) <= 1e-12
+        kato = z**5 / math.pi / evaluate(model, position)
+        assert -0.5 * cp.log_derivative == pytest.approx(kato, rel=1e-9)
+
+
+def test_ascent_pass_count_on_the_three_center_frame(monkeypatch):
+    # an uphill step that crossed its line's peak steps back to the V model's peak
+    # instead of doubling; 48 passes with that rule, 73 while every uphill step doubled
+    passes = {"all": 0, "ascent": 0}
+
+    def counted_pass(*args, **kwargs):
+        passes["all"] += 1
+        return kernel_pass(*args, **kwargs)
+
+    def counted_ascent(*args, **kwargs):
+        before = passes["all"]
+        result = _ascend(*args, **kwargs)
+        passes["ascent"] += passes["all"] - before
+        return result
+
+    monkeypatch.setattr(topology, "kernel_pass", counted_pass)
+    monkeypatch.setattr(topology, "_ascend", counted_ascent)
+    frame = NuclearFrame([[0, 0, 0], [0, 0.2, 2.4], [2.1, -0.3, 0.6]], [2.0, 1.0, 1.5])
+    points = find_critical_points(model_from_frame(frame), seeds_per_axis=5)
+    assert sum(p.is_cusp for p in points) == 3
+    assert 0 < passes["ascent"] <= 58
