@@ -117,7 +117,7 @@ def _tolerances(*sections, lebedev_order=None, seeds=None, cusp_tol=None, audit_
             }
         elif name == "cusp_verification":
             from .inversion import CUSP_TOL
-            from .topology import TAU_CUSP
+            from .spherical import TAU_CUSP
 
             full[name] = {"tol": CUSP_TOL if cusp_tol is None else cusp_tol, "tau_cusp": TAU_CUSP}
         elif name == "audit":
@@ -155,7 +155,7 @@ def _emit(args, inputs, tolerances: dict, result: dict):
 
 def _skip_reason(p) -> str:
     """Why invert reads no charge at the critical point p, which is not a cusp."""
-    from .topology import TAU_CUSP
+    from .spherical import TAU_CUSP
 
     if p.log_derivative < -TAU_CUSP:  # a cusp reading whose ladder did not converge
         return (

@@ -444,9 +444,9 @@ def total_integral(model: DensityModel) -> float:
     return float(sum(_moment(FOUR_PI * t.c, t.a, t.b, t.n, 2)(0.0, complement=True)[:, 0]))
 
 
-def normalize(model: DensityModel, electron_count: int | None = None) -> DensityModel:
-    """Rescale all coefficients so the density integrates to electron_count."""
-    n = model.electron_count if electron_count is None else electron_count
+def normalize(model: DensityModel) -> DensityModel:
+    """Rescale all coefficients so the density integrates to model.electron_count."""
+    n = model.electron_count
     total = total_integral(model)
     if total <= 0.0:
         raise ZeroDensity("cannot normalize a model with zero total integral")

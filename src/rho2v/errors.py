@@ -24,10 +24,6 @@ class UnsupportedOrder(Rho2vError):
     """Requested angular grid size is not in the supported Lebedev set."""
 
 
-class ZeroCenterValue(Rho2vError):
-    """Log-derivative requested where the density value is numerically zero."""
-
-
 class EmptyResult(Rho2vError):
     """Critical-point search converged from no seed (flat or zero model)."""
 

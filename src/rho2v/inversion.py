@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, NuclearFrame, evaluate, evaluate_many
-from .errors import NoCuspsFound, ZeroCenterValue
+from .density import DensityModel, NuclearFrame, evaluate_many
+from .errors import NoCuspsFound
 from .lebedev import lebedev_grid
 from .spherical import DEFAULT_ORDER, radial_derivative_at_center
-from .topology import DEFAULT_SEEDS, TAU_CUSP, find_critical_points
+from .topology import DEFAULT_SEEDS, find_critical_points
 
 __all__ = [
     "MATCH_GATE",
@@ -174,18 +174,19 @@ def reconstruct_potential(
 @dataclass(frozen=True)
 class CuspCheck:
     """The cusp relation at one claimed nucleus: lhs_slope = rho_av'(R_a) against
-    rhs_slope = -2 Z_a rho(R_a).  passed needs a cusp there as well, a
-    log-derivative below -TAU_CUSP from a ladder that converged, as the
-    search reads one: lhs_slope is the ladder's best estimate either way, so
-    a check whose ladder did not converge fails whatever its residual.
-    Where rho(R_a) is at most 1e-30 there is no log-derivative: lhs_slope
-    and residual are None and the check fails."""
+    rhs_slope = -2 Z_a rho(R_a).  passed needs a cusp there as well, read as
+    the search reads one (RadialDerivativeEstimate.is_cusp): lhs_slope is the
+    ladder's best estimate either way, so a check whose ladder did not
+    converge (ladder_converged False) fails whatever its residual.  Where
+    rho(R_a) is at most 1e-30 no ladder runs: lhs_slope and residual are
+    None, ladder_converged is False and the check fails."""
 
     center: np.ndarray
     charge: float
     lhs_slope: float | None
     rhs_slope: float
     residual: float | None
+    ladder_converged: bool
     passed: bool
 
 
@@ -207,23 +208,20 @@ def verify_cusp_conditions(
         raise ValueError("frame must contain at least one center")
     checks = []
     for pos, z in zip(frame.positions, frame.charges):
-        rhs = -2.0 * float(z) * evaluate(model, pos)
-        try:
-            estimate = radial_derivative_at_center(model, pos, order=order)
-        except ZeroCenterValue:  # no density there to have a cusp
-            checks.append(CuspCheck(pos.copy(), float(z), None, rhs, None, False))
-            continue
-        residual = abs(estimate.derivative - rhs)
+        estimate = radial_derivative_at_center(model, pos, order=order)
+        rhs = -2.0 * float(z) * estimate.center_value
+        # no ladder ran where rho(R_a) <= 1e-30: no density there to have a cusp
+        lhs = estimate.derivative if estimate.levels_used else None
+        residual = None if lhs is None else abs(lhs - rhs)
         checks.append(
             CuspCheck(
                 center=pos.copy(),
                 charge=float(z),
-                lhs_slope=estimate.derivative,
+                lhs_slope=lhs,
                 rhs_slope=rhs,
                 residual=residual,
-                passed=estimate.converged
-                and estimate.log_derivative < -TAU_CUSP
-                and residual <= tol * max(1.0, abs(rhs)),
+                ladder_converged=estimate.converged,
+                passed=estimate.is_cusp and residual <= tol * max(1.0, abs(rhs)),
             )
         )
     return tuple(checks)

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, _radial, hydrogenic_model
+from .density import DensityModel, _radial, hydrogenic_model, total_integral
 from .errors import MassMismatch, NonMonotoneCumulative
-from .radial import FOUR_PI, _columns, _moment
+from .radial import FOUR_PI, _moment
 
 __all__ = [
     "RadialDensity",
@@ -68,12 +68,17 @@ class RadialDensity:
     electron_count: float
 
     @classmethod
-    def from_primitives(cls, primitives) -> "RadialDensity":
-        c, a, b, n = _columns(primitives)
-        if not len(c):
-            raise ValueError("need at least one radial primitive")
-        charge = _moment(FOUR_PI * c, a, b, n, 2)
-        envelopes = np.hstack((c, a, b, n)).tolist()
+    def hydrogenic(cls, z: float) -> "RadialDensity":
+        return cls.from_model(hydrogenic_model(z))
+
+    @classmethod
+    def from_model(cls, model: DensityModel) -> "RadialDensity":
+        """Radial reduction of a concentric DensityModel (common center)."""
+        if len(model.centers) != 1:
+            raise ValueError("model must have a single common center to be spherical")
+        t = model._arrays
+        charge = _moment(FOUR_PI * t.c, t.a, t.b, t.n, 2)
+        envelopes = np.hstack((t.c, t.a, t.b, t.n)).tolist()
 
         def summed(per_term):
             """r -> the sum over terms, in term order, of per_term(r), shaped as r (0-d or 1-d)."""
@@ -83,20 +88,8 @@ class RadialDensity:
             rho=summed(lambda r: (_radial(*envelope, r) for envelope in envelopes)),
             cumulative=summed(lambda r: charge(r, complement=False)),
             complement=summed(lambda r: charge(r, complement=True)),
-            electron_count=float(sum(charge(0.0, complement=True)[:, 0])),
+            electron_count=total_integral(model),
         )
-
-    @classmethod
-    def hydrogenic(cls, z: float) -> "RadialDensity":
-        return cls.from_model(hydrogenic_model(z))
-
-    @classmethod
-    def from_model(cls, model: DensityModel) -> "RadialDensity":
-        """Radial reduction of a concentric DensityModel (common center)."""
-        centers = model.centers
-        if len(centers) != 1:
-            raise ValueError("model must have a single common center to be spherical")
-        return cls.from_primitives(p for _, p in model.terms)
 
 
 def _source_charges(source: RadialDensity, r: np.ndarray):

@@ -135,7 +135,7 @@ def parse_spec(data, source: str = "<spec>") -> DensityModel:
         _fail(source, str(err))
     if do_normalize:
         try:
-            model = normalize(model, n)
+            model = normalize(model)
         except ValueError as err:
             _fail("normalize", str(err))
     return model

@@ -21,11 +21,11 @@ has crossed a kink, and the next step goes back to the peak that the two
 slopes and values give for a V-shaped profile (_ascend).  Every step
 is one pass of the density kernel, which returns the values, the
 derivatives and the mask of the points on a cusp together, over a
-compacted set of the seeds still moving; a Newton seed whose step has
-fallen below tolerance rides along in the next step's pass for its
-convergence check.  A seed that
-meets a cusp, a singular Hessian or the edge of the box (widened by
-min(0.5 bohr, a quarter box width)) drops out alone.  Results are
+compacted set of the seeds still moving; the Newton seeds whose step
+falls below tolerance take one order-1 pass of their own in that
+iteration for their convergence check.  A seed that meets a cusp, a
+singular Hessian or the edge of the box (widened by min(0.5 bohr, a
+quarter box width)) drops out alone.  Results are
 deduplicated within a position tolerance and returned in a canonical order
 of their rounded positions, so the output is independent of seed
 enumeration order.
@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityModel, evaluate_many, kernel_pass
-from .errors import EmptyResult, ZeroCenterValue
-from .spherical import DEFAULT_ORDER, RadialDerivativeEstimate, radial_derivative_at_center
+from .errors import EmptyResult
+from .spherical import DEFAULT_ORDER, TAU_CUSP, radial_derivative_at_center
 
 __all__ = [
     "CriticalKind",
@@ -54,11 +54,8 @@ __all__ = [
     "find_critical_points",
 ]
 
-# TAU_CUSP, GRAD_TOL and DEDUPE_RADIUS are fixed; every report that ran the
-# search records them under "topology".
-# |log_derivative| above this marks a cusp: true nuclear cusps have
-# |2 Z| >= 2 while smooth maxima extrapolate to ~1e-9, six orders below.
-TAU_CUSP = 1e-3
+# TAU_CUSP (from spherical), GRAD_TOL and DEDUPE_RADIUS are fixed; every
+# report that ran the search records them under "topology".
 # a smooth point is stationary when |grad rho| is at most this
 GRAD_TOL = 1e-6
 # seed grid points per axis of the multistart search box
@@ -96,12 +93,12 @@ class CriticalKind(enum.Enum):
 class CriticalPoint:
     """Classified stationary/maximum point of the density.
 
-    log_derivative and the three ladder fields come from the Richardson
-    ladder of the spherical average at the point: whether it converged, how
+    log_derivative and the three ladder fields are the RadialDerivativeEstimate
+    of the spherical average at the point: whether its ladder converged, how
     many levels it ran and its uncertainty estimate on the log-derivative,
     which estimates the error and does not bound it.  Where the density is
-    at most 1e-30 no ladder runs: log_derivative is 0.0, the ladder did not
-    converge, ran 0 levels and has no estimate (None).
+    at most 1e-30 that estimate is a reading of none: log_derivative is 0.0,
+    the ladder did not converge, ran 0 levels and has no estimate (None).
     """
 
     position: np.ndarray
@@ -155,39 +152,22 @@ def _gradient_norm_floor(model: DensityModel, position: np.ndarray) -> float:
     return float(np.min(_norms(g)))
 
 
-# the reading where the density is at most 1e-30: no ladder runs, so it has no
-# levels and no uncertainty estimate, and the log-derivative 0.0 marks no cusp
-_NO_LADDER = RadialDerivativeEstimate(
-    derivative=0.0, log_derivative=0.0, uncertainty=None, converged=False, levels_used=0
-)
-
-
-def _ladder(model: DensityModel, x, order: int) -> RadialDerivativeEstimate:
-    """The Richardson ladder's estimate at x, or _NO_LADDER where the density vanishes."""
-    try:
-        return radial_derivative_at_center(model, x, order=order)
-    except ZeroCenterValue:
-        return _NO_LADDER
-
-
 def classify(model: DensityModel, position, order: int = DEFAULT_ORDER) -> CriticalPoint:
     """Full diagnostic of the density at a point.
 
-    kind is CUSP_MAXIMUM iff the one-sided log-derivative of the spherical
-    average (Lebedev order `order`) is below -TAU_CUSP and its ladder
-    converged; rank/signature come from the Hessian spectrum and are
-    reported only for smooth points off a cusp singularity, where
-    gradient_norm is None as well.
+    kind is CUSP_MAXIMUM iff the Richardson ladder of the spherical average
+    (Lebedev order `order`) reads a cusp (RadialDerivativeEstimate.is_cusp);
+    rank/signature come from the Hessian spectrum and are reported only for
+    smooth points off a cusp singularity, where gradient_norm is None as well.
     """
     x = np.asarray(position, dtype=float).reshape(3)
     p = kernel_pass(model, x[None], 2)
-    estimate = _ladder(model, x, order)
-    is_cusp = estimate.converged and estimate.log_derivative < -TAU_CUSP
+    estimate = radial_derivative_at_center(model, x, order)
 
     grad_norm = rank = signature = None
     if not p.on_cusp[0]:
         grad_norm = float(np.linalg.norm(p.gradient[0]))
-        if not is_cusp:
+        if not estimate.is_cusp:
             eigs = np.linalg.eigvalsh(p.hessian[0])
             lam_tol = EIG_REL_TOL * max(np.max(np.abs(eigs)), 1e-300)
             nonzero = eigs[np.abs(eigs) > lam_tol]
@@ -196,7 +176,7 @@ def classify(model: DensityModel, position, order: int = DEFAULT_ORDER) -> Criti
 
     return CriticalPoint(
         position=x,
-        kind=CriticalKind.CUSP_MAXIMUM if is_cusp else CriticalKind.SMOOTH_CRITICAL,
+        kind=CriticalKind.CUSP_MAXIMUM if estimate.is_cusp else CriticalKind.SMOOTH_CRITICAL,
         rank=rank,
         signature=signature,
         density_value=float(p.value[0]),
@@ -307,11 +287,6 @@ def _solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _stationary(box, x, p_gradient, p_on_cusp) -> np.ndarray:
-    """(S,) mask of the rows of x inside the box, off a cusp, with |grad rho| <= GRAD_TOL."""
-    return _rows_inside(box, x) & ~p_on_cusp & (_norms(p_gradient) <= GRAD_TOL)
-
-
 def _newton(model, seeds, box, cusp_positions):
     """Safeguarded Newton on grad rho = 0 from every seed at once.
 
@@ -321,39 +296,26 @@ def _newton(model, seeds, box, cusp_positions):
     ball of a detected cusp, lands on a cusp singularity, or meets a
     singular Hessian or a non-finite step.  A seed stops when its step falls
     below 1e-12 relative, and has converged when the gradient there is at
-    most GRAD_TOL inside the box.  The seeds still stepping are kept
-    compacted, and each iteration is one kernel pass over them and the seeds
-    that stopped in the iteration before: it gives the former their
-    gradients, Hessians and cusp mask, and the latter the gradient and mask
-    of their convergence check, which are the same bits as an order-1 pass
-    gives.  The check takes a pass of its own when one seed is left stepping,
-    and after the last iteration.
+    most GRAD_TOL inside the box, off a cusp.  The seeds still stepping are
+    kept compacted, and each iteration is one order-2 kernel pass over them,
+    and one order-1 pass over the seeds that stopped in it, for their check.
     """
     x = np.array(seeds, dtype=float).reshape(-1, 3)
     cusps = np.asarray(cusp_positions, dtype=float).reshape(-1, 3)
     step_cap = 0.25 * float(np.max(box[1] - box[0]))
     slack = min(0.5, step_cap)
     converged = np.zeros(len(x), dtype=bool)
-    # the seeds still stepping, their index and position, and those that stopped, to check
+    # the seeds still stepping: their index and position
     ids, xa = np.arange(len(x)), x.copy()
-    stopped, xs = ids[:0], xa[:0]
     for _ in range(NEWTON_ITERATIONS):
         ok = _rows_inside(box, xa, slack=slack)
         ok &= np.all(_norms(xa[:, None] - cusps) >= CUSP_EXCLUSION, axis=1)
         ids, xa = ids[ok], xa[ok]
         if not len(ids):
             break
-        # a one-point pass can round a Hessian differently from a larger one (see
-        # density.kernel_pass): a lone stepping seed keeps its pass to itself, and the
-        # stopped ones take theirs
-        m = len(ids)
-        joint = m > 1 and len(stopped) > 0
-        p = kernel_pass(model, np.concatenate((xa, xs)) if joint else xa, 2)
-        if len(stopped):
-            q = p if joint else kernel_pass(model, xs, 1)
-            converged[stopped] = _stationary(box, xs, q.gradient[-len(xs) :], q.on_cusp[-len(xs) :])
-        step = _solve(p.hessian[:m], -p.gradient[:m])
-        ok = ~p.on_cusp[:m] & np.all(np.isfinite(step), axis=1)
+        p = kernel_pass(model, xa, 2)
+        step = _solve(p.hessian, -p.gradient)
+        ok = ~p.on_cusp & np.all(np.isfinite(step), axis=1)
         ids, xa, step = ids[ok], xa[ok], step[ok]
         norm = _norms(step)
         capped = norm > step_cap
@@ -362,11 +324,10 @@ def _newton(model, seeds, box, cusp_positions):
         xa += step
         x[ids] = xa  # where each seed stands, also if it is dropped later
         stop = norm < 1e-12 * (1.0 + _norms(xa))
-        stopped, xs = ids[stop], xa[stop]
+        if stop.any():
+            q = kernel_pass(model, xa[stop], 1)
+            converged[ids[stop]] = _rows_inside(box, xa[stop]) & ~q.on_cusp & (_norms(q.gradient) <= GRAD_TOL)
         ids, xa = ids[~stop], xa[~stop]
-    if len(stopped):
-        p = kernel_pass(model, xs, 1)
-        converged[stopped] = _stationary(box, xs, p.gradient, p.on_cusp)
     return x, converged
 
 
@@ -430,7 +391,7 @@ def find_critical_points(
     cusps: list[np.ndarray] = []
     maxima: list[np.ndarray] = []
     for x in _dedupe(ends[kept], model, radius=MAXIMA_MERGE_RADIUS):
-        (cusps if _ladder(model, x, order).log_derivative < -TAU_CUSP else maxima).append(x)
+        (cusps if radial_derivative_at_center(model, x, order).log_derivative < -TAU_CUSP else maxima).append(x)
     cusps = list(_settle(model, cusps))
     polished, ok = _newton(model, maxima, box, cusps)
     smooth = list(np.where(ok[:, None], polished, np.reshape(maxima, (-1, 3))))

@@ -944,7 +944,9 @@ MISSED_CENTER = Z3Z1_1BOHR | {"frame": [{"position": [0, 0, 0], "charge": 2.0}, 
 # records (critical points, center matches, cusp checks, a cross-check verdict),
 # recorded while the CLI still copied every record field by field; verify-cusp-fails
 # re-recorded when a claimed nucleus had to be a cusp to pass, which fails the
-# second center, 4 bohr from any nucleus, as well; the three invert branches
+# second center, 4 bohr from any nucleus, as well, and again when each cusp check
+# gained its ladder_converged flag (the one change: deleting that key gives the
+# earlier digest back); the three invert branches
 # re-recorded when the reports gained each reading's ladder fields and the ascent
 # stepped back to the peak of a crossed kink (snap-charges and missed-center moved
 # by at most 8.5e-15 bohr and 7.4e-11 in charge, two-smooth-maxima only by the new
@@ -952,7 +954,7 @@ MISSED_CENTER = Z3Z1_1BOHR | {"frame": [{"position": [0, 0, 0], "charge": 2.0}, 
 BRANCH_DIGESTS = {
     "invert-snap-charges": "110ede526a19e931dc4d07d50b5f5a7ae81edbe89a28a98072cd79df07ea8874",
     "invert-missed-center": "084e6ba86d499faa38b89705c138ecf6015d3fd926b2748de007697ad8a3f400",
-    "verify-cusp-fails": "58de2d977187bc416ec530bbe2e3b48fc159d167367e0c941303043b8c13fcea",
+    "verify-cusp-fails": "d0702829df26a4c6471e7420e5dd69d71c1a2cff94c11ba35d9ea5c9108d3762",
     "audit-cusp-cross-check": "b2c1e2392be88301b46902a88f754c8089dd576f18fb3e5de1f278b93bded069",
     "invert-two-smooth-maxima": "d8925e7ad47e89ca8acef232ccf684be85660e373d5b95fd81c7e20c6d9c7799",
 }
@@ -1081,10 +1083,12 @@ SHARED_SITES = {
     ],
 }
 # SHA-256 of the 24^3 cube text and of the verify-cusp "result" section of
-# SHARED_SITES, recorded before the kernel took separations once per site
+# SHARED_SITES, recorded before the kernel took separations once per site; the
+# verify-cusp one re-recorded when each cusp check gained its ladder_converged
+# flag (deleting that key gives the earlier digest back)
 SHARED_SITES_DIGESTS = {
     "grid-export": "14aa151d5ce21a8b2187784d15d5baa530954bbcb9244a78f49cf8562d1023a2",
-    "verify-cusp": "4c692d9302dff984810412918d177fecfed92fe4f28591f37e89c818c8e3eaec",
+    "verify-cusp": "af28d9db793582264837c223b803b70e1786403fd3f2debd5636055d93fd041c",
 }
 
 

@@ -5,6 +5,7 @@ Richardson-combined central finite differences, and adaptive radial
 quadrature (scipy.integrate.quad).
 """
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -295,18 +296,18 @@ def test_normalize_hydrogenic_coefficient():
 def test_normalize_idempotent_and_linear():
     rng = np.random.default_rng(5)
     model = random_model(rng)
-    once = normalize(model, 1)
-    twice = normalize(once, 1)
+    once = normalize(model)
+    twice = normalize(once)
     for (c1, p1), (c2, p2) in zip(once.terms, twice.terms):
         assert p1.coefficient == pytest.approx(p2.coefficient, rel=1e-14)
-    doubled = normalize(once, 2)
+    doubled = normalize(dataclasses.replace(once, electron_count=2))
     for (c1, p1), (c2, p2) in zip(once.terms, doubled.terms):
         assert p2.coefficient == pytest.approx(2.0 * p1.coefficient, rel=1e-14)
 
 
 def test_normalize_zero_density_raises():
     with pytest.raises(ZeroDensity):
-        normalize(DensityModel(terms=()), 1)
+        normalize(DensityModel(terms=()))
 
 
 # --- type validation ---------------------------------------------------------

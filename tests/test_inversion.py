@@ -261,6 +261,27 @@ def test_verify_fails_a_claimed_nucleus_whose_ladder_did_not_converge(z):
     assert not check.passed
 
 
+def test_verify_reads_rho_at_the_center_from_the_ladders_own_pass():
+    # with 8 or more terms a one-point kernel pass sums them in another order than
+    # a larger one: rhs_slope must take rho(R_a) from a one-point pass, as evaluate does
+    rng = np.random.default_rng(27)
+    sites = rng.uniform(-1.5, 1.5, (3, 3))
+    slater, gauss = PrimitiveKind.SLATER_S, PrimitiveKind.GAUSSIAN
+    terms = [(sites[i % 3], RadialPrimitive(slater, rng.uniform(0.2, 2.0), rng.uniform(0.8, 2.5), 0)) for i in range(5)]
+    terms += [(sites[i % 3], RadialPrimitive(gauss, rng.uniform(0.1, 1.0), rng.uniform(0.3, 2.0), 0)) for i in range(4)]
+    model = DensityModel(terms=tuple(terms))
+    # the three sites, a point 1e-4 bohr off one (the ladder does not converge)
+    # and one 300 bohr out, where rho <= 1e-30 and no ladder runs
+    positions = np.vstack([sites, sites[0] + [1e-4, 0.0, 0.0], [300.0, 0.0, 0.0]])
+    frame = NuclearFrame(positions, rng.uniform(0.5, 3.0, len(positions)))
+    checks = verify_cusp_conditions(model, frame)
+    for check, pos, z in zip(checks, positions, frame.charges):
+        assert check.rhs_slope == -2.0 * float(z) * evaluate(model, pos)
+        assert check.ladder_converged == radial_derivative_at_center(model, pos).converged
+    assert [c.ladder_converged for c in checks] == [True, True, True, False, False]
+    assert checks[-1].lhs_slope is None and checks[-1].residual is None and not checks[-1].passed
+
+
 # --- incompatibility_check -----------------------------------------------------
 
 def test_identical_models_contradict_distinct_potentials():

@@ -4,7 +4,8 @@ A public function, method or class of src/rho2v must be referenced outside its
 own body: elsewhere in src/rho2v, in the acceptance suite, in the README or in
 the benchmark (perfbench/).  A name that only unit tests call is API kept alive
 for its tests alone.  An import or an __all__ entry is not a use; an override
-of an inherited method is exempt, since its base class calls it.
+of an inherited method is exempt, since its base class calls it.  Every error
+class of rho2v.errors is raised somewhere in src/rho2v.
 
 The package itself re-exports the library's main names lazily: `import rho2v`
 loads no submodule, and `rho2v.<name>` imports the name's home module.
@@ -68,6 +69,28 @@ def test_every_public_name_is_used_outside_the_unit_tests():
                 continue
             unused.append(f"{path.name}: {cls + '.' if cls else ''}{node.name}")
     assert unused == []
+
+
+def _raised_names(tree) -> set:
+    """Names of the classes a `raise` statement in tree raises: `raise X` or `raise X(...)`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_class_is_raised_somewhere():
+    errors = ast.parse((ROOT / "src" / "rho2v" / "errors.py").read_text(encoding="utf-8"))
+    subclasses = [
+        node.name
+        for node in errors.body
+        if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id == "Rho2vError" for b in node.bases)
+    ]
+    raised = set().union(*(_raised_names(ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES))
+    assert subclasses and [name for name in subclasses if name not in raised] == []
 
 
 # home module -> the names that rho2v/__init__ re-exports from it

@@ -103,7 +103,7 @@ def test_kernel_matches_the_per_term_form_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
     prims = _mixture(rng)
     r = _radii(rng, prims)
-    density = RadialDensity.from_primitives(prims)
+    density = RadialDensity.from_model(DensityModel(terms=tuple((np.zeros(3), p) for p in prims)))
     for complement, got in ((False, density.cumulative), (True, density.complement)):
         expected = sum(_term_cumulative(p, r, complement) for p in prims)
         assert np.array_equal(got(r), expected)

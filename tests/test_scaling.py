@@ -15,7 +15,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc
 
-from rho2v.density import PrimitiveKind, RadialPrimitive
+from rho2v.density import DensityModel, PrimitiveKind, RadialPrimitive
 from rho2v import radial, scaling
 from rho2v.errors import MassMismatch, NonMonotoneCumulative
 from rho2v.scaling import (
@@ -74,13 +74,18 @@ def test_map_starts_at_zero(map_1_to_2):
     assert map_1_to_2.map_at(1e-8) <= 1e-7
 
 
+def at_origin(prims) -> RadialDensity:
+    """The radial density of the primitives, all centered at the origin."""
+    return RadialDensity.from_model(DensityModel(terms=tuple((np.zeros(3), p) for p in prims)))
+
+
 def mixture_density(spec):
     """Normalized concentric mixture of (coefficient, exponent, power) Slater
     terms; an entry that leads with a PrimitiveKind is a term of that kind."""
     spec = [entry if len(entry) == 4 else (PrimitiveKind.SLATER_S, *entry) for entry in spec]
     prims = [RadialPrimitive(k, c, z, n) for k, c, z, n in spec]
-    scale = 1.0 / RadialDensity.from_primitives(prims).electron_count
-    return RadialDensity.from_primitives(RadialPrimitive(k, c * scale, z, n) for k, c, z, n in spec)
+    scale = 1.0 / at_origin(prims).electron_count
+    return at_origin([RadialPrimitive(k, c * scale, z, n) for k, c, z, n in spec])
 
 
 def scalar_match_radius(source, target, r):
@@ -194,16 +199,14 @@ def test_uniqueness_witness(map_1_to_2):
 
 def test_mass_mismatch():
     one = RadialDensity.hydrogenic(1.0)
-    two = RadialDensity.from_primitives(
-        [RadialPrimitive(PrimitiveKind.SLATER_S, 2.0 / math.pi, 1.0, 0)]
-    )
+    two = at_origin([RadialPrimitive(PrimitiveKind.SLATER_S, 2.0 / math.pi, 1.0, 0)])
     with pytest.raises(MassMismatch):
         solve_scaling_map(one, two)
 
 
 def test_rho_of_a_high_power_term_takes_the_log_form():
     # r^169 overflows at 84.5 bohr, where c r^169 e^(-2r) is 1.7e-6
-    rd = RadialDensity.from_primitives([RadialPrimitive(PrimitiveKind.SLATER_S, 1e-258, 1.0, 169)])
+    rd = at_origin([RadialPrimitive(PrimitiveKind.SLATER_S, 1e-258, 1.0, 169)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = rd.rho(np.array([10.0, 84.5, 300.0]))

@@ -18,7 +18,7 @@ from rho2v.density import (
     evaluate_many,
     hydrogenic_model,
 )
-from rho2v.errors import UnsupportedOrder, ZeroCenterValue
+from rho2v.errors import UnsupportedOrder
 from rho2v import spherical
 from rho2v.lebedev import SUPPORTED_ORDERS
 from rho2v.spherical import DEFAULT_ORDER, DEFAULT_TOL, radial_derivative_at_center, spherical_average
@@ -146,9 +146,19 @@ def test_deterministic_reruns():
     assert e1.derivative == e2.derivative and e1.uncertainty == e2.uncertainty
 
 
-def test_zero_center_value_raises():
-    with pytest.raises(ZeroCenterValue):
-        radial_derivative_at_center(DensityModel(terms=()), (0, 0, 0))
+@pytest.mark.parametrize(
+    "model, center",
+    [(DensityModel(terms=()), (0, 0, 0)), (hydrogenic_model(1.0), (100.0, 0, 0))],
+    ids=["empty-model", "hydrogen-100-bohr-out"],
+)
+def test_no_reading_where_the_center_value_vanishes(model, center):
+    # rho is 0 in the empty model and exp(-200) / pi = 4.4e-88 at 100 bohr from hydrogen
+    rho0 = evaluate(model, np.asarray(center, dtype=float))
+    assert rho0 <= spherical.ZERO_VALUE_FLOOR
+    est = radial_derivative_at_center(model, center)
+    assert (est.derivative, est.log_derivative, est.uncertainty) == (0.0, 0.0, None)
+    assert (est.converged, est.levels_used, est.is_cusp) == (False, 0, False)
+    assert est.center_value == rho0
 
 
 def test_converged_flag_tracks_uncertainty():

@@ -381,8 +381,8 @@ def test_batched_newton_matches_one_seed_at_a_time(dimer):
 
 
 def newton_with_separate_check(model, seeds, box, cusp_positions, iterations):
-    """Reference: batched Newton as it ran before its convergence check moved into
-    the next iteration's pass, with one order-1 pass per iteration for the check."""
+    """Reference: batched Newton over a mask of the active seeds, with one order-1
+    pass per iteration for the convergence check of the seeds that stopped in it."""
     x = np.array(seeds, dtype=float).reshape(-1, 3)
     cusps = np.asarray(cusp_positions, dtype=float).reshape(-1, 3)
     step_cap = 0.25 * float(np.max(box[1] - box[0]))
@@ -416,7 +416,7 @@ def newton_with_separate_check(model, seeds, box, cusp_positions, iterations):
     return x, converged
 
 
-def test_newton_check_in_the_next_pass_is_bit_identical(dimer, peak_and_cusp, monkeypatch):
+def test_newton_is_bit_identical_to_the_separate_check_reference(dimer, peak_and_cusp, monkeypatch):
     three = model_from_frame(NuclearFrame([[0.0, 0.0, 0.0], [0.0, 0.2, 2.4], [2.1, -0.3, 0.6]], [2.0, 1.0, 1.5]))
     rng = np.random.default_rng(11)
     model, box, seeds = peak_and_cusp
@@ -426,7 +426,7 @@ def test_newton_check_in_the_next_pass_is_bit_identical(dimer, peak_and_cusp, mo
         seeds = grid_seeds(box, 6) + rng.normal(scale=0.05, size=(216, 3))
         runs.append((model, seeds, box, [c for c, _ in model.terms[:1]]))
     # the seeds near the Gaussian peak stop after 4 to 7 iterations: with a cap of
-    # that many, some stop in the last one and are checked after the loop
+    # that many, some stop in the last one
     newly = 0
     for iterations in (1, 3, 4, 5, 6, 7, 8, NEWTON_ITERATIONS):
         monkeypatch.setattr(topology, "NEWTON_ITERATIONS", iterations)
