@@ -177,9 +177,12 @@ class CuspCheck:
     rhs_slope = -2 Z_a rho(R_a).  passed needs a cusp there as well, read as
     the search reads one (RadialDerivativeEstimate.is_cusp): lhs_slope is the
     ladder's best estimate either way, so a check whose ladder did not
-    converge (ladder_converged False) fails whatever its residual.  Where
-    rho(R_a) is at most 1e-30 no ladder runs: lhs_slope and residual are
-    None, ladder_converged is False and the check fails."""
+    converge (ladder_converged False) fails whatever its residual.  The
+    ladder fields are those of CriticalPoint: how many levels it ran and its
+    uncertainty estimate on the log-derivative, which estimates the error and
+    does not bound it.  Where rho(R_a) is at most 1e-30 no ladder runs:
+    lhs_slope, residual and the uncertainty estimate are None,
+    ladder_converged is False, ladder_levels_used is 0 and the check fails."""
 
     center: np.ndarray
     charge: float
@@ -187,6 +190,8 @@ class CuspCheck:
     rhs_slope: float
     residual: float | None
     ladder_converged: bool
+    ladder_levels_used: int
+    log_derivative_uncertainty_estimate: float | None
     passed: bool
 
 
@@ -221,6 +226,8 @@ def verify_cusp_conditions(
                 rhs_slope=rhs,
                 residual=residual,
                 ladder_converged=estimate.converged,
+                ladder_levels_used=estimate.levels_used,
+                log_derivative_uncertainty_estimate=estimate.uncertainty,
                 passed=estimate.is_cusp and residual <= tol * max(1.0, abs(rhs)),
             )
         )

@@ -15,10 +15,11 @@ Two families of stationary features are distinguished:
 Search is multistart over a uniform seed grid, and every seed moves at
 once: one batched gradient ascent with a step length per seed, then one
 batched Newton iteration whose Hessians are solved as a stack.  The ascent
-halves a seed's step after a downhill trial and doubles it after an uphill
-one, unless the uphill trial already slopes down along the step: then it
-has crossed a kink, and the next step goes back to the peak that the two
-slopes and values give for a V-shaped profile (_ascend).  Every step
+doubles a seed's step after an uphill trial and halves it after a downhill
+one, unless the trial slopes down along the step: then it has passed the
+peak of its line, and the next step goes to the peak that the two slopes
+and values give for a V-shaped profile: back from an uphill trial, or from
+the seed, which stays put, after a downhill one (_ascend).  Every step
 is one pass of the density kernel, which returns the values, the
 derivatives and the mask of the points on a cusp together, over a
 compacted set of the seeds still moving; the Newton seeds whose step
@@ -198,17 +199,21 @@ def _ascend(model, seeds, box):
     """Gradient ascent from every seed at once; (endpoints (S, 3), kept (S,)).
 
     Each seed steps along its normalized gradient u with its own step length
-    s, starting at 0.05 box widths.  A rejected (downhill) trial halves s.
-    An uphill trial whose slope along the step, k_t = grad rho(trial) . u,
-    is still >= 0 doubles s.  An uphill trial with k_t < 0 has crossed the
-    peak of its line, and the next step is the distance back to that peak
-    in the V model of a Slater kink, rho along the line rising at the start
-    slope k = |grad rho| and falling at k_t: s - s*, with
-    s* = (f_t - f - k_t s) / (k - k_t), clipped to [1e-3 s, s].  On a kink
-    that lands on the peak at once, where doubling would overshoot it again
-    after every uphill step.  A seed stops when its step falls below
-    ASCENT_MIN_STEP, when it sits on a cusp (where the gradient is
-    undefined) or where its gradient vanishes.  Endpoints outside the box or
+    s, starting at 0.05 box widths.  A trial whose slope along the step,
+    k_t = grad rho(trial) . u, is >= 0 doubles s when it is uphill and
+    halves s when it is downhill (rejected).  A trial with k_t < 0 has
+    passed the peak of its line, which in the V model of a Slater kink, rho
+    along the line rising at the start slope k = |grad rho| and falling at
+    k_t, lies s* = (f_t - f - k_t s) / (k - k_t) from the start.  An uphill
+    one moves the seed and steps back to it next, s - s* clipped to
+    [1e-3 s, s]; a downhill one leaves the seed where it is and steps to it
+    next, s* clipped to [0.1 s, 0.5 s].  On a kink that lands on the peak at
+    once, where doubling would overshoot it again after every uphill step
+    and halving would take a run of rejected trials to come back under it;
+    the lower clip keeps a far overshoot, whose f_t << f makes s* much too
+    short, from stopping far short of the peak.  A seed stops when its step
+    falls below ASCENT_MIN_STEP, when it sits on a cusp (where the gradient
+    is undefined) or where its gradient vanishes.  Endpoints outside the box or
     at zero density are not kept.  Each iteration is one kernel pass over
     the trial points of the seeds still moving, and an uphill trial point
     brings its own next direction and slope.
@@ -229,14 +234,19 @@ def _ascend(model, seeds, box):
         trial = xa + sa[:, None] * ua
         p = kernel_pass(model, trial, 1)
         up = p.value > fa
-        # an uphill trial sloping down along the step has crossed the peak of its
-        # line: the next step is the V model's distance back to it
+        # a trial sloping down along the step has passed the peak of its line, which
+        # the V model puts `peak` from the start: an uphill trial steps back to it,
+        # a downhill one leaves the seed in place and steps to it next
         kt = np.add.reduce(p.gradient * ua, axis=1)
-        crossed = up & (kt < 0.0)
-        back = sa - (p.value - fa - kt * sa) / np.where(crossed, ka - kt, 1.0)
+        passed = kt < 0.0
+        peak = (p.value - fa - kt * sa) / np.where(passed, ka - kt, 1.0)
         np.copyto(xa, trial, where=up[:, None])
         np.copyto(fa, p.value, where=up)
-        sa = np.where(crossed, np.clip(back, 1e-3 * sa, sa), sa * np.where(up, 2.0, 0.5))
+        sa = np.where(
+            up,
+            np.where(passed, np.clip(sa - peak, 1e-3 * sa, sa), sa * 2.0),
+            np.where(passed, np.clip(peak, 0.1 * sa, 0.5 * sa), sa * 0.5),
+        )
         norm = _norms(p.gradient)
         turn = up & ~p.on_cusp & (norm > 0.0)
         np.divide(p.gradient, norm[:, None], out=ua, where=turn[:, None])

@@ -876,11 +876,13 @@ def test_report_result_bytes_are_pinned(tmp_path, command):
 # --seeds 5; the search must land on the same points bit for bit.  Re-recorded when
 # the reports gained each reading's ladder fields and the ascent stepped back to
 # the peak of a crossed kink: 3center and h moved by at most 1.4e-14 bohr and
-# 9.3e-12 in charge, z30 and gaussian only by the new fields
+# 9.3e-12 in charge, z30 and gaussian only by the new fields; and again when a
+# downhill trial that had passed the peak stepped to it instead of halving:
+# 3center and h moved by at most 1.3e-14 bohr and 2.5e-11 in charge
 INVERT_DIGESTS = {
     "z30": "df53c8a3f970ee6308497fa713eb9a56e32c40ff654ca951535afcd51747a2ed",
-    "3center": "5faed0899a7cd03cb50390c3e5596baec911bcb8e46c0f6ccafbb3bf2efa2f37",
-    "h": "a04ab0434b047b094ab6585c2784427b6d75f77a8b79da44600958f749616ba3",
+    "3center": "5ca2ee24c17116cbaf6d18ca027c1fff336c8cdc53d1c83bb58aae15eb17832c",
+    "h": "69a0c1c85e213dcf7ac944f1580b2981fb9a0c42df5ed60804bd1aef41c1226f",
     "gaussian": "648769f46593e86f741a62a40d36150998759b767ff3c602797e2e562b9e7dd9",
 }
 INVERT_SPECS = {
@@ -945,16 +947,19 @@ MISSED_CENTER = Z3Z1_1BOHR | {"frame": [{"position": [0, 0, 0], "charge": 2.0}, 
 # recorded while the CLI still copied every record field by field; verify-cusp-fails
 # re-recorded when a claimed nucleus had to be a cusp to pass, which fails the
 # second center, 4 bohr from any nucleus, as well, and again when each cusp check
-# gained its ladder_converged flag (the one change: deleting that key gives the
-# earlier digest back); the three invert branches
+# gained its ladder_converged flag, and then its ladder_levels_used and
+# log_derivative_uncertainty_estimate (the one change each time: deleting those
+# keys gives the earlier digest back); the three invert branches
 # re-recorded when the reports gained each reading's ladder fields and the ascent
 # stepped back to the peak of a crossed kink (snap-charges and missed-center moved
 # by at most 8.5e-15 bohr and 7.4e-11 in charge, two-smooth-maxima only by the new
-# fields)
+# fields), and snap-charges and missed-center again when a downhill trial that had
+# passed the peak stepped to it instead of halving (at most 8.5e-15 bohr and
+# 2.7e-11 in charge)
 BRANCH_DIGESTS = {
-    "invert-snap-charges": "110ede526a19e931dc4d07d50b5f5a7ae81edbe89a28a98072cd79df07ea8874",
-    "invert-missed-center": "084e6ba86d499faa38b89705c138ecf6015d3fd926b2748de007697ad8a3f400",
-    "verify-cusp-fails": "d0702829df26a4c6471e7420e5dd69d71c1a2cff94c11ba35d9ea5c9108d3762",
+    "invert-snap-charges": "2bacf4517ceb672376d9941d072b6d6c587b8eeede4a4eef280b87baed02ba2e",
+    "invert-missed-center": "8cf3ced86e701da53a3ff2f00306ea5e54b2637afc84aa0c92816369b43bc937",
+    "verify-cusp-fails": "993226f113ff8995cacee6d718d9b82f9a2ed3573782ab5a67e2cf464ae65dcb",
     "audit-cusp-cross-check": "b2c1e2392be88301b46902a88f754c8089dd576f18fb3e5de1f278b93bded069",
     "invert-two-smooth-maxima": "d8925e7ad47e89ca8acef232ccf684be85660e373d5b95fd81c7e20c6d9c7799",
 }
@@ -1085,10 +1090,12 @@ SHARED_SITES = {
 # SHA-256 of the 24^3 cube text and of the verify-cusp "result" section of
 # SHARED_SITES, recorded before the kernel took separations once per site; the
 # verify-cusp one re-recorded when each cusp check gained its ladder_converged
-# flag (deleting that key gives the earlier digest back)
+# flag, and again when it gained ladder_levels_used and
+# log_derivative_uncertainty_estimate (deleting those keys gives the earlier
+# digest back each time)
 SHARED_SITES_DIGESTS = {
     "grid-export": "14aa151d5ce21a8b2187784d15d5baa530954bbcb9244a78f49cf8562d1023a2",
-    "verify-cusp": "af28d9db793582264837c223b803b70e1786403fd3f2debd5636055d93fd041c",
+    "verify-cusp": "ce4b56432f884be2fd3b29b4fd1f2c050e1c58469f1074eca6279e986d185d1b",
 }
 
 

@@ -277,9 +277,15 @@ def test_verify_reads_rho_at_the_center_from_the_ladders_own_pass():
     checks = verify_cusp_conditions(model, frame)
     for check, pos, z in zip(checks, positions, frame.charges):
         assert check.rhs_slope == -2.0 * float(z) * evaluate(model, pos)
-        assert check.ladder_converged == radial_derivative_at_center(model, pos).converged
+        # each check carries its ladder's reading
+        estimate = radial_derivative_at_center(model, pos)
+        assert check.ladder_converged == estimate.converged
+        assert check.ladder_levels_used == estimate.levels_used
+        assert check.log_derivative_uncertainty_estimate == estimate.uncertainty
     assert [c.ladder_converged for c in checks] == [True, True, True, False, False]
+    assert all(c.ladder_levels_used > 0 for c in checks[:-1])
     assert checks[-1].lhs_slope is None and checks[-1].residual is None and not checks[-1].passed
+    assert (checks[-1].ladder_levels_used, checks[-1].log_derivative_uncertainty_estimate) == (0, None)
 
 
 # --- incompatibility_check -----------------------------------------------------
