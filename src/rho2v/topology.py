@@ -6,8 +6,9 @@ Two families of stationary features are distinguished:
     strictly negative one-sided log-derivative of the spherical average
     whose Richardson ladder converged; the gradient is undefined at the
     kink itself, so the ascent stops next to it, and a batched compass
-    search (six axis steps per point, halved when none is uphill) settles
-    every cusp onto its kink down to a 1e-14 bohr step;
+    search (six axis steps per point, halved when none is uphill, at 16
+    successive step lengths per pass) settles every cusp onto its kink
+    down to a 1e-14 bohr step;
   * smooth critical points (non-nuclear maxima, saddles, minima), found
     by safeguarded Newton iteration on grad rho = 0 and classified by the
     rank and signature of the Hessian spectrum.
@@ -19,7 +20,10 @@ doubles a seed's step after an uphill trial and halves it after a downhill
 one, unless the trial slopes down along the step: then it has passed the
 peak of its line, and the next step goes to the peak that the two slopes
 and values give for a V-shaped profile: back from an uphill trial, or from
-the seed, which stays put, after a downhill one (_ascend).  Every step
+the seed, which stays put, after a downhill one (_ascend).  By Kato's cusp
+condition ln rho is locally a V with slopes +-2Z along any line through a
+nucleus, so where the two log-slopes are nearly opposite the V is taken in
+ln rho, and elsewhere in rho.  Every step
 is one pass of the density kernel, which returns the values, the
 derivatives and the mask of the points on a cusp together, over a
 compacted set of the seeds still moving; the Newton seeds whose step
@@ -76,13 +80,12 @@ ASCENT_ITERATIONS = 500
 SETTLE_ITERATIONS = 2000
 NEWTON_ITERATIONS = 80
 _AXES = np.concatenate([np.eye(3), -np.eye(3)])
+# a pass of the compass search tries its step times each of these: h, h/2, ..., h/2**15
+_SETTLE_SCALES = 0.5 ** np.arange(16)
 # Newton is disabled this close to a detected non-smooth point
 CUSP_EXCLUSION = 1e-2
 # relative Hessian eigenvalue floor for rank counting
 EIG_REL_TOL = 1e-8
-
-_FLOOR_RADII = (1e-3, 1e-4)
-_N_FLOOR_DIRECTIONS = 24
 
 
 class CriticalKind(enum.Enum):
@@ -141,12 +144,15 @@ def _fibonacci_directions(n: int) -> np.ndarray:
     return np.stack([r * np.cos(golden * i), r * np.sin(golden * i), z], axis=1)
 
 
+# the probes of _gradient_norm_floor less their center: 24 Fibonacci directions at
+# 1e-3 bohr, then at 1e-4 bohr
+_FLOOR_OFFSETS = np.concatenate([radius * _fibonacci_directions(24) for radius in (1e-3, 1e-4)])
+
+
 def _gradient_norm_floor(model: DensityModel, position: np.ndarray) -> float:
     """Infimum of |grad rho| over small punctured spheres about position,
     skipping probe points on a cusp singularity; 0.0 when none remain."""
-    dirs = _fibonacci_directions(_N_FLOOR_DIRECTIONS)
-    probes = np.concatenate([position + radius * dirs for radius in _FLOOR_RADII])
-    p = kernel_pass(model, probes, 1)
+    p = kernel_pass(model, position + _FLOOR_OFFSETS, 1)
     g = p.gradient[~p.on_cusp]
     if not len(g):
         return 0.0
@@ -202,16 +208,25 @@ def _ascend(model, seeds, box):
     s, starting at 0.05 box widths.  A trial whose slope along the step,
     k_t = grad rho(trial) . u, is >= 0 doubles s when it is uphill and
     halves s when it is downhill (rejected).  A trial with k_t < 0 has
-    passed the peak of its line, which in the V model of a Slater kink, rho
-    along the line rising at the start slope k = |grad rho| and falling at
-    k_t, lies s* = (f_t - f - k_t s) / (k - k_t) from the start.  An uphill
-    one moves the seed and steps back to it next, s - s* clipped to
-    [1e-3 s, s]; a downhill one leaves the seed where it is and steps to it
-    next, s* clipped to [0.1 s, 0.5 s].  On a kink that lands on the peak at
-    once, where doubling would overshoot it again after every uphill step
-    and halving would take a run of rejected trials to come back under it;
-    the lower clip keeps a far overshoot, whose f_t << f makes s* much too
-    short, from stopping far short of the peak.  A seed stops when its step
+    passed the peak of its line, which lies s* from the start in the V model
+    of a Slater kink.  By Kato's cusp condition ln rho along a line through
+    a nucleus is a V with slopes +-2Z, exactly so for one hydrogenic term,
+    so where the log-slopes kappa = k/f at the start (k = |grad rho|) and
+    kappa_t = k_t/f_t at the trial are nearly opposite, |kappa + kappa_t| <
+    (kappa - kappa_t) / 2, the V is one of ln rho:
+    s* = (ln(f_t/f) - kappa_t s) / (kappa - kappa_t).  Elsewhere it is one
+    of rho, rising at k and falling at k_t: s* = (f_t - f - k_t s) / (k - k_t).
+    An uphill trial moves the seed and steps back to the peak next, s - s*
+    clipped to [1e-3 s, s]; a downhill one leaves the seed where it is and
+    steps to it next, s* clipped to [0.1 s, 0.3 s].  On a kink that lands on
+    the peak at once, where doubling would overshoot it again after every
+    uphill step and halving would take a run of rejected trials to come back
+    under it; on a hydrogenic kink a seed lands within about 1e-15 bohr of
+    the nucleus after its first trial past it, and then stops on the cusp.
+    The lower clip keeps a far overshoot, whose f_t << f makes s* much too
+    short, from stopping far short of the peak; the Kato test and the upper
+    clip keep the seeds that start in a small basin next to a heavier
+    nucleus in it.  A seed stops when its step
     falls below ASCENT_MIN_STEP, when it sits on a cusp (where the gradient
     is undefined) or where its gradient vanishes.  Endpoints outside the box or
     at zero density are not kept.  Each iteration is one kernel pass over
@@ -236,16 +251,24 @@ def _ascend(model, seeds, box):
         up = p.value > fa
         # a trial sloping down along the step has passed the peak of its line, which
         # the V model puts `peak` from the start: an uphill trial steps back to it,
-        # a downhill one leaves the seed in place and steps to it next
+        # a downhill one leaves the seed in place and steps to it next.  The V is one
+        # of ln rho where the log-slopes at the two ends are nearly opposite, the
+        # Kato signature of a kink, and one of rho elsewhere
         kt = np.add.reduce(p.gradient * ua, axis=1)
         passed = kt < 0.0
-        peak = (p.value - fa - kt * sa) / np.where(passed, ka - kt, 1.0)
+        kappa = ka / fa
+        kappa_t = np.divide(kt, p.value, out=np.zeros_like(kt), where=passed & (p.value > 0.0))
+        kato = passed & (np.abs(kappa + kappa_t) < 0.5 * (kappa - kappa_t))
+        log_rise = np.log(p.value / fa, out=np.zeros_like(fa), where=kato)
+        peak = np.where(
+            kato, (log_rise - kappa_t * sa) / (kappa - kappa_t), (p.value - fa - kt * sa) / np.where(passed, ka - kt, 1.0)
+        )
         np.copyto(xa, trial, where=up[:, None])
         np.copyto(fa, p.value, where=up)
         sa = np.where(
             up,
             np.where(passed, np.clip(sa - peak, 1e-3 * sa, sa), sa * 2.0),
-            np.where(passed, np.clip(peak, 0.1 * sa, 0.5 * sa), sa * 0.5),
+            np.where(passed, np.clip(peak, 0.1 * sa, 0.3 * sa), sa * 0.5),
         )
         norm = _norms(p.gradient)
         turn = up & ~p.on_cusp & (norm > 0.0)
@@ -266,7 +289,16 @@ def _settle(model, points):
     Each point moves to the best uphill one of its six axis steps, starting
     at ASCENT_MIN_STEP, or halves its step when none is uphill, until the
     step is below CUSP_MIN_STEP.  Needing no gradient, it goes on inside the
-    CENTER_EPS ball of a cusp."""
+    CENTER_EPS ball of a cusp.  One pass tries the six steps at h and at
+    its first 15 halvings at once (those not below CUSP_MIN_STEP), moves to
+    the best uphill trial of the largest step that has one and keeps that
+    step, or halves h 16 times when none is uphill.  That is the path of one
+    halving per pass, bit for bit: the point does not move while it halves,
+    h * 2**-j is exact, and a batch holds six points per step, an even
+    number, so neither it nor any of the kernel's chunks of it holds a
+    point alone: the kernel sums each point's terms in term order either way.
+    SETTLE_ITERATIONS caps these passes; no search over the test frames or
+    the invert-frames benchmark reaches the cap."""
     x = np.array(points, dtype=float).reshape(-1, 3)
     f = evaluate_many(model, x)
     h = np.full(len(x), ASCENT_MIN_STEP)
@@ -274,13 +306,21 @@ def _settle(model, points):
     for _ in range(SETTLE_ITERATIONS):
         if not len(idx):
             break
-        trial = x[idx, None] + h[idx, None, None] * _AXES
-        f_trial = evaluate_many(model, trial.reshape(-1, 3)).reshape(-1, len(_AXES))
-        best = np.argmax(f_trial, axis=1)
-        f_best = f_trial[np.arange(len(idx)), best]
-        up = f_best > f[idx]
-        x[idx[up]], f[idx[up]] = trial[up, best[up]], f_best[up]
-        h[idx[~up]] *= 0.5
+        # (S, J) steps, h times each scale that leaves some step at or above the floor,
+        # and their (S, J, 6, 3) trial points
+        scales = _SETTLE_SCALES[np.max(h[idx]) * _SETTLE_SCALES >= CUSP_MIN_STEP]
+        steps = h[idx, None] * scales
+        trial = x[idx, None, None] + steps[:, :, None, None] * _AXES
+        f_trial = evaluate_many(model, trial.reshape(-1, 3)).reshape(*steps.shape, len(_AXES))
+        best = np.argmax(f_trial, axis=2)
+        f_best = np.take_along_axis(f_trial, best[:, :, None], axis=2)[:, :, 0]
+        # the largest step with an uphill trial, if any
+        up = (f_best > f[idx, None]) & (steps >= CUSP_MIN_STEP)
+        rows, j = np.arange(len(idx)), np.argmax(up, axis=1)
+        moved = up[rows, j]
+        h[idx] = np.where(moved, steps[rows, j], h[idx] * 0.5 ** len(_SETTLE_SCALES))
+        rows, j = rows[moved], j[moved]
+        x[idx[moved]], f[idx[moved]] = trial[rows, j, best[rows, j]], f_best[rows, j]
         idx = idx[h[idx] >= CUSP_MIN_STEP]
     return x
 
@@ -364,10 +404,13 @@ def find_critical_points(
     """Multistart search for all maxima and stationary points of the density.
 
     From every seed of a seeds_per_axis^3 grid over default_search_box at
-    once, a batched gradient ascent collects maxima.  Maxima whose spherical
-    average (Lebedev order `order`) has a negative one-sided slope, read on
-    its sign alone, are routed as cusps, settled onto the kink by a compass search down to a CUSP_MIN_STEP
-    step; the others are polished by Newton.  A batched safeguarded Newton
+    once, a batched gradient ascent collects maxima; a trial that passed its
+    line's peak steps to the peak of a V, one of ln rho where the two
+    log-slopes are nearly opposite (the Kato signature of a kink).  Maxima
+    whose spherical average (Lebedev order `order`) has a negative one-sided
+    slope, read on its sign alone, are routed as cusps, settled onto the kink
+    by a compass search down to a CUSP_MIN_STEP step that tries 16 step
+    lengths per pass; the others are polished by Newton.  A batched safeguarded Newton
     iteration from the grid seeds and from seeds between every pair of
     maxima then collects the smooth stationary points; it is kept out of a
     1e-2 bohr exclusion ball around each cusp.  Survivors are deduplicated

@@ -878,11 +878,13 @@ def test_report_result_bytes_are_pinned(tmp_path, command):
 # the peak of a crossed kink: 3center and h moved by at most 1.4e-14 bohr and
 # 9.3e-12 in charge, z30 and gaussian only by the new fields; and again when a
 # downhill trial that had passed the peak stepped to it instead of halving:
-# 3center and h moved by at most 1.3e-14 bohr and 2.5e-11 in charge
+# 3center and h moved by at most 1.3e-14 bohr and 2.5e-11 in charge; and again
+# when the ascent took a V in ln rho at a kink: 3center and h moved by at most
+# 8.5e-15 bohr and 2.0e-11 in charge
 INVERT_DIGESTS = {
     "z30": "df53c8a3f970ee6308497fa713eb9a56e32c40ff654ca951535afcd51747a2ed",
-    "3center": "5ca2ee24c17116cbaf6d18ca027c1fff336c8cdc53d1c83bb58aae15eb17832c",
-    "h": "69a0c1c85e213dcf7ac944f1580b2981fb9a0c42df5ed60804bd1aef41c1226f",
+    "3center": "686e0ba7202dea2342e6749f38417047e9a25df0ca19cb5e50fade42ea36a406",
+    "h": "b9134e4ed92e44b48eca6ba688774c9301f9585a7b6083e458505ea2bccd65aa",
     "gaussian": "648769f46593e86f741a62a40d36150998759b767ff3c602797e2e562b9e7dd9",
 }
 INVERT_SPECS = {
@@ -955,10 +957,11 @@ MISSED_CENTER = Z3Z1_1BOHR | {"frame": [{"position": [0, 0, 0], "charge": 2.0}, 
 # by at most 8.5e-15 bohr and 7.4e-11 in charge, two-smooth-maxima only by the new
 # fields), and snap-charges and missed-center again when a downhill trial that had
 # passed the peak stepped to it instead of halving (at most 8.5e-15 bohr and
-# 2.7e-11 in charge)
+# 2.7e-11 in charge), and once more when the ascent took a V in ln rho at a kink
+# (at most 1.6e-14 bohr and 3.9e-11 in charge)
 BRANCH_DIGESTS = {
-    "invert-snap-charges": "2bacf4517ceb672376d9941d072b6d6c587b8eeede4a4eef280b87baed02ba2e",
-    "invert-missed-center": "8cf3ced86e701da53a3ff2f00306ea5e54b2637afc84aa0c92816369b43bc937",
+    "invert-snap-charges": "0d683d1b5786057054351032c00be37c85f184e78d353584a610f4f3d35b2c5c",
+    "invert-missed-center": "f714debd174779836eb7e82bf74358e5d4dc8648461dfb0fa626ffe13d74bf1d",
     "verify-cusp-fails": "993226f113ff8995cacee6d718d9b82f9a2ed3573782ab5a67e2cf464ae65dcb",
     "audit-cusp-cross-check": "b2c1e2392be88301b46902a88f754c8089dd576f18fb3e5de1f278b93bded069",
     "invert-two-smooth-maxima": "d8925e7ad47e89ca8acef232ccf684be85660e373d5b95fd81c7e20c6d9c7799",
