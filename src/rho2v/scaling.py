@@ -8,10 +8,11 @@ is the unique monotone match of cumulative radial charges,
 
     Q_target(f(r)) = Q_source(r),    Q(r) = int_0^r 4 pi s^2 rho(s) ds,
 
-which is what gets solved here, for all radii at once: one masked
-bracket-doubling pass, one safeguarded Newton-bisection iteration and one
-Newton polish over the whole grid, each calling the density callables on
-arrays; f' is then recovered algebraically from the Jacobian relation.
+which is what gets solved here, for all radii at once: brackets read from
+one table of the target's charges on the grid, a safeguarded Newton-bisection
+iteration from a log secant inside them and one Newton polish over the whole
+grid, each calling the density callables on arrays; f' is then recovered
+algebraically from the Jacobian relation.
 Cumulative matching is unconditionally stable and monotone, unlike direct
 integration of the nonlinear ODE.
 
@@ -112,16 +113,54 @@ def _residual(target: RadialDensity, x: np.ndarray, q, qc, upper) -> np.ndarray:
     return out
 
 
+# the radii a bracket table grows by past its end, as multiples of that end
+_DOUBLINGS = np.array([2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0])
+
+
+def _bracket(values_at, x: np.ndarray, v: np.ndarray, key: np.ndarray, complement: bool) -> tuple:
+    """(lo, hi, h(lo), h(hi), start) for each root of h = values_at - key.
+
+    h increases in x; v = values_at(x) is its table on increasing radii x with
+    x[0] = 0, extended past x[-1] by doublings (eight a call, at most 200)
+    while a key is above it.  lo and hi are adjacent table radii with
+    h(lo) < 0 <= h(hi), except where h(0) >= 0 or, after the last doubling,
+    h(hi) < 0: the caller raises on both.  start is the secant of log|v| over
+    log x inside the bracket (over x on the complement, whose log is near
+    linear in the tail), and follows v ~ x^3 in the bracket from 0; it is the
+    midpoint where the secant leaves the bracket or is not finite.
+    """
+    for _ in range(25):
+        if v[-1] >= key.max():
+            break
+        more = x[-1] * _DOUBLINGS
+        x, v = np.concatenate((x, more)), np.concatenate((v, values_at(more)))
+    j = np.clip(np.searchsorted(v, key), 1, len(v) - 1)
+    a, b, v_a, v_b = x[j - 1], x[j], v[j - 1], v[j]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u_a, u_b, u = np.log(np.abs(v_a)), np.log(np.abs(v_b)), np.log(np.abs(key))
+        if complement:
+            secant = b + (a - b) * (u - u_b) / (u_a - u_b)
+        else:
+            rise = np.where(a > 0.0, (u_b - u_a) / np.log(b / a), 3.0)
+            secant = b * np.exp((u - u_b) / rise)
+    start = np.where((a < secant) & (secant < b), secant, 0.5 * (a + b))
+    return a, b, v_a - key, v_b - key, start
+
+
 def _solve_radii(target: RadialDensity, r: np.ndarray, charges) -> np.ndarray:
     """Solve Q_target(f) = Q_source(r) for every radius of the 1-d array r at once,
     given the source charges (q, N - q, upper) at r.
 
     Each point matches on the cumulative, or on the complement where its
     source charge is above N/2; either way the residual h(x) increases in x
-    with slope 4 pi x^2 rho_target(x).  The bracket (0, hi) comes from
-    doubling hi from max(r, 1e-6), the root from a masked Newton iteration
-    that bisects when a step is not finite, leaves the bracket or is more
-    than half the step before last, and a 4-step Newton polish ends it.
+    with slope 4 pi x^2 rho_target(x).  The brackets come from a table of the
+    target's charges at 0 and along r (its running maximum: r itself on an
+    increasing grid), one call per representation: the cumulative at all of
+    those radii, the complement from the last that holds at most N/2 on.
+    Every root lies between two adjacent table radii (one that is a table
+    radius is exact) and starts at a log secant inside them; a masked Newton
+    iteration that bisects when a step is not finite, leaves the bracket or
+    is more than half the step before last, and a 4-step Newton polish end it.
     """
     q, qc, upper = charges
 
@@ -131,30 +170,39 @@ def _solve_radii(target: RadialDensity, r: np.ndarray, charges) -> np.ndarray:
     def slope(x):
         return 4.0 * math.pi * x * x * np.asarray(target.rho(x), dtype=float)
 
+    def cumulative(x):
+        return np.asarray(target.cumulative(x), dtype=float)
+
+    def negated_complement(x):
+        return -np.asarray(target.complement(x), dtype=float)
+
     points = np.arange(len(r))
-    hi = np.maximum(r, 1e-6)
-    h_hi = np.empty(len(r))
-    pending = points
-    for _ in range(200):
-        h_hi[pending] = h(hi[pending], pending)
-        pending = pending[~(h_hi[pending] >= 0.0)]
-        if pending.size == 0:
-            break
-        hi[pending] *= 2.0
-    else:
+    radii = np.concatenate(([0.0], np.maximum.accumulate(r)))
+    q_table = cumulative(radii)
+    lo, hi, h_lo, h_hi, start = (np.zeros(len(r)) for _ in range(5))
+    low = points[~upper]
+    if low.size:
+        lo[low], hi[low], h_lo[low], h_hi[low], start[low] = _bracket(cumulative, radii, q_table, q[low], False)
+    if upper.any():
+        # the complement from the last radius that holds at most half the charge on
+        half = max(int(np.searchsorted(q_table, 0.5 * target.electron_count, side="right")) - 1, 1)
+        x = np.concatenate(([0.0], radii[half:]))
+        c_table = negated_complement(x)
+        up = points[upper]
+        lo[up], hi[up], h_lo[up], h_hi[up], start[up] = _bracket(negated_complement, x, c_table, -qc[up], True)
+    unmatched = ~(h_hi >= 0.0)
+    if np.any(unmatched):
         raise NonMonotoneCumulative(
-            f"target cumulative never reaches the source charge at r = {r[pending[0]]:g}"
+            f"target cumulative never reaches the source charge at r = {r[np.argmax(unmatched)]:g}"
         )
-    h_0 = h(np.zeros(len(r)), points)
-    if np.any(h_0 > 0.0):
-        bad = r[np.argmax(h_0 > 0.0)]
+    if np.any(h_lo > 0.0):
+        bad = r[np.argmax(h_lo > 0.0)]
         raise NonMonotoneCumulative(f"no bracket below r = {bad:g}; cumulative not increasing from 0")
 
-    lo = np.zeros(len(r))
-    f = np.where(h_0 == 0.0, 0.0, np.where(h_hi == 0.0, hi, 0.5 * hi))
-    last_step = hi.copy()
-    step_before = hi.copy()  # the step before last_step
-    active = points[(h_0 != 0.0) & (h_hi != 0.0)]
+    f = np.where(h_lo == 0.0, 0.0, np.where(h_hi == 0.0, hi, start))
+    last_step = hi - lo
+    step_before = last_step.copy()  # the step before last_step
+    active = points[(h_lo != 0.0) & (h_hi != 0.0)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(200):
             if active.size == 0:

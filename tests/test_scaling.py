@@ -18,6 +18,7 @@ from scipy.special import gammainc, gammaincc
 from rho2v.density import DensityModel, PrimitiveKind, RadialPrimitive
 from rho2v import radial, scaling
 from rho2v.errors import MassMismatch, NonMonotoneCumulative
+from rho2v.specio import parse_spec
 from rho2v.scaling import (
     Q_RESIDUAL_TARGET,
     RadialDensity,
@@ -65,8 +66,13 @@ def test_steep_source_onto_wide_target():
 def test_identity_map():
     rd = RadialDensity.hydrogenic(1.3)
     m = solve_scaling_map(rd, RadialDensity.hydrogenic(1.3))
-    assert np.max(np.abs(m.f - m.grid)) <= 1e-10
+    # h vanishes at every radius of the bracket table, so each root is one
+    assert np.array_equal(m.f, m.grid) and np.all(m.q_residuals == 0.0)
     assert m.jacobian_residual < 1e-3  # FD diagnostic on an exact map
+    mixture = mixture_density([(1.0, 1.6, 0), (0.3, 0.9, 1), (PrimitiveKind.GAUSSIAN, 0.4, 0.8, 2)])
+    grid = default_grid(1e-3, 20.0, 2048)
+    m = solve_scaling_map(mixture, mixture, grid)
+    assert np.array_equal(m.f, grid) and np.all(m.q_residuals == 0.0)
 
 
 def test_map_starts_at_zero(map_1_to_2):
@@ -132,6 +138,34 @@ def test_batched_solver_matches_scalar_reference():
     at_one = m.map_at(1.0)
     assert np.ndim(at_one) == 0 and isinstance(at_one, float)
     assert at_one == m.map_at(np.array([1.0]))[0]
+
+
+@pytest.mark.parametrize(("z_source", "z_target"), [(1.0, 15.0), (15.0, 1.0)], ids=["compact-target", "diffuse-target"])
+def test_roots_outside_the_grid_match_scalar_reference(z_source, z_target):
+    # f = r Z_source / Z_target: a compact target puts the first roots below
+    # grid[0], in the bracket from 0, a diffuse one the last roots beyond grid[-1],
+    # in brackets from the doubled table
+    source, target = RadialDensity.hydrogenic(z_source), RadialDensity.hydrogenic(z_target)
+    grid = default_grid()
+    m = solve_scaling_map(source, target, grid)
+    outside = m.f < grid[0] if z_target > z_source else m.f > grid[-1]
+    assert outside.sum() >= 10
+    expected = np.array([scalar_match_radius(source, target, r) for r in grid])
+    assert np.max(np.abs(m.f - expected) / expected) <= 1e-14
+
+
+def test_charge_below_the_float_floor_maps_by_the_cube_law():
+    # below 0.54 bohr the power-169 term holds less than 1e-306 of its charge, and
+    # hydrogen's Q(x) = 1 - e^(-2x) (1 + 2x + 2x^2) is 4 x^3 / 3 to within a
+    # relative 1.5 x there
+    source = mixture_density([(1e-258, 1.0, 169)])
+    grid = default_grid()
+    m = solve_scaling_map(source, RadialDensity.hydrogenic(1.0), grid)
+    assert np.all(m.q_residuals <= Q_RESIDUAL_TARGET)
+    q = source.cumulative(grid)
+    tiny = (q > 0.0) & (q < 1e-250)
+    assert tiny.sum() >= 10
+    assert np.max(np.abs(m.f[tiny] / np.cbrt(0.75 * q[tiny]) - 1.0)) <= 1e-14
 
 
 @pytest.mark.parametrize("power", [0, 2])
@@ -218,23 +252,34 @@ def test_rho_of_a_high_power_term_takes_the_log_form():
     assert np.shape(at_peak) == () and at_peak == values[1]
 
 
-def test_density_hole_raises():
-    # uniform ball + detached shell with a vacuum gap in between
+def ball_and_shell(gap_end):
+    """Half an electron in a uniform ball of radius 1 and half in a uniform shell
+    from gap_end to gap_end + 1, with vacuum between them."""
+    shell = (gap_end + 1.0) ** 3 - gap_end**3
+
     def rho(r):
         r = np.asarray(r, dtype=float)
-        inner = 0.5 / ((4.0 / 3.0) * math.pi)
-        outer = 0.5 / ((4.0 / 3.0) * math.pi * (3.0**3 - 2.0**3))
-        return np.where(r <= 1.0, inner, np.where(r < 2.0, 0.0, np.where(r <= 3.0, outer, 0.0)))
+        in_shell = (gap_end <= r) & (r <= gap_end + 1.0)
+        return np.where(r <= 1.0, 0.375 / math.pi, np.where(in_shell, 0.375 / (math.pi * shell), 0.0))
 
     def cumulative(r):
         r = np.asarray(r, dtype=float)
-        inner = 0.5 * np.clip(r, 0, 1.0) ** 3
-        outer = 0.5 * (np.clip(r, 2.0, 3.0) ** 3 - 8.0) / 19.0
-        return inner + outer
+        return 0.5 * np.clip(r, 0.0, 1.0) ** 3 + 0.5 * (np.clip(r, gap_end, gap_end + 1.0) ** 3 - gap_end**3) / shell
 
-    holed = RadialDensity(rho=rho, cumulative=cumulative, complement=lambda r: 1.0 - cumulative(r), electron_count=1.0)
+    return RadialDensity(rho=rho, cumulative=cumulative, complement=lambda r: 1.0 - cumulative(r), electron_count=1.0)
+
+
+def test_density_hole_raises():
+    holed = ball_and_shell(2.0)
     with pytest.raises(NonMonotoneCumulative, match="vanishes at f = 1.5 .flat cumulative: density hole.$"):
         solve_scaling_map(holed, holed, grid=np.array([0.5, 1.5, 2.5]))
+    # a target with exactly half its charge at every grid radius from 1.2 to 3.5
+    # and a source with half at 1.2, 1.5 and 1.8: equal keys meet a run of equal
+    # table values, on the cumulative here and on the complement for 2.2 and 2.6
+    grid = np.array([0.5, 1.2, 1.5, 1.8, 2.2, 2.6, 3.5, 4.2])
+    message = r"^target density vanishes at f = 1.2 \(flat cumulative: density hole\)$"
+    with pytest.raises(NonMonotoneCumulative, match=message):
+        solve_scaling_map(holed, ball_and_shell(4.0), grid)
 
 
 def test_target_that_never_reaches_the_charge_raises():
@@ -250,6 +295,22 @@ def test_target_that_never_reaches_the_charge_raises():
     # r = 0.5 holds 0.08 of the source's charge and is matched; r = 3 holds 0.94
     with pytest.raises(NonMonotoneCumulative, match="never reaches the source charge at r = 3"):
         solve_scaling_map(RadialDensity.hydrogenic(1.0), short, grid=np.array([0.5, 3.0]))
+
+
+def test_target_charge_at_the_origin_leaves_no_bracket_below():
+    # a fifth of the target's electron sits at r = 0, so Q_target(0) = 0.2
+    def rho(r):
+        r = np.asarray(r, dtype=float)
+        return 0.8 * np.exp(-r) / (4.0 * math.pi * r * r)
+
+    pointlike = RadialDensity(
+        rho=rho,
+        cumulative=lambda r: 0.2 - 0.8 * np.expm1(-np.asarray(r, dtype=float)),
+        complement=lambda r: 0.8 * np.exp(-np.asarray(r, dtype=float)),
+        electron_count=1.0,
+    )
+    with pytest.raises(NonMonotoneCumulative, match=r"^no bracket below r = 0.001; cumulative not increasing from 0$"):
+        solve_scaling_map(RadialDensity.hydrogenic(1.0), pointlike)
 
 
 @pytest.mark.parametrize("a", np.arange(0.5, 6.5, 0.5))
@@ -278,8 +339,8 @@ def test_q_residual_sees_an_upper_tail_error(monkeypatch):
     assert np.all(m.q_residuals[~upper] <= Q_RESIDUAL_TARGET)
 
 
-def test_solve_scaling_map_evaluates_the_source_charges_once():
-    calls = {}
+def counting(density: RadialDensity, calls: dict) -> RadialDensity:
+    """density with its cumulative and complement counting their calls in calls."""
 
     def counted(name, f):
         def wrapper(r):
@@ -288,9 +349,52 @@ def test_solve_scaling_map_evaluates_the_source_charges_once():
 
         return wrapper
 
-    s = RadialDensity.hydrogenic(1.0)
-    source = RadialDensity(
-        s.rho, counted("cumulative", s.cumulative), counted("complement", s.complement), s.electron_count
-    )
-    solve_scaling_map(source, RadialDensity.hydrogenic(2.0), default_grid())
+    cumulative, complement = counted("cumulative", density.cumulative), counted("complement", density.complement)
+    return RadialDensity(density.rho, cumulative, complement, density.electron_count)
+
+
+def test_solve_scaling_map_evaluates_the_source_charges_once():
+    calls = {}
+    solve_scaling_map(counting(RadialDensity.hydrogenic(1.0), calls), RadialDensity.hydrogenic(2.0), default_grid())
     assert calls == {"cumulative": 1, "complement": 1}
+
+
+def two_electron_mixture(slater0, slater_n, gaussian_n):
+    """The radial density of a normalized two-electron spec of a Slater, a Slater
+    and a Gaussian term at one center, each (coefficient, exponent, power)."""
+    kinds = ("slater_s", "slater_s", "gaussian")
+    terms = [
+        {"kind": kind, "center": [0.4, -1.1, 0.7], "coefficient": c, "exponent": e, "power": n}
+        for kind, (c, e, n) in zip(kinds, (slater0, slater_n, gaussian_n))
+    ]
+    return RadialDensity.from_model(parse_spec({"electron_count": 2, "normalize": True, "terms": terms}))
+
+
+@pytest.mark.parametrize(
+    ("source", "target", "grid", "most"),
+    [
+        # the pair of the pinned 2048-point lst outputs in test_cli: 19 and 21 calls
+        # while each radius doubled its own bracket and Newton started at its middle
+        (
+            two_electron_mixture((0.74, 1.62, 0), (0.31, 0.97, 2), (0.27, 1.15, 1)),
+            two_electron_mixture((0.58, 2.21, 0), (0.44, 0.63, 1), (0.12, 0.41, 2)),
+            default_grid(points=2048),
+            {"cumulative": 9, "complement": 12},
+        ),
+        # f reaches 300 bohr, 4 doublings past the grid: 18 and 29 calls then
+        (
+            RadialDensity.hydrogenic(15.0),
+            RadialDensity.hydrogenic(1.0),
+            default_grid(),
+            {"cumulative": 9, "complement": 10},
+        ),
+    ],
+    ids=["pinned-mixture-2048", "z15-onto-z1"],
+)
+def test_solve_scaling_map_target_charge_calls(source, target, grid, most):
+    # one table call per representation brackets every radius; the rest are
+    # Newton iterations, the polish and the q residual
+    calls = {}
+    solve_scaling_map(source, counting(target, calls), grid)
+    assert set(calls) == set(most)
+    assert all(calls[name] <= most[name] for name in most)
