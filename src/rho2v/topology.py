@@ -14,8 +14,11 @@ Two families of stationary features are distinguished:
     rank and signature of the Hessian spectrum.
 
 Search is multistart over a uniform seed grid, and every seed moves at
-once: one batched gradient ascent with a step length per seed, then one
-batched Newton iteration whose Hessians are solved as a stack.  The ascent
+once: one batched gradient ascent with a step length per seed, then a
+batched Newton iteration whose Hessians are solved as a stack.  The grid
+seeds only the ascent; Newton runs from what it found: the ascent's smooth
+maxima, to polish them, and three points on the segment between every pair
+of extrema, where the bond points lie.  The ascent
 doubles a seed's step after an uphill trial and halves it after a downhill
 one, unless the trial slopes down along the step: then it has passed the
 peak of its line, and the next step goes to the peak that the two slopes
@@ -30,7 +33,17 @@ compacted set of the seeds still moving; the Newton seeds whose step
 falls below tolerance take one order-1 pass of their own in that
 iteration for their convergence check.  A seed that meets a cusp, a
 singular Hessian or the edge of the box (widened by min(0.5 bohr, a
-quarter box width)) drops out alone.  Results are
+quarter box width)) drops out alone.
+
+The critical points of a density that decays at infinity satisfy the
+Poincare-Hopf relation n - b + r - c = 1 over its maxima, bond (3,-1),
+ring (3,+1) and cage (3,+3) points (Bader, Atoms in Molecules, 1990), a
+cusp counting as a maximum.  When no point found is degenerate and the sum
+is not 1, Newton runs again from more of the structure found, in stages
+that stop once the sum is 1: from the centroid of every triple of extrema,
+then from seeds about the bond points (_bond_seeds).  A stage adds points
+and never replaces one.  The sum cannot see a missed maximum together with
+the bond point to it.  Results are
 deduplicated within a position tolerance and returned in a canonical order
 of their rounded positions, so the output is independent of seed
 enumeration order.
@@ -40,6 +53,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,7 +77,7 @@ __all__ = [
 # report that ran the search records them under "topology".
 # a smooth point is stationary when |grad rho| is at most this
 GRAD_TOL = 1e-6
-# seed grid points per axis of the multistart search box
+# seed grid points per axis of the multistart ascent over the search box
 DEFAULT_SEEDS = 8
 MIN_SEEDS = 4
 # candidates closer than this are one point
@@ -86,6 +100,10 @@ _SETTLE_SCALES = 0.5 ** np.arange(16)
 CUSP_EXCLUSION = 1e-2
 # relative Hessian eigenvalue floor for rank counting
 EIG_REL_TOL = 1e-8
+# Newton seeds about a bond point: these offsets (bohr) along its middle Hessian eigenvector
+_BOND_OFFSETS = np.array([-0.3, -0.15, -0.05, 0.05, 0.15, 0.3])
+# Newton seeds on the segment between two points: these fractions of the way
+_SEGMENT_FRACTIONS = (0.5, 1.0 / 3.0, 2.0 / 3.0)
 
 
 class CriticalKind(enum.Enum):
@@ -381,6 +399,47 @@ def _newton(model, seeds, box, cusp_positions):
     return x, converged
 
 
+def _segment_seeds(points) -> np.ndarray:
+    """(3 P, 3) seeds at _SEGMENT_FRACTIONS of the segment between every pair of the points."""
+    return np.reshape(
+        [(1.0 - w) * a + w * b for i, a in enumerate(points) for b in points[i + 1 :] for w in _SEGMENT_FRACTIONS],
+        (-1, 3),
+    )
+
+
+def _triangle_centroids(points) -> np.ndarray:
+    """(T, 3) centroids of every triple of the points."""
+    triples = np.array(list(itertools.combinations(range(len(points)), 3)), dtype=int).reshape(-1, 3)
+    return np.reshape(points, (-1, 3))[triples].mean(axis=1)
+
+
+def _bond_seeds(model, bonds, centroids) -> np.ndarray:
+    """Newton seeds about the bond points, where a missed ring point lies: each
+    bond point moved by _BOND_OFFSETS along its middle Hessian eigenvector, the
+    segment seeds between every pair of bond points, and the midpoint between
+    each centroid and each bond point."""
+    bonds = np.reshape(bonds, (-1, 3))
+    soft = np.linalg.eigh(kernel_pass(model, bonds, 2).hessian)[1][:, :, 1]
+    along = bonds[:, None] + _BOND_OFFSETS[:, None] * soft[:, None]
+    mids = 0.5 * (centroids[:, None] + bonds[None])
+    return np.concatenate([along.reshape(-1, 3), _segment_seeds(list(bonds)), mids.reshape(-1, 3)])
+
+
+def _poincare_hopf_sum(points) -> int | None:
+    """n - b + r - c over the points, a cusp counting as a maximum; None when
+    a point is degenerate, neither a cusp nor of rank 3."""
+    total = 0
+    for p in points:
+        if p.is_cusp:
+            total += 1
+        elif p.rank == 3:
+            # (-1) ** (number of positive curvatures): +1 maximum, -1 bond, +1 ring, -1 cage
+            total += -1 if p.signature in (-1, 3) else 1
+        else:
+            return None
+    return total
+
+
 def _dedupe(candidates, model, radius):
     """Keep the highest-density representative per cluster, canonically.
 
@@ -398,6 +457,17 @@ def _dedupe(candidates, model, radius):
     return kept
 
 
+def _kept_points(model, candidates, order) -> list[CriticalPoint]:
+    """Classify the candidates and keep each that is a cusp, whose ladder read a
+    cusp without converging (not a cusp then), or whose gradient is at most GRAD_TOL."""
+    points = []
+    for x in candidates:
+        cp = classify(model, x, order)
+        if cp.log_derivative < -TAU_CUSP or (cp.gradient_norm is not None and cp.gradient_norm <= GRAD_TOL):
+            points.append(cp)
+    return points
+
+
 def find_critical_points(
     model: DensityModel, seeds_per_axis: int = DEFAULT_SEEDS, order: int = DEFAULT_ORDER
 ) -> list[CriticalPoint]:
@@ -410,14 +480,22 @@ def find_critical_points(
     whose spherical average (Lebedev order `order`) has a negative one-sided
     slope, read on its sign alone, are routed as cusps, settled onto the kink
     by a compass search down to a CUSP_MIN_STEP step that tries 16 step
-    lengths per pass; the others are polished by Newton.  A batched safeguarded Newton
-    iteration from the grid seeds and from seeds between every pair of
-    maxima then collects the smooth stationary points; it is kept out of a
-    1e-2 bohr exclusion ball around each cusp.  Survivors are deduplicated
-    within DEDUPE_RADIUS (highest density wins, ties broken by lexicographic
-    position) and classified; a point is kept when it is a cusp, when its
-    ladder read a cusp without converging (not a cusp then), or when its
-    gradient is at most GRAD_TOL.  The kept points are sorted on their
+    lengths per pass; the others are polished by Newton.  The grid seeds
+    only the ascent: a batched safeguarded Newton iteration from three seeds
+    on the segment between every pair of extrema then collects the smooth
+    stationary points; it is kept out of a 1e-2 bohr exclusion ball around
+    each cusp.  Survivors are deduplicated within DEDUPE_RADIUS (highest
+    density wins, ties broken by lexicographic position) and classified; a
+    point is kept when it is a cusp, when its ladder read a cusp without
+    converging (not a cusp then), or when its gradient is at most GRAD_TOL.
+    When no kept point is degenerate (each is a cusp or of rank 3) and
+    n - b + r - c, a cusp counting as a maximum, is not the 1 of
+    Poincare-Hopf, Newton runs from the centroid of every triple of extrema,
+    and if the sum is still not 1, from seeds about the bond points
+    (_bond_seeds).  A stage's new points farther than DEDUPE_RADIUS from
+    every kept point are deduplicated, classified and kept as above; they
+    never replace a kept point.  The sum cannot see a missed maximum together
+    with the bond point to it.  The kept points are sorted on their
     positions rounded to multiples of DEDUPE_RADIUS, ties broken by the raw
     positions, so that roundoff in a coordinate near zero cannot flip the
     order.
@@ -450,26 +528,30 @@ def find_critical_points(
     smooth = list(np.where(ok[:, None], polished, np.reshape(maxima, (-1, 3))))
 
     # stationary points between maxima (bond-region saddles) have narrow
-    # Newton basins a coarse grid can miss; seed the segment between every
-    # pair of detected maxima explicitly
+    # Newton basins; seed the segment between every pair of detected extrema
     extremum_reps = cusps + smooth
-    pair_seeds = [
-        (1.0 - w) * a + w * b
-        for i, a in enumerate(extremum_reps)
-        for b in extremum_reps[i + 1 :]
-        for w in (0.5, 1.0 / 3.0, 2.0 / 3.0)
-    ]
-    found, ok = _newton(model, np.concatenate([seeds, np.reshape(pair_seeds, (-1, 3))]), box, cusps)
+    found, ok = _newton(model, _segment_seeds(extremum_reps), box, cusps)
     smooth.extend(found[ok])
 
-    points = []
-    for x in _dedupe(cusps + smooth, model, radius=DEDUPE_RADIUS):
-        cp = classify(model, x, order)
-        # a cusp reading whose ladder did not converge stays, as a point that is not a cusp
-        if cp.log_derivative < -TAU_CUSP or (cp.gradient_norm is not None and cp.gradient_norm <= GRAD_TOL):
-            points.append(cp)
+    points = _kept_points(model, _dedupe(cusps + smooth, model, radius=DEDUPE_RADIUS), order)
     if not points:
         raise EmptyResult("no critical points survived classification")
+
+    # close the search on Poincare-Hopf: while no point is degenerate and the sum
+    # is not 1, seed Newton from more of the structure found; each stage's points
+    # farther than DEDUPE_RADIUS from every point kept join them
+    for stage in (1, 2):
+        if _poincare_hopf_sum(points) in (1, None):
+            break
+        if stage == 1:
+            seeds = centroids = _triangle_centroids(extremum_reps)
+        else:
+            bonds = [p.position for p in points if p.rank == 3 and p.signature == -1]
+            seeds = _bond_seeds(model, bonds, centroids)
+        found, ok = _newton(model, seeds, box, cusps)
+        known = np.reshape([p.position for p in points], (-1, 1, 3))
+        new = found[ok][np.all(_norms(found[ok] - known) > DEDUPE_RADIUS, axis=0)]
+        points += _kept_points(model, _dedupe(new, model, radius=DEDUPE_RADIUS), order)
 
     points.sort(key=lambda p: (*np.round(p.position / DEDUPE_RADIUS), *p.position))
     return points

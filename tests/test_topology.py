@@ -592,22 +592,26 @@ def test_search_at_eight_seeds_per_axis_reads_every_small_basin_nucleus(seed):
 
 
 def count_search_passes(monkeypatch):
-    """Count the kernel passes of find_critical_points' batched ascent and of its
-    compass search; the dict also holds the ascent's last (endpoints, kept)."""
-    passes = {"all": 0, "ascent": 0, "settle": 0}
+    """Count the kernel passes of find_critical_points, and those of its batched
+    ascent, its compass search and its Newton runs, with the points they evaluate
+    under "<phase>_points"; the dict also holds the ascent's last (endpoints, kept)."""
+    phases = ("ascent", "settle", "newton")
+    passes = dict.fromkeys(("all", "all_points", *phases, *(f"{name}_points" for name in phases)), 0)
 
     def counted(fn):
-        def run(*args, **kwargs):
+        def run(model, x, *args, **kwargs):
             passes["all"] += 1
-            return fn(*args, **kwargs)
+            passes["all_points"] += len(x)
+            return fn(model, x, *args, **kwargs)
 
         return run
 
     def phase(name, fn):
         def run(*args, **kwargs):
-            before = passes["all"]
+            before, points = passes["all"], passes["all_points"]
             result = fn(*args, **kwargs)
             passes[name] += passes["all"] - before
+            passes[f"{name}_points"] += passes["all_points"] - points
             return result
 
         return run
@@ -620,6 +624,7 @@ def count_search_passes(monkeypatch):
     monkeypatch.setattr(topology, "evaluate_many", counted(evaluate_many))
     monkeypatch.setattr(topology, "_ascend", phase("ascent", ascent))
     monkeypatch.setattr(topology, "_settle", phase("settle", _settle))
+    monkeypatch.setattr(topology, "_newton", phase("newton", _newton))
     return passes
 
 
@@ -657,3 +662,77 @@ def test_ascent_pass_count_on_an_off_origin_hydrogen(monkeypatch):
     ends, kept = passes["result"]
     assert kept.any()
     assert np.max(np.linalg.norm(ends[kept] - center, axis=1)) <= 1e-12
+
+
+def test_search_pass_count_on_the_three_center_frame(monkeypatch):
+    # Newton runs from the 3 pair seeds of each pair of extrema and the polish, not
+    # from the 125 grid seeds as well: 79 points in its passes, 484 with the grid
+    # seeds.  Its 21 passes are set by the slowest pair seed, so the total stays 82
+    passes = search_three_center_frame(monkeypatch)
+    assert (passes["newton"], passes["newton_points"]) == (21, 79)
+    assert passes["all"] == 82
+
+
+def test_newton_pass_count_on_an_off_origin_hydrogen(monkeypatch):
+    # one cusp: nothing to polish, no pair of extrema and no grid seed, so Newton
+    # makes no pass; with the 512 grid seeds it made 11
+    passes = count_search_passes(monkeypatch)
+    find_critical_points(hydrogenic_model(1.0, center=np.array([0.4, -0.7, 1.1])), seeds_per_axis=8)
+    assert passes["newton"] == 0 and passes["ascent"] > 0
+
+
+def poincare_hopf_sum(points):
+    """n - b + r - c from the points' kinds, a cusp counting as a maximum."""
+    index = {-3: 1, -1: -1, 1: 1, 3: -1}
+    assert all(p.is_cusp or p.rank == 3 for p in points)
+    return sum(1 if p.is_cusp else index[p.signature] for p in points)
+
+
+@pytest.mark.parametrize("seeds_per_axis", [5, 8])
+def test_search_closes_on_poincare_hopf(seeds_per_axis):
+    # a density that decays at infinity has n - b + r - c = 1 over its critical
+    # points (Bader 1990).  With Newton from the grid seeds and the pair seeds only,
+    # 11 of these frames broke it at 5 seeds per axis and 6 at 8, each missing a ring
+    # point
+    broken = [
+        seed
+        for seed in range(120)
+        if poincare_hopf_sum(find_critical_points(random_maxima_frame(seed), seeds_per_axis=seeds_per_axis)) != 1
+    ]
+    assert broken == []
+
+
+def test_a_shell_of_maxima_runs_no_later_newton_stage(monkeypatch):
+    # one normalized power-2 slater_s term (c = zeta = 1): its maxima form a sphere,
+    # and the search finds thousands of degenerate points on it, for which the
+    # Poincare-Hopf sum means nothing.  Newton runs twice, to polish the smooth
+    # maxima and from the pair seeds; the centroids of every triple of the 56 ascent
+    # maxima (27,720 seeds) are never built
+    calls = []
+
+    def newton(model, seeds, *args):
+        calls.append(len(seeds))
+        return _newton(model, seeds, *args)
+
+    monkeypatch.setattr(topology, "_newton", newton)
+    monkeypatch.setattr(topology, "_triangle_centroids", lambda points: pytest.fail("built the triangle centroids"))
+    prim = RadialPrimitive(PrimitiveKind.SLATER_S, 1.0, 1.0, 2)
+    model = normalize(DensityModel(terms=((np.zeros(3), prim),), electron_count=1))
+    points = find_critical_points(model, seeds_per_axis=4)
+    assert len(calls) == 2
+    assert sum(not p.is_cusp and p.rank != 3 for p in points) > 1000  # 2,684 of 2,685
+
+
+@pytest.mark.parametrize("seed", [45, 68])
+def test_a_later_newton_stage_adds_points_and_replaces_none(seed, monkeypatch):
+    # in both frames the pair seeds miss a ring point, and so do the triangle
+    # centroids; the seeds about the bond points find it
+    model = random_maxima_frame(seed)
+    full = find_critical_points(model, seeds_per_axis=5)
+    monkeypatch.setattr(topology, "_poincare_hopf_sum", lambda points: 1)
+    first = find_critical_points(model, seeds_per_axis=5)
+    assert poincare_hopf_sum(first) != 1 and poincare_hopf_sum(full) == 1
+    assert len(full) > len(first)
+    kept = {p.position.tobytes() for p in full}
+    assert all(p.position.tobytes() in kept for p in first)
+    assert any(p.signature == 1 for p in full if p.position.tobytes() not in {q.position.tobytes() for q in first})
