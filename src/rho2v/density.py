@@ -217,14 +217,6 @@ class _TermArrays(NamedTuple):
         )
 
 
-def _radial(c, a, b, n, r):
-    """g(r) = c * r^n * exp(-(a + b*r) * r) of one term (scalar c, a, b, n) at the
-    radii r, the one formula for every kind; in log form for n > 2."""
-    if n > 2:
-        return _log_form(c, a, b, n, r)
-    return c * r**n * np.exp(-(a + b * r) * r)
-
-
 def _log_form(c, a, b, n, r):
     """g as exp(log c + n log r - (a + b*r) * r): r^n alone overflows where g
     does not, e.g. at r = 67 bohr for n = 169."""

@@ -9,10 +9,10 @@ is the unique monotone match of cumulative radial charges,
     Q_target(f(r)) = Q_source(r),    Q(r) = int_0^r 4 pi s^2 rho(s) ds,
 
 which is what gets solved here, for all radii at once: brackets read from
-one table of the target's charges on the grid, a safeguarded Newton-bisection
-iteration from a log secant inside them and one Newton polish over the whole
-grid, each calling the density callables on arrays; f' is then recovered
-algebraically from the Jacobian relation.
+one table of the target's charges on the grid and one safeguarded
+Newton-bisection iteration from a log secant inside them, with one relative
+stop rule, each calling the density callables on arrays; f' is then
+recovered algebraically from the Jacobian relation.
 Cumulative matching is unconditionally stable and monotone, unlike direct
 integration of the nonlinear ODE.
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, _radial, hydrogenic_model, total_integral
+from .density import DensityModel, _term_values, hydrogenic_model, total_integral
 from .errors import MassMismatch, NonMonotoneCumulative
 from .radial import FOUR_PI, _moment
 
@@ -79,14 +79,14 @@ class RadialDensity:
             raise ValueError("model must have a single common center to be spherical")
         t = model._arrays
         charge = _moment(FOUR_PI * t.c, t.a, t.b, t.n, 2)
-        envelopes = np.hstack((t.c, t.a, t.b, t.n)).tolist()
 
         def summed(per_term):
-            """r -> the sum over terms, in term order, of per_term(r), shaped as r (0-d or 1-d)."""
+            """r -> the sum over terms, in term order, of the rows of per_term(r), (T, P),
+            shaped as r (0-d or 1-d)."""
             return lambda r: np.reshape(sum(per_term(np.asarray(r, dtype=float))), np.shape(r))
 
         return cls(
-            rho=summed(lambda r: (_radial(*envelope, r) for envelope in envelopes)),
+            rho=summed(lambda r: _term_values(t, np.broadcast_to(np.ravel(r), (len(t.c), np.size(r))))),
             cumulative=summed(lambda r: charge(r, complement=False)),
             complement=summed(lambda r: charge(r, complement=True)),
             electron_count=total_integral(model),
@@ -115,25 +115,36 @@ def _residual(target: RadialDensity, x: np.ndarray, q, qc, upper) -> np.ndarray:
 
 # the radii a bracket table grows by past its end, as multiples of that end
 _DOUBLINGS = np.array([2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0])
+# and a cumulative table below its first positive radius r1: r1 2^(-8k),
+# k = 128 ... 1, down to where Q underflows for every term that rises as x^3
+# or faster
+_BELOW_FIRST = 2.0 ** np.arange(-1024.0, 0.0, 8.0)
 
 
 def _bracket(values_at, x: np.ndarray, v: np.ndarray, key: np.ndarray, complement: bool) -> tuple:
     """(lo, hi, h(lo), h(hi), start) for each root of h = values_at - key.
 
-    h increases in x; v = values_at(x) is its table on increasing radii x with
-    x[0] = 0, extended past x[-1] by doublings (eight a call, at most 200)
-    while a key is above it.  lo and hi are adjacent table radii with
-    h(lo) < 0 <= h(hi), except where h(0) >= 0 or, after the last doubling,
-    h(hi) < 0: the caller raises on both.  start is the secant of log|v| over
-    log x inside the bracket (over x on the complement, whose log is near
-    linear in the tail), and follows v ~ x^3 in the bracket from 0; it is the
-    midpoint where the secant leaves the bracket or is not finite.
+    h increases in x; v = values_at(x) is its table on increasing radii x
+    from x[0] = 0, extended past x[-1] by doublings (eight a call, at most
+    200) while a key is above it and, on the cumulative, below its first
+    positive radius r1 by _BELOW_FIRST in one call when a positive key is
+    below v(r1).  lo and hi are adjacent table radii with h(lo) < 0 <= h(hi),
+    except where h(0) >= 0 or, after the last doubling, h(hi) < 0: the
+    caller raises on both.  start is the secant of log|v| over log x inside
+    the bracket (over x on the complement, whose log is near linear in the
+    tail); it is the midpoint where the secant leaves the bracket or is not
+    finite, as in a bracket from 0.
     """
     for _ in range(25):
         if v[-1] >= key.max():
             break
         more = x[-1] * _DOUBLINGS
         x, v = np.concatenate((x, more)), np.concatenate((v, values_at(more)))
+    first = int(np.searchsorted(x, 0.0, side="right"))  # the index of r1
+    if not complement and first < len(x) and np.any((0.0 < key) & (key < v[first])):
+        less = x[first] * _BELOW_FIRST
+        x = np.concatenate((x[:first], less, x[first:]))
+        v = np.concatenate((v[:first], values_at(less), v[first:]))
     j = np.clip(np.searchsorted(v, key), 1, len(v) - 1)
     a, b, v_a, v_b = x[j - 1], x[j], v[j - 1], v[j]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -141,7 +152,7 @@ def _bracket(values_at, x: np.ndarray, v: np.ndarray, key: np.ndarray, complemen
         if complement:
             secant = b + (a - b) * (u - u_b) / (u_a - u_b)
         else:
-            rise = np.where(a > 0.0, (u_b - u_a) / np.log(b / a), 3.0)
+            rise = (u_b - u_a) / np.log(b / a)
             secant = b * np.exp((u - u_b) / rise)
     start = np.where((a < secant) & (secant < b), secant, 0.5 * (a + b))
     return a, b, v_a - key, v_b - key, start
@@ -156,11 +167,13 @@ def _solve_radii(target: RadialDensity, r: np.ndarray, charges) -> np.ndarray:
     with slope 4 pi x^2 rho_target(x).  The brackets come from a table of the
     target's charges at 0 and along r (its running maximum: r itself on an
     increasing grid), one call per representation: the cumulative at all of
-    those radii, the complement from the last that holds at most N/2 on.
-    Every root lies between two adjacent table radii (one that is a table
-    radius is exact) and starts at a log secant inside them; a masked Newton
+    those radii, the complement from the last that holds at most N/2 on,
+    each grown by _bracket where a root lies past or below it.  Every root
+    lies between two adjacent table radii (one that is a table radius is
+    exact) and starts at a log secant inside them; a masked Newton
     iteration that bisects when a step is not finite, leaves the bracket or
-    is more than half the step before last, and a 4-step Newton polish end it.
+    is more than half the step before last ends it, each point once its step
+    is at most 4 eps times its radius.
     """
     q, qc, upper = charges
 
@@ -221,24 +234,11 @@ def _solve_radii(target: RadialDensity, r: np.ndarray, charges) -> np.ndarray:
             bisect = ~(((a < x_new) & (x_new < b)) | (x_new == x)) | slow
             x_new = np.where(bisect, 0.5 * (a + b), x_new)
             taken = np.abs(x_new - x)
-            done = (hx == 0.0) | (taken <= 1e-15 + 4.0 * np.finfo(float).eps * np.abs(x_new))
+            done = (hx == 0.0) | (taken <= 4.0 * np.finfo(float).eps * np.abs(x_new))
             f[active] = np.where(hx == 0.0, x, x_new)
             lo[active], hi[active] = a, b
             step_before[active], last_step[active] = last_step[active], taken
             active = active[~done]
-
-        # Newton polish on the same representation
-        active = points
-        for _ in range(4):
-            x = f[active]
-            s = slope(x)
-            newton = h(x, active) / s
-            ok = (s > 0.0) & np.isfinite(newton) & (np.abs(newton) <= 0.5 * np.maximum(x, 1e-6))
-            x = x - np.where(ok, newton, 0.0)
-            f[active] = x
-            active = active[ok & (np.abs(newton) > 1e-16 * np.maximum(x, 1e-300))]
-            if active.size == 0:
-                break
     return f
 
 

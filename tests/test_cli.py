@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: spec parsing, reports, exit codes, cube export."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -540,17 +541,39 @@ def test_lst_names_an_underflowed_source_charge_not_a_density_hole(tmp_path, cap
     assert captured.err == f"rho2v lst: {message}\n"
 
 
-def test_lst_refuses_a_map_that_misses_the_q_residual_target(tmp_path, capsys):
+def test_lst_solves_a_map_with_roots_far_below_the_grid(tmp_path):
     # the power-169 term's charge (9e-307 and up from r = 0.54 bohr) is matched
-    # where a power-2 target's Q grows as x^5, near 1e-62 bohr: far below the
-    # 1e-15 bohr floor of the solver's step test, and off the x^3 law its start
-    # reads below the first grid radius
+    # where a power-2 target's Q grows as x^5, near 8e-62 bohr: far below the
+    # grid, in brackets from the table grown below its first radius
     documents = (one_term("slater_s", 169), one_term("slater_s", 2))
     paths = [write_spec(tmp_path, f"{i}.json", d) for i, d in enumerate(documents)]
-    assert main(["lst", *paths, "--grid-min", "0.54"]) == cli.EXIT_MASS
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "rho2v lst: q_residual 6.21e+230 at r = 0.54 misses the target 1e-12\n"
+    out = tmp_path / "report.json"
+    assert main(["lst", *paths, "--grid-min", "0.54", "--output", str(out)]) == cli.EXIT_OK
+    table = json.loads(out.read_text())["result"]["table"]
+    assert table[0]["f"] < 1e-61
+    assert all(row["q_residual"] <= Q_RESIDUAL_TARGET for row in table)
+
+
+def test_lst_refuses_a_map_that_misses_the_q_residual_target(tmp_path, capsys, monkeypatch):
+    # no map is known that the solver misses, so the solved map's residuals are
+    # replaced: a NaN residual misses the target as well, and the first miss is named
+    from rho2v import scaling
+
+    solve = scaling.solve_scaling_map
+    spec = write_spec(tmp_path, "h.json", HYDROGEN)
+    argv = ["lst", spec, spec, "--grid-min", "1", "--grid-max", "8", "--grid-points", "4"]
+    for residuals, message in (
+        ([0.0, math.nan, 2e-12, 0.0], "q_residual nan at r = 2"),
+        ([0.0, 0.0, 2e-12, math.nan], "q_residual 2e-12 at r = 4"),
+    ):
+        def replaced(*args, residuals=np.array(residuals)):
+            return dataclasses.replace(solve(*args), q_residuals=residuals)
+
+        monkeypatch.setattr(scaling, "solve_scaling_map", replaced)
+        assert main(argv) == cli.EXIT_MASS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rho2v lst: {message} misses the target 1e-12\n"
 
 
 def test_normalize_with_a_total_integral_beyond_the_float_range_exits_1(tmp_path, capsys):
@@ -811,9 +834,11 @@ def test_reports_are_json_dumps_byte_for_byte(tmp_path, command, indent):
 # SHA-256 of the "result" section of the rendered report, recorded with the
 # terms-batched radial kernel; paths and input hashes vary and are left out.
 # lst re-recorded when the solver's brackets came from a table of the target's
-# charges: f moved by at most 2.2e-16 relative
+# charges: f moved by at most 2.2e-16 relative; and again when the solver lost
+# its Newton polish and its 1e-15 bohr step floor: f moved by at most 2.6e-16
+# relative and f_prime by at most 6.8e-15 relative
 RESULT_DIGESTS = {
-    "lst": "49ea22e0ebedeabc3c7d77a289f4dd9848e58a1d77ba11c2a423f5415e9bdaff",
+    "lst": "cde020c08bb4a65d908de4626ec86daafd913164e5c3fa3e8180f46b51692653",
     "audit": "71a901cc8bebcca7231d1a1ecac907c2a3a468fda6a4f23320e76cfe8377a56a",
 }
 TWO_ELECTRONS = {
@@ -833,11 +858,13 @@ TWO_ELECTRONS = {
 # --json-indent 2, 0 and 4 and the --table file, recorded while cmd_lst still
 # built one dict per table row; the reports re-recorded when the solver's
 # brackets came from a table of the target's charges (f moved by at most
-# 3.1e-16 relative, the 12-digit table not at all)
+# 3.1e-16 relative, the 12-digit table not at all), and again when the solver
+# lost its Newton polish and its 1e-15 bohr step floor (f moved by at most
+# 4.1e-16 relative and f_prime by at most 7.1e-15 relative, the table not at all)
 LST_OUTPUT_DIGESTS = {
-    "2": "23dce9744eaf6a529843601fd55094605db80b74ad53d0479645a1e6b0535cbe",
-    "0": "a3db034f9c64f42f206d1b1da5c6f1191121c42dd7daabb847a4bf4aecde3792",
-    "4": "120c536d8208cd2a33dfd0368e714eb6a73b4213d14de5e143e6cd9e78c1d58e",
+    "2": "a01d62195eb8389667cf88ea796d7066921200a48f603900b518c4d6efb34e0b",
+    "0": "f174250bbd8e2f7065602b5aefe8ad152df52c7b84317debd7558c173a1f204d",
+    "4": "0b3ca1821209f42d3e2de8eb93e0a2038dba378f44fae33af74c6efca41174ef",
     "table": "d3e22f66766967a7139bc10f74d6cb303184d8cae0238f88918660a35acd9e04",
 }
 

@@ -143,8 +143,8 @@ def test_batched_solver_matches_scalar_reference():
 @pytest.mark.parametrize(("z_source", "z_target"), [(1.0, 15.0), (15.0, 1.0)], ids=["compact-target", "diffuse-target"])
 def test_roots_outside_the_grid_match_scalar_reference(z_source, z_target):
     # f = r Z_source / Z_target: a compact target puts the first roots below
-    # grid[0], in the bracket from 0, a diffuse one the last roots beyond grid[-1],
-    # in brackets from the doubled table
+    # grid[0], in brackets from the table grown below it, a diffuse one the
+    # last roots beyond grid[-1], in brackets from the doubled table
     source, target = RadialDensity.hydrogenic(z_source), RadialDensity.hydrogenic(z_target)
     grid = default_grid()
     m = solve_scaling_map(source, target, grid)
@@ -154,18 +154,41 @@ def test_roots_outside_the_grid_match_scalar_reference(z_source, z_target):
     assert np.max(np.abs(m.f - expected) / expected) <= 1e-14
 
 
-def test_charge_below_the_float_floor_maps_by_the_cube_law():
-    # below 0.54 bohr the power-169 term holds less than 1e-306 of its charge, and
-    # hydrogen's Q(x) = 1 - e^(-2x) (1 + 2x + 2x^2) is 4 x^3 / 3 to within a
-    # relative 1.5 x there
+@pytest.mark.parametrize(
+    ("target", "law"),
+    [
+        # Q(x) = 1 - e^(-2x) (1 + 2x + 2x^2) = 4 x^3 / 3 to within a relative 1.5 x
+        (RadialDensity.hydrogenic(1.0), lambda q: np.cbrt(0.75 * q)),
+        # a normalized Slater term of power n and exponent 1 has Q ~ 2^(n+3) x^(n+3) / (n+3)!
+        (mixture_density([(1.0, 1.0, 1)]), lambda q: np.sqrt(np.sqrt(1.5 * q))),
+        (mixture_density([(1.0, 1.0, 2)]), lambda q: fifth_root(3.75 * q)),
+        # and a Gaussian one of power 2 and exponent 1 Q ~ 8 x^5 / (15 sqrt(pi))
+        (
+            mixture_density([(PrimitiveKind.GAUSSIAN, 1.0, 1.0, 2)]),
+            lambda q: fifth_root(15.0 * math.sqrt(math.pi) / 8.0 * q),
+        ),
+    ],
+    ids=["hydrogen-x3", "slater1-x4", "slater2-x5", "gaussian2-x5"],
+)
+def test_charge_near_the_float_floor_maps_by_the_targets_power_law(target, law):
+    # from 0.54 bohr the power-169 term holds 9e-307 of its charge and more, a
+    # normal float; its roots in the target lie near 1e-100 to 1e-60 bohr, far
+    # below the grid, where the target's Q rises as the power of the test's id
     source = mixture_density([(1e-258, 1.0, 169)])
-    grid = default_grid()
-    m = solve_scaling_map(source, RadialDensity.hydrogenic(1.0), grid)
+    grid = default_grid(0.54)
+    m = solve_scaling_map(source, target, grid)
     assert np.all(m.q_residuals <= Q_RESIDUAL_TARGET)
     q = source.cumulative(grid)
-    tiny = (q > 0.0) & (q < 1e-250)
-    assert tiny.sum() >= 10
-    assert np.max(np.abs(m.f[tiny] / np.cbrt(0.75 * q[tiny]) - 1.0)) <= 1e-14
+    tiny = q < 1e-250
+    assert q.min() > 0.0 and tiny.sum() >= 10
+    assert np.max(np.abs(m.f[tiny] / law(q[tiny]) - 1.0)) <= 1e-14
+
+
+def fifth_root(x):
+    """x^(1/5), rounded once: 1/5 is not a float, and x^0.2 is off by about
+    |ln x| 1e-17 relative, 7e-15 near the float floor."""
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.root(mpmath.mpf(v), 5)) for v in np.ravel(x)])
 
 
 @pytest.mark.parametrize("power", [0, 2])
@@ -374,26 +397,35 @@ def two_electron_mixture(slater0, slater_n, gaussian_n):
     ("source", "target", "grid", "most"),
     [
         # the pair of the pinned 2048-point lst outputs in test_cli: 19 and 21 calls
-        # while each radius doubled its own bracket and Newton started at its middle
+        # while each radius doubled its own bracket and Newton started at its middle,
+        # 9 and 12 while a 4-step Newton polish followed the Newton-bisection
         (
             two_electron_mixture((0.74, 1.62, 0), (0.31, 0.97, 2), (0.27, 1.15, 1)),
             two_electron_mixture((0.58, 2.21, 0), (0.44, 0.63, 1), (0.12, 0.41, 2)),
             default_grid(points=2048),
-            {"cumulative": 9, "complement": 12},
+            {"cumulative": 5, "complement": 8},
         ),
-        # f reaches 300 bohr, 4 doublings past the grid: 18 and 29 calls then
+        # f reaches 300 bohr, 4 doublings past the grid: 18 and 29 calls, then 9 and 10
         (
             RadialDensity.hydrogenic(15.0),
             RadialDensity.hydrogenic(1.0),
             default_grid(),
-            {"cumulative": 9, "complement": 10},
+            {"cumulative": 5, "complement": 8},
+        ),
+        # f = r / 15 puts the first roots below the grid: one call grows the
+        # cumulative table below its first radius
+        (
+            RadialDensity.hydrogenic(1.0),
+            RadialDensity.hydrogenic(15.0),
+            default_grid(),
+            {"cumulative": 7, "complement": 5},
         ),
     ],
-    ids=["pinned-mixture-2048", "z15-onto-z1"],
+    ids=["pinned-mixture-2048", "z15-onto-z1", "z1-onto-z15"],
 )
 def test_solve_scaling_map_target_charge_calls(source, target, grid, most):
     # one table call per representation brackets every radius; the rest are
-    # Newton iterations, the polish and the q residual
+    # Newton iterations and the q residual
     calls = {}
     solve_scaling_map(source, counting(target, calls), grid)
     assert set(calls) == set(most)
