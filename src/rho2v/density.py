@@ -256,10 +256,23 @@ def _term_values(t: _TermArrays, r: np.ndarray, out=None) -> np.ndarray:
     return g
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, of length 3: np.linalg.norm's floats
+    without its per-call checks."""
+    # the xyz sum written out as slice sums: np.add.reduce over the axis adds
+    # (x0 + x1) + x2 too, the same floats, but takes 3 to 10 times as long (9
+    # against 3 us at 512 rows, 133 against 12 us at 8192; numpy 2.4 on a
+    # 2-vCPU Xeon VM)
+    q = v * v
+    return np.sqrt(q[..., 0] + q[..., 1] + q[..., 2])
+
+
 def _separation(centers, pts):
-    """d = x - C, (K, P, 3), and r = |d|, (K, P), for every center and point."""
+    """d = x - C, (K, P, 3), and r = |d|, (K, P), for every center and point.
+    r sums the squares over xyz as slices, (d_x^2 + d_y^2) + d_z^2: np.add.reduce's
+    association and floats at a fraction of its cost (_norms)."""
     d = pts - centers[:, None, :]
-    return d, np.sqrt(np.add.reduce(d * d, axis=2))
+    return d, _norms(d)
 
 
 def _site_values(t: _TermArrays, r: np.ndarray, out=None) -> tuple:

@@ -244,12 +244,13 @@ def _solve_radii(target: RadialDensity, r: np.ndarray, charges) -> np.ndarray:
 
 def _match_radii(source: RadialDensity, target: RadialDensity, r: np.ndarray) -> tuple:
     """(f, rho_target(f), source charges at r) for the 1-d array r; raises
-    NonMonotoneCumulative where the target density vanishes at f, naming the
-    underflow when the source charge matched there is exactly 0."""
+    NonMonotoneCumulative where the target density vanishes at f for r > 0,
+    naming the underflow when the source charge matched there is exactly 0.
+    At r = 0 the charge is 0 and f = 0, whatever the target density there."""
     charges = _source_charges(source, r)
     f = _solve_radii(target, r, charges)
     rho_t = np.asarray(target.rho(f), dtype=float)
-    hole = rho_t == 0.0
+    hole = (rho_t == 0.0) & (r > 0.0)
     if np.any(hole):
         i = np.argmax(hole)
         q, qc, upper = charges

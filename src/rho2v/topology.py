@@ -8,7 +8,10 @@ Two families of stationary features are distinguished:
     kink itself, so the ascent stops next to it, and a batched compass
     search (six axis steps per point, halved when none is uphill, at 16
     successive step lengths per pass) settles every cusp onto its kink
-    down to a 1e-14 bohr step;
+    down to a 1e-14 bohr step.  The ladder that routed an ascent maximum
+    is kept by the bytes of its point, and classify reuses it where the
+    compass search or Newton left that point where it was, so no ladder
+    is read twice at one point;
   * smooth critical points (non-nuclear maxima, saddles, minima), found
     by safeguarded Newton iteration on grad rho = 0 and classified by the
     rank and signature of the Hessian spectrum.
@@ -59,9 +62,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, evaluate_many, kernel_pass
+from .density import DensityModel, _norms, evaluate_many, kernel_pass
 from .errors import EmptyResult
-from .spherical import DEFAULT_ORDER, TAU_CUSP, radial_derivative_at_center
+from .spherical import DEFAULT_ORDER, TAU_CUSP, RadialDerivativeEstimate, radial_derivative_at_center
 
 __all__ = [
     "CriticalKind",
@@ -149,11 +152,6 @@ def default_search_box(model: DensityModel) -> np.ndarray:
     return np.array([centers.min(axis=0) - margin, centers.max(axis=0) + margin])
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis: np.linalg.norm's floats without its per-call checks."""
-    return np.sqrt(np.add.reduce(v * v, axis=-1))
-
-
 def _fibonacci_directions(n: int) -> np.ndarray:
     i = np.arange(n)
     golden = math.pi * (3.0 - math.sqrt(5.0))
@@ -177,17 +175,23 @@ def _gradient_norm_floor(model: DensityModel, position: np.ndarray) -> float:
     return float(np.min(_norms(g)))
 
 
-def classify(model: DensityModel, position, order: int = DEFAULT_ORDER) -> CriticalPoint:
+def classify(
+    model: DensityModel, position, order: int = DEFAULT_ORDER, *, estimate: RadialDerivativeEstimate | None = None
+) -> CriticalPoint:
     """Full diagnostic of the density at a point.
 
     kind is CUSP_MAXIMUM iff the Richardson ladder of the spherical average
     (Lebedev order `order`) reads a cusp (RadialDerivativeEstimate.is_cusp);
     rank/signature come from the Hessian spectrum and are reported only for
     smooth points off a cusp singularity, where gradient_norm is None as well.
+    estimate, when given, is that ladder's reading at this very point and
+    order, taken before: the ladder is a pure function of them, so it is
+    reused as it is instead of being run again.
     """
     x = np.asarray(position, dtype=float).reshape(3)
     p = kernel_pass(model, x[None], 2)
-    estimate = radial_derivative_at_center(model, x, order)
+    if estimate is None:
+        estimate = radial_derivative_at_center(model, x, order)
 
     grad_norm = rank = signature = None
     if not p.on_cusp[0]:
@@ -216,7 +220,8 @@ def classify(model: DensityModel, position, order: int = DEFAULT_ORDER) -> Criti
 
 def _rows_inside(box: np.ndarray, x: np.ndarray, slack: float = 1e-6) -> np.ndarray:
     """(S,) mask of the rows of x (S, 3) inside the box widened by slack."""
-    return np.all((x >= box[0] - slack) & (x <= box[1] + slack), axis=1)
+    inside = (x >= box[0] - slack) & (x <= box[1] + slack)
+    return inside[:, 0] & inside[:, 1] & inside[:, 2]
 
 
 def _ascend(model, seeds, box):
@@ -266,36 +271,42 @@ def _ascend(model, seeds, box):
             break
         trial = xa + sa[:, None] * ua
         p = kernel_pass(model, trial, 1)
-        up = p.value > fa
+        ft, g = p.value, p.gradient
+        up = ft > fa
+        step = sa * np.where(up, 2.0, 0.5)
         # a trial sloping down along the step has passed the peak of its line, which
         # the V model puts `peak` from the start: an uphill trial steps back to it,
         # a downhill one leaves the seed in place and steps to it next.  The V is one
         # of ln rho where the log-slopes at the two ends are nearly opposite, the
-        # Kato signature of a kink, and one of rho elsewhere
-        kt = np.add.reduce(p.gradient * ua, axis=1)
-        passed = kt < 0.0
-        kappa = ka / fa
-        kappa_t = np.divide(kt, p.value, out=np.zeros_like(kt), where=passed & (p.value > 0.0))
-        kato = passed & (np.abs(kappa + kappa_t) < 0.5 * (kappa - kappa_t))
-        log_rise = np.log(p.value / fa, out=np.zeros_like(fa), where=kato)
-        peak = np.where(
-            kato, (log_rise - kappa_t * sa) / (kappa - kappa_t), (p.value - fa - kt * sa) / np.where(passed, ka - kt, 1.0)
-        )
+        # Kato signature of a kink, and one of rho elsewhere.  Only those trials,
+        # i, take the V; their k_t < 0 needs a nonzero gradient, so f_t > 0 there
+        gu = g * ua
+        kt = gu[:, 0] + gu[:, 1] + gu[:, 2]
+        i = (kt < 0.0).nonzero()[0]
+        if len(i):
+            s, f0, f1, k0, k1, rose = sa[i], fa[i], ft[i], ka[i], kt[i], up[i]
+            kappa, kappa_t = k0 / f0, k1 / f1
+            spread = kappa - kappa_t
+            kato = np.abs(kappa + kappa_t) < 0.5 * spread
+            peak = (f1 - f0 - k1 * s) / (k0 - k1)
+            log_rise = f1 / f0
+            np.log(log_rise, out=log_rise, where=kato)
+            np.subtract(log_rise, kappa_t * s, out=log_rise, where=kato)
+            np.divide(log_rise, spread, out=peak, where=kato)
+            # clipped: s - peak to [1e-3 s, s] after an uphill trial, peak to [0.1 s, 0.3 s]
+            lo, hi = s * np.where(rose, 1e-3, 0.1), s * np.where(rose, 1.0, 0.3)
+            step[i] = np.minimum(np.maximum(np.where(rose, s - peak, peak), lo), hi)
         np.copyto(xa, trial, where=up[:, None])
-        np.copyto(fa, p.value, where=up)
-        sa = np.where(
-            up,
-            np.where(passed, np.clip(sa - peak, 1e-3 * sa, sa), sa * 2.0),
-            np.where(passed, np.clip(peak, 0.1 * sa, 0.3 * sa), sa * 0.5),
-        )
-        norm = _norms(p.gradient)
+        np.copyto(fa, ft, where=up)
+        sa = step
+        norm = _norms(g)
         turn = up & ~p.on_cusp & (norm > 0.0)
-        np.divide(p.gradient, norm[:, None], out=ua, where=turn[:, None])
+        np.divide(g, norm[:, None], out=ua, where=turn[:, None])
         np.copyto(ka, norm, where=turn)
         stop = (sa < ASCENT_MIN_STEP) | (up & ~turn)
         if stop.any():
-            x[ids[stop]], f[ids[stop]] = xa[stop], fa[stop]
-            keep = ~stop
+            done, keep = stop.nonzero()[0], (~stop).nonzero()[0]
+            x[ids[done]], f[ids[done]] = xa[done], fa[done]
             ids, xa, fa, ka, sa, ua = ids[keep], xa[keep], fa[keep], ka[keep], sa[keep], ua[keep]
     x[ids], f[ids] = xa, fa
     return x, _rows_inside(box, x) & (f > 0.0)
@@ -319,27 +330,27 @@ def _settle(model, points):
     the invert-frames benchmark reaches the cap."""
     x = np.array(points, dtype=float).reshape(-1, 3)
     f = evaluate_many(model, x)
-    h = np.full(len(x), ASCENT_MIN_STEP)
-    idx = np.arange(len(x))
+    # the points still searching: their index and step
+    idx, h = np.arange(len(x)), np.full(len(x), ASCENT_MIN_STEP)
     for _ in range(SETTLE_ITERATIONS):
         if not len(idx):
             break
         # (S, J) steps, h times each scale that leaves some step at or above the floor,
         # and their (S, J, 6, 3) trial points
-        scales = _SETTLE_SCALES[np.max(h[idx]) * _SETTLE_SCALES >= CUSP_MIN_STEP]
-        steps = h[idx, None] * scales
+        scales = _SETTLE_SCALES[h.max() * _SETTLE_SCALES >= CUSP_MIN_STEP]
+        steps = h[:, None] * scales
         trial = x[idx, None, None] + steps[:, :, None, None] * _AXES
         f_trial = evaluate_many(model, trial.reshape(-1, 3)).reshape(*steps.shape, len(_AXES))
-        best = np.argmax(f_trial, axis=2)
-        f_best = np.take_along_axis(f_trial, best[:, :, None], axis=2)[:, :, 0]
-        # the largest step with an uphill trial, if any
-        up = (f_best > f[idx, None]) & (steps >= CUSP_MIN_STEP)
+        # the largest step with an uphill trial, if any, and its best trial
+        up = (f_trial.max(axis=2) > f[idx, None]) & (steps >= CUSP_MIN_STEP)
         rows, j = np.arange(len(idx)), np.argmax(up, axis=1)
         moved = up[rows, j]
-        h[idx] = np.where(moved, steps[rows, j], h[idx] * 0.5 ** len(_SETTLE_SCALES))
+        h = np.where(moved, steps[rows, j], h * 0.5 ** len(_SETTLE_SCALES))
         rows, j = rows[moved], j[moved]
-        x[idx[moved]], f[idx[moved]] = trial[rows, j, best[rows, j]], f_best[rows, j]
-        idx = idx[h[idx] >= CUSP_MIN_STEP]
+        best = np.argmax(f_trial[rows, j], axis=1)
+        x[idx[moved]], f[idx[moved]] = trial[rows, j, best], f_trial[rows, j, best]
+        keep = h >= CUSP_MIN_STEP
+        idx, h = idx[keep], h[keep]
     return x
 
 
@@ -373,29 +384,38 @@ def _newton(model, seeds, box, cusp_positions):
     step_cap = 0.25 * float(np.max(box[1] - box[0]))
     slack = min(0.5, step_cap)
     converged = np.zeros(len(x), dtype=bool)
+
+    def free(pts):
+        """(S,) mask of the rows of pts inside the widened box and out of every exclusion ball."""
+        return _rows_inside(box, pts, slack=slack) & np.logical_and.reduce(
+            _norms(pts[:, None] - cusps) >= CUSP_EXCLUSION, axis=1
+        )
+
     # the seeds still stepping: their index and position
-    ids, xa = np.arange(len(x)), x.copy()
+    ok = free(x)
+    ids, xa = np.flatnonzero(ok), x[ok]
     for _ in range(NEWTON_ITERATIONS):
-        ok = _rows_inside(box, xa, slack=slack)
-        ok &= np.all(_norms(xa[:, None] - cusps) >= CUSP_EXCLUSION, axis=1)
-        ids, xa = ids[ok], xa[ok]
         if not len(ids):
             break
         p = kernel_pass(model, xa, 2)
         step = _solve(p.hessian, -p.gradient)
-        ok = ~p.on_cusp & np.all(np.isfinite(step), axis=1)
-        ids, xa, step = ids[ok], xa[ok], step[ok]
+        finite = np.isfinite(step)
+        ok = ~p.on_cusp & finite[:, 0] & finite[:, 1] & finite[:, 2]
+        if not ok.all():
+            ids, xa, step = ids[ok], xa[ok], step[ok]
         norm = _norms(step)
         capped = norm > step_cap
-        step[capped] *= (step_cap / norm[capped])[:, None]
-        norm[capped] = step_cap
+        if capped.any():
+            step[capped] *= (step_cap / norm[capped])[:, None]
+            norm[capped] = step_cap
         xa += step
         x[ids] = xa  # where each seed stands, also if it is dropped later
         stop = norm < 1e-12 * (1.0 + _norms(xa))
         if stop.any():
             q = kernel_pass(model, xa[stop], 1)
             converged[ids[stop]] = _rows_inside(box, xa[stop]) & ~q.on_cusp & (_norms(q.gradient) <= GRAD_TOL)
-        ids, xa = ids[~stop], xa[~stop]
+        ok = ~stop & free(xa)
+        ids, xa = ids[ok], xa[ok]
     return x, converged
 
 
@@ -457,12 +477,13 @@ def _dedupe(candidates, model, radius):
     return kept
 
 
-def _kept_points(model, candidates, order) -> list[CriticalPoint]:
+def _kept_points(model, candidates, order, ladders) -> list[CriticalPoint]:
     """Classify the candidates and keep each that is a cusp, whose ladder read a
-    cusp without converging (not a cusp then), or whose gradient is at most GRAD_TOL."""
+    cusp without converging (not a cusp then), or whose gradient is at most GRAD_TOL.
+    ladders maps the bytes of a point to its ladder's reading, which classify reuses."""
     points = []
     for x in candidates:
-        cp = classify(model, x, order)
+        cp = classify(model, x, order, estimate=ladders.get(x.tobytes()))
         if cp.log_derivative < -TAU_CUSP or (cp.gradient_norm is not None and cp.gradient_norm <= GRAD_TOL):
             points.append(cp)
     return points
@@ -480,7 +501,9 @@ def find_critical_points(
     whose spherical average (Lebedev order `order`) has a negative one-sided
     slope, read on its sign alone, are routed as cusps, settled onto the kink
     by a compass search down to a CUSP_MIN_STEP step that tries 16 step
-    lengths per pass; the others are polished by Newton.  The grid seeds
+    lengths per pass; the others are polished by Newton.  Each routing
+    ladder is kept by the bytes of its point, and classify reuses it for a
+    point that neither the compass search nor Newton moved.  The grid seeds
     only the ascent: a batched safeguarded Newton iteration from three seeds
     on the segment between every pair of extrema then collects the smooth
     stationary points; it is kept out of a 1e-2 bohr exclusion ball around
@@ -518,11 +541,14 @@ def find_critical_points(
     # probe cusp-ness of each candidate maximum cluster, then polish: a
     # compass search from the ascent's last step on the cusps, Newton on the rest.
     # The sign routes, converged or not: at an ascent endpoint, next to a kink
-    # rather than on it, the ladder need not converge; classify reads the settled point
+    # rather than on it, the ladder need not converge; classify reads the settled point,
+    # and reuses the reading kept here, by the bytes of the point, where it did not move
     cusps: list[np.ndarray] = []
     maxima: list[np.ndarray] = []
+    ladders = {}
     for x in _dedupe(ends[kept], model, radius=MAXIMA_MERGE_RADIUS):
-        (cusps if radial_derivative_at_center(model, x, order).log_derivative < -TAU_CUSP else maxima).append(x)
+        ladders[x.tobytes()] = estimate = radial_derivative_at_center(model, x, order)
+        (cusps if estimate.log_derivative < -TAU_CUSP else maxima).append(x)
     cusps = list(_settle(model, cusps))
     polished, ok = _newton(model, maxima, box, cusps)
     smooth = list(np.where(ok[:, None], polished, np.reshape(maxima, (-1, 3))))
@@ -533,7 +559,7 @@ def find_critical_points(
     found, ok = _newton(model, _segment_seeds(extremum_reps), box, cusps)
     smooth.extend(found[ok])
 
-    points = _kept_points(model, _dedupe(cusps + smooth, model, radius=DEDUPE_RADIUS), order)
+    points = _kept_points(model, _dedupe(cusps + smooth, model, radius=DEDUPE_RADIUS), order, ladders)
     if not points:
         raise EmptyResult("no critical points survived classification")
 
@@ -551,7 +577,7 @@ def find_critical_points(
         found, ok = _newton(model, seeds, box, cusps)
         known = np.reshape([p.position for p in points], (-1, 1, 3))
         new = found[ok][np.all(_norms(found[ok] - known) > DEDUPE_RADIUS, axis=0)]
-        points += _kept_points(model, _dedupe(new, model, radius=DEDUPE_RADIUS), order)
+        points += _kept_points(model, _dedupe(new, model, radius=DEDUPE_RADIUS), order, ladders)
 
     points.sort(key=lambda p: (*np.round(p.position / DEDUPE_RADIUS), *p.position))
     return points

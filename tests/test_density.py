@@ -20,6 +20,7 @@ from scipy.integrate import quad
 from rho2v.density import (
     _CHUNK,
     CENTER_EPS,
+    _separation,
     _term_sum,
     DensityModel,
     NuclearFrame,
@@ -36,6 +37,7 @@ from rho2v.density import (
     normalize,
     total_integral,
 )
+from rho2v import topology
 from rho2v.errors import AtCuspSingularity, ZeroDensity
 
 
@@ -392,6 +394,38 @@ def test_fused_kernel_raises_where_gradient_raises(kind, power):
 
 def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def reduced_norms(v):
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
+# the first two rows' norms differ between (x0 + x1) + x2 and x0 + (x1 + x2),
+# after the square root as well
+_ROWS = np.array(
+    [[1.2, 1e-8, 1e-8], [1e-8, 1e-8, 1.2], [1e16, 1.0, 1.0], [-0.0, 0.0, -0.0], [-0.0, 1.5, -0.0], [0.0, -0.0, 0.0]]
+)
+
+
+@pytest.mark.parametrize("size", [1, 100, _CHUNK + 1])
+def test_separation_and_norms_sum_xyz_as_the_reduce_does(size):
+    for q in _ROWS[:2] ** 2:
+        assert math.sqrt(q[0] + (q[1] + q[2])) != math.sqrt(np.add.reduce(q))  # the association shows
+    rng = np.random.default_rng(size)
+    pts = rng.normal(size=(size, 3)) * 10.0 ** rng.integers(-8, 8, size=(size, 1))
+    pts[rng.choice(size, min(size, len(_ROWS)), replace=False)] = _ROWS[: min(size, len(_ROWS))]
+    centers = np.array([[0.0, 0.0, 0.0], [0.3, -1.7, 2.2]])
+    d, r = _separation(centers, pts)
+    assert same_bits(d, pts - centers[:, None, :]) and same_bits(r, reduced_norms(d))
+    assert same_bits(topology._norms(pts), reduced_norms(pts))
+    assert same_bits(topology._norms(d), reduced_norms(d))
+
+
+def test_norms_on_the_rows_where_the_association_matters():
+    assert same_bits(topology._norms(_ROWS), reduced_norms(_ROWS))
+    assert same_bits(_separation(np.zeros((1, 3)), _ROWS)[1][0], reduced_norms(_ROWS))
+    # a signed zero squares to +0.0: the norm of a zero row is +0.0
+    assert np.signbit(topology._norms(_ROWS[3:4])).tolist() == [False]
 
 
 @pytest.mark.parametrize("size", [9, 300, _CHUNK + 100])

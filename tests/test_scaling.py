@@ -80,6 +80,20 @@ def test_map_starts_at_zero(map_1_to_2):
     assert map_1_to_2.map_at(1e-8) <= 1e-7
 
 
+def test_map_at_the_origin_onto_a_target_that_vanishes_there():
+    # a power-1 target has rho = 0 at r = 0: f(0) = 0 holds no charge, which is
+    # no density hole, while a positive radius whose source charge underflows
+    # to 0 still raises
+    target = mixture_density([(1.0, 1.0, 1)])
+    m = solve_scaling_map(RadialDensity.hydrogenic(1.0), target)
+    at_one = m.map_at(1.0)
+    assert m.map_at(0.0) == 0.0 and np.ndim(m.map_at(0.0)) == 0
+    both = m.map_at(np.array([0.0, 1.0]))
+    assert both.tolist() == [0.0, at_one]
+    with pytest.raises(NonMonotoneCumulative, match=r"^source charge within r = 1e-300 underflows to 0"):
+        m.map_at(1e-300)
+
+
 def at_origin(prims) -> RadialDensity:
     """The radial density of the primitives, all centered at the origin."""
     return RadialDensity.from_model(DensityModel(terms=tuple((np.zeros(3), p) for p in prims)))

@@ -593,10 +593,17 @@ def test_search_at_eight_seeds_per_axis_reads_every_small_basin_nucleus(seed):
 
 def count_search_passes(monkeypatch):
     """Count the kernel passes of find_critical_points, and those of its batched
-    ascent, its compass search and its Newton runs, with the points they evaluate
-    under "<phase>_points"; the dict also holds the ascent's last (endpoints, kept)."""
-    phases = ("ascent", "settle", "newton")
-    passes = dict.fromkeys(("all", "all_points", *phases, *(f"{name}_points" for name in phases)), 0)
+    ascent, its compass search, its Newton runs and its classify calls, with the
+    points they evaluate under "<phase>_points"; the dict also holds the ascent's
+    last (endpoints, kept).  Of the Richardson ladders, "routing_ladders" counts
+    those run outside classify and "classify_ladders" those run inside it;
+    "classify_calls" counts the classify calls and "reused" those at a point,
+    bit for bit, that a routing ladder read."""
+    phases = ("ascent", "settle", "newton", "classify")
+    ladders = ("routing_ladders", "classify_ladders", "classify_calls", "reused")
+    passes = dict.fromkeys(("all", "all_points", *phases, *(f"{name}_points" for name in phases), *ladders), 0)
+    routed = set()
+    inside = []
 
     def counted(fn):
         def run(model, x, *args, **kwargs):
@@ -620,7 +627,26 @@ def count_search_passes(monkeypatch):
         passes["result"] = _ascend(*args, **kwargs)
         return passes["result"]
 
+    def ladder(model, center, *args, **kwargs):
+        if inside:
+            passes["classify_ladders"] += 1
+        else:
+            passes["routing_ladders"] += 1
+            routed.add(np.asarray(center, dtype=float).tobytes())
+        return radial_derivative_at_center(model, center, *args, **kwargs)
+
+    def classified(model, position, *args, **kwargs):
+        passes["classify_calls"] += 1
+        passes["reused"] += np.asarray(position, dtype=float).tobytes() in routed
+        inside.append(True)
+        try:
+            return classify(model, position, *args, **kwargs)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(topology, "kernel_pass", counted(kernel_pass))
+    monkeypatch.setattr(topology, "radial_derivative_at_center", ladder)
+    monkeypatch.setattr(topology, "classify", phase("classify", classified))
     monkeypatch.setattr(topology, "evaluate_many", counted(evaluate_many))
     monkeypatch.setattr(topology, "_ascend", phase("ascent", ascent))
     monkeypatch.setattr(topology, "_settle", phase("settle", _settle))
@@ -679,6 +705,35 @@ def test_newton_pass_count_on_an_off_origin_hydrogen(monkeypatch):
     passes = count_search_passes(monkeypatch)
     find_critical_points(hydrogenic_model(1.0, center=np.array([0.4, -0.7, 1.1])), seeds_per_axis=8)
     assert passes["newton"] == 0 and passes["ascent"] > 0
+
+
+# frames searched by the pass-count test below, with their seeds per axis
+COUNTED_FRAMES = {
+    "hydrogen": (NuclearFrame([[0.4, -0.7, 1.1]], [1.0]), 8),
+    "z3z1-3bohr": (NuclearFrame([[0, 0, 0], [0, 0, 3]], [3.0, 1.0]), 5),
+    "3center": (NuclearFrame([[0, 0, 0], [0, 0.2, 2.4], [2.1, -0.3, 0.6]], [2.0, 1.0, 1.5]), 5),
+}
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("hydrogen", dict(ascent=13, settle=3, newton=0, classify=2, routing_ladders=1, classify_ladders=0, reused=1)),
+        ("z3z1-3bohr", dict(ascent=20, settle=3, newton=11, classify=6, routing_ladders=2, classify_ladders=1, reused=2)),
+        ("3center", dict(ascent=28, settle=21, newton=21, classify=10, routing_ladders=3, classify_ladders=5, reused=0)),
+    ],
+)
+def test_search_passes_and_ladders_per_phase(monkeypatch, name, expected):
+    # the kernel passes of each phase: kernel_pass in the ascent, Newton and classify,
+    # evaluate_many in the compass search.  classify reuses the routing ladder's
+    # reading at a point that neither the compass search nor Newton moved, so each
+    # such ladder runs once: the hydrogen nucleus, which the ascent lands on, and
+    # both Z3/Z1 nuclei ran 2 and 5 ladders where they now run 1 and 3
+    passes = count_search_passes(monkeypatch)
+    frame, seeds_per_axis = COUNTED_FRAMES[name]
+    find_critical_points(model_from_frame(frame), seeds_per_axis=seeds_per_axis)
+    assert {key: passes[key] for key in expected} == expected
+    assert passes["classify_ladders"] == passes["classify_calls"] - passes["reused"]
 
 
 def poincare_hopf_sum(points):
