@@ -243,18 +243,23 @@ def _solve_radii(target: RadialDensity, r: np.ndarray, charges) -> np.ndarray:
 
 
 def _match_radii(source: RadialDensity, target: RadialDensity, r: np.ndarray) -> tuple:
-    """(f, rho_target(f), source charges at r) for the 1-d array r; raises
-    NonMonotoneCumulative where the target density vanishes at f for r > 0,
-    naming the underflow when the source charge matched there is exactly 0.
-    At r = 0 the charge is 0 and f = 0, whatever the target density there."""
+    """(f, rho_target(f), source charges at r) for the 1-d array r.
+
+    Raises NonMonotoneCumulative at the first r > 0 where the source charge
+    matched there (the complement where it is above N/2) is below the
+    smallest normal float, whatever the target density, or where the target
+    density vanishes at f (a density hole).  Such a charge is taken as 0 in
+    rho2v.radial and holds too few bits to fix f.  At r = 0 the charge is 0
+    and f = 0, whatever the target density there."""
     charges = _source_charges(source, r)
     f = _solve_radii(target, r, charges)
     rho_t = np.asarray(target.rho(f), dtype=float)
-    hole = (rho_t == 0.0) & (r > 0.0)
-    if np.any(hole):
-        i = np.argmax(hole)
-        q, qc, upper = charges
-        if (qc[i] if upper[i] else q[i]) == 0.0:
+    q, qc, upper = charges
+    under = np.where(upper, qc, q) < np.finfo(float).tiny
+    bad = (under | (rho_t == 0.0)) & (r > 0.0)
+    if np.any(bad):
+        i = np.argmax(bad)
+        if under[i]:
             side, fix = ("beyond", "lower --grid-max") if upper[i] else ("within", "raise --grid-min")
             raise NonMonotoneCumulative(f"source charge {side} r = {r[i]:g} underflows to 0; {fix}")
         raise NonMonotoneCumulative(f"target density vanishes at f = {f[i]:g} (flat cumulative: density hole)")

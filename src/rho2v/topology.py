@@ -20,8 +20,10 @@ Search is multistart over a uniform seed grid, and every seed moves at
 once: one batched gradient ascent with a step length per seed, then a
 batched Newton iteration whose Hessians are solved as a stack.  The grid
 seeds only the ascent; Newton runs from what it found: the ascent's smooth
-maxima, to polish them, and three points on the segment between every pair
-of extrema, where the bond points lie.  The ascent
+maxima, to polish them, and one point on the segment between every pair of
+extrema, the lowest of its 31 samples at k/32 of the way, next to the bond
+point that is the minimum of rho along its bond path (Bader 1990); every
+pair's samples take one evaluate_many pass together.  The ascent
 doubles a seed's step after an uphill trial and halves it after a downhill
 one, unless the trial slopes down along the step: then it has passed the
 peak of its line, and the next step goes to the peak that the two slopes
@@ -103,10 +105,13 @@ _SETTLE_SCALES = 0.5 ** np.arange(16)
 CUSP_EXCLUSION = 1e-2
 # relative Hessian eigenvalue floor for rank counting
 EIG_REL_TOL = 1e-8
-# Newton seeds about a bond point: these offsets (bohr) along its middle Hessian eigenvector
+# Newton seeds about a bond point: these offsets (bohr) along its middle Hessian eigenvector,
+# and these fractions of the way to each other bond point
 _BOND_OFFSETS = np.array([-0.3, -0.15, -0.05, 0.05, 0.15, 0.3])
-# Newton seeds on the segment between two points: these fractions of the way
-_SEGMENT_FRACTIONS = (0.5, 1.0 / 3.0, 2.0 / 3.0)
+_BOND_PAIR_FRACTIONS = (0.5, 1.0 / 3.0, 2.0 / 3.0)
+# the samples of the segment between two points, of which the lowest seeds Newton:
+# these fractions of the way, the exact binary fractions k/32, k = 1 ... 31
+_SEGMENT_SAMPLES = np.arange(1.0, 32.0) / 32.0
 
 
 class CriticalKind(enum.Enum):
@@ -419,12 +424,20 @@ def _newton(model, seeds, box, cusp_positions):
     return x, converged
 
 
-def _segment_seeds(points) -> np.ndarray:
-    """(3 P, 3) seeds at _SEGMENT_FRACTIONS of the segment between every pair of the points."""
-    return np.reshape(
-        [(1.0 - w) * a + w * b for i, a in enumerate(points) for b in points[i + 1 :] for w in _SEGMENT_FRACTIONS],
-        (-1, 3),
-    )
+def _segment_seeds(model, points) -> np.ndarray:
+    """(P, 3) Newton seeds, one per pair of the points: the lowest of the
+    _SEGMENT_SAMPLES of the segment between them, the first where two tie.  A
+    bond point is the minimum of rho along its bond path (Bader 1990), so it
+    lies next to that sample.  Every pair's samples take one evaluate_many pass
+    together; fewer than two points take none."""
+    points = np.reshape(points, (-1, 3))
+    i, j = np.triu_indices(len(points), 1)
+    if not len(i):
+        return np.empty((0, 3))
+    w = _SEGMENT_SAMPLES[:, None]
+    samples = (1.0 - w) * points[i, None] + w * points[j, None]
+    rho = evaluate_many(model, samples.reshape(-1, 3)).reshape(len(i), -1)
+    return samples[np.arange(len(i)), np.argmin(rho, axis=1)]
 
 
 def _triangle_centroids(points) -> np.ndarray:
@@ -436,13 +449,18 @@ def _triangle_centroids(points) -> np.ndarray:
 def _bond_seeds(model, bonds, centroids) -> np.ndarray:
     """Newton seeds about the bond points, where a missed ring point lies: each
     bond point moved by _BOND_OFFSETS along its middle Hessian eigenvector, the
-    segment seeds between every pair of bond points, and the midpoint between
-    each centroid and each bond point."""
+    points at _BOND_PAIR_FRACTIONS of the segment between every pair of bond
+    points, and the midpoint between each centroid and each bond point.  A
+    bond pair takes no lowest sample (_segment_seeds): its straight segment
+    leaves the ring surface and passes by a nucleus that the two bonds share,
+    where rho rises, so its lowest sample sits next to a bond point already
+    found."""
     bonds = np.reshape(bonds, (-1, 3))
     soft = np.linalg.eigh(kernel_pass(model, bonds, 2).hessian)[1][:, :, 1]
     along = bonds[:, None] + _BOND_OFFSETS[:, None] * soft[:, None]
+    pairs = [(1.0 - w) * a + w * b for i, a in enumerate(bonds) for b in bonds[i + 1 :] for w in _BOND_PAIR_FRACTIONS]
     mids = 0.5 * (centroids[:, None] + bonds[None])
-    return np.concatenate([along.reshape(-1, 3), _segment_seeds(list(bonds)), mids.reshape(-1, 3)])
+    return np.concatenate([along.reshape(-1, 3), np.reshape(pairs, (-1, 3)), mids.reshape(-1, 3)])
 
 
 def _poincare_hopf_sum(points) -> int | None:
@@ -504,13 +522,14 @@ def find_critical_points(
     lengths per pass; the others are polished by Newton.  Each routing
     ladder is kept by the bytes of its point, and classify reuses it for a
     point that neither the compass search nor Newton moved.  The grid seeds
-    only the ascent: a batched safeguarded Newton iteration from three seeds
-    on the segment between every pair of extrema then collects the smooth
-    stationary points; it is kept out of a 1e-2 bohr exclusion ball around
-    each cusp.  Survivors are deduplicated within DEDUPE_RADIUS (highest
-    density wins, ties broken by lexicographic position) and classified; a
-    point is kept when it is a cusp, when its ladder read a cusp without
-    converging (not a cusp then), or when its gradient is at most GRAD_TOL.
+    only the ascent: a batched safeguarded Newton iteration from one seed
+    per pair of extrema, the lowest of the samples of its segment
+    (_segment_seeds), then collects the smooth stationary points; it is kept
+    out of a 1e-2 bohr exclusion ball around each cusp.  Survivors are
+    deduplicated within DEDUPE_RADIUS (highest density wins, ties broken by
+    lexicographic position) and classified; a point is kept when it is a
+    cusp, when its ladder read a cusp without converging (not a cusp then),
+    or when its gradient is at most GRAD_TOL.
     When no kept point is degenerate (each is a cusp or of rank 3) and
     n - b + r - c, a cusp counting as a maximum, is not the 1 of
     Poincare-Hopf, Newton runs from the centroid of every triple of extrema,
@@ -554,9 +573,10 @@ def find_critical_points(
     smooth = list(np.where(ok[:, None], polished, np.reshape(maxima, (-1, 3))))
 
     # stationary points between maxima (bond-region saddles) have narrow
-    # Newton basins; seed the segment between every pair of detected extrema
+    # Newton basins; seed each at the lowest sample of the segment between its
+    # pair of detected extrema
     extremum_reps = cusps + smooth
-    found, ok = _newton(model, _segment_seeds(extremum_reps), box, cusps)
+    found, ok = _newton(model, _segment_seeds(model, extremum_reps), box, cusps)
     smooth.extend(found[ok])
 
     points = _kept_points(model, _dedupe(cusps + smooth, model, radius=DEDUPE_RADIUS), order, ladders)

@@ -531,6 +531,13 @@ def test_lst_on_a_term_past_the_gamma_overflow_exits_with_a_code(tmp_path):
         ([one_term("slater_s", 169)] * 2, [], "source charge within r = 0.001 underflows to 0; raise --grid-min"),
         # hydrogen's charge beyond 377 bohr, e^-754 (1 + 2r + 2r^2), is below the float range
         ([HYDROGEN] * 2, ["--grid-max", "1000"], "source charge beyond r = 377.112 underflows to 0; lower --grid-max"),
+        # hydrogen's charge within 1e-120 bohr, 4 r^3 / 3, is 0 although the Z = 2
+        # target's density at the origin is positive
+        (
+            [HYDROGEN, z_spec(2.0)],
+            ["--grid-min", "1e-120", "--grid-max", "20", "--grid-points", "8"],
+            "source charge within r = 1e-120 underflows to 0; raise --grid-min",
+        ),
     ],
 )
 def test_lst_names_an_underflowed_source_charge_not_a_density_hole(tmp_path, capsys, documents, flags, message):
@@ -914,10 +921,12 @@ def test_report_result_bytes_are_pinned(tmp_path, command):
 # downhill trial that had passed the peak stepped to it instead of halving:
 # 3center and h moved by at most 1.3e-14 bohr and 2.5e-11 in charge; and again
 # when the ascent took a V in ln rho at a kink: 3center and h moved by at most
-# 8.5e-15 bohr and 2.0e-11 in charge
+# 8.5e-15 bohr and 2.0e-11 in charge; and 3center again when Newton started each
+# pair of extrema at the lowest sample of its segment: one skipped point's x went
+# 0.03873837694408491 -> 0.038738376944084885, nothing else moved
 INVERT_DIGESTS = {
     "z30": "df53c8a3f970ee6308497fa713eb9a56e32c40ff654ca951535afcd51747a2ed",
-    "3center": "686e0ba7202dea2342e6749f38417047e9a25df0ca19cb5e50fade42ea36a406",
+    "3center": "6569bc4511d123af8bc195de4dd34fffe80775926ca68bb904159cdbe4cbc683",
     "h": "b9134e4ed92e44b48eca6ba688774c9301f9585a7b6083e458505ea2bccd65aa",
     "gaussian": "648769f46593e86f741a62a40d36150998759b767ff3c602797e2e562b9e7dd9",
 }
@@ -992,13 +1001,18 @@ MISSED_CENTER = Z3Z1_1BOHR | {"frame": [{"position": [0, 0, 0], "charge": 2.0}, 
 # fields), and snap-charges and missed-center again when a downhill trial that had
 # passed the peak stepped to it instead of halving (at most 8.5e-15 bohr and
 # 2.7e-11 in charge), and once more when the ascent took a V in ln rho at a kink
-# (at most 1.6e-14 bohr and 3.9e-11 in charge)
+# (at most 1.6e-14 bohr and 3.9e-11 in charge).  The three invert branches again
+# when Newton started each pair of extrema at the lowest sample of its segment:
+# the saddle of snap-charges and missed-center went (7.0e-46, 7.0e-46,
+# 0.9366326804175686) -> (0.0, 0.0, 0.9366326804175685); in two-smooth-maxima the
+# saddle went to z = 1.25 exactly with gradient_norm 0.0, and the maximum's z, its
+# gradient_norm (2.8e-17 -> 0.0) and both floors moved in their last digits
 BRANCH_DIGESTS = {
-    "invert-snap-charges": "0d683d1b5786057054351032c00be37c85f184e78d353584a610f4f3d35b2c5c",
-    "invert-missed-center": "f714debd174779836eb7e82bf74358e5d4dc8648461dfb0fa626ffe13d74bf1d",
+    "invert-snap-charges": "3758ab580caa286ec913fbb1145fd065d352cad01b53840fedd8972088c52cce",
+    "invert-missed-center": "daeaf2b73684153ca48fe0301eedf3d87559b59444ca332418bff768af5d34e3",
     "verify-cusp-fails": "993226f113ff8995cacee6d718d9b82f9a2ed3573782ab5a67e2cf464ae65dcb",
     "audit-cusp-cross-check": "b2c1e2392be88301b46902a88f754c8089dd576f18fb3e5de1f278b93bded069",
-    "invert-two-smooth-maxima": "d8925e7ad47e89ca8acef232ccf684be85660e373d5b95fd81c7e20c6d9c7799",
+    "invert-two-smooth-maxima": "97e612954b044e2ad718f84e9ae0f61d6cf4da926394678605486be89eadfb47",
 }
 # name: (command, spec documents, flags, exit code, the result key of the branch)
 BRANCH_CASES = {

@@ -94,6 +94,16 @@ def test_map_at_the_origin_onto_a_target_that_vanishes_there():
         m.map_at(1e-300)
 
 
+def test_a_subnormal_source_charge_raises_whatever_the_target_density(map_1_to_2):
+    # hydrogen's charge 4 r^3 / 3 is subnormal at 1e-105 bohr and 0 at 1e-110, though
+    # the target density at the origin is positive; below the smallest normal float
+    # the charge is taken as 0, as in rho2v.radial, and f is never read from it
+    assert map_1_to_2.map_at(1e-100) == 5e-101
+    for r in (1e-105, 1e-110):
+        with pytest.raises(NonMonotoneCumulative, match=rf"^source charge within r = {r:g} underflows to 0"):
+            map_1_to_2.map_at(r)
+
+
 def at_origin(prims) -> RadialDensity:
     """The radial density of the primitives, all centered at the origin."""
     return RadialDensity.from_model(DensityModel(terms=tuple((np.zeros(3), p) for p in prims)))

@@ -5,6 +5,7 @@ nuclei) is decided by a brute-force 1D scan of the density along the
 internuclear axis at 1e-3 bohr spacing, independent of the search code.
 """
 
+import itertools
 import math
 import warnings
 
@@ -42,7 +43,9 @@ from rho2v.topology import (
     _fibonacci_directions,
     _gradient_norm_floor,
     _newton,
+    _poincare_hopf_sum,
     _rows_inside,
+    _segment_seeds,
     _settle,
     _solve,
     classify,
@@ -593,13 +596,14 @@ def test_search_at_eight_seeds_per_axis_reads_every_small_basin_nucleus(seed):
 
 def count_search_passes(monkeypatch):
     """Count the kernel passes of find_critical_points, and those of its batched
-    ascent, its compass search, its Newton runs and its classify calls, with the
-    points they evaluate under "<phase>_points"; the dict also holds the ascent's
-    last (endpoints, kept).  Of the Richardson ladders, "routing_ladders" counts
-    those run outside classify and "classify_ladders" those run inside it;
-    "classify_calls" counts the classify calls and "reused" those at a point,
-    bit for bit, that a routing ladder read."""
-    phases = ("ascent", "settle", "newton", "classify")
+    ascent, its compass search, its segment sampling, its Newton runs and its
+    classify calls, with the points they evaluate under "<phase>_points"; the
+    dict also holds the ascent's last (endpoints, kept).  Of the Richardson
+    ladders, "routing_ladders" counts those run outside classify and
+    "classify_ladders" those run inside it; "classify_calls" counts the
+    classify calls and "reused" those at a point, bit for bit, that a routing
+    ladder read."""
+    phases = ("ascent", "settle", "segments", "newton", "classify")
     ladders = ("routing_ladders", "classify_ladders", "classify_calls", "reused")
     passes = dict.fromkeys(("all", "all_points", *phases, *(f"{name}_points" for name in phases), *ladders), 0)
     routed = set()
@@ -650,6 +654,7 @@ def count_search_passes(monkeypatch):
     monkeypatch.setattr(topology, "evaluate_many", counted(evaluate_many))
     monkeypatch.setattr(topology, "_ascend", phase("ascent", ascent))
     monkeypatch.setattr(topology, "_settle", phase("settle", _settle))
+    monkeypatch.setattr(topology, "_segment_seeds", phase("segments", _segment_seeds))
     monkeypatch.setattr(topology, "_newton", phase("newton", _newton))
     return passes
 
@@ -691,12 +696,15 @@ def test_ascent_pass_count_on_an_off_origin_hydrogen(monkeypatch):
 
 
 def test_search_pass_count_on_the_three_center_frame(monkeypatch):
-    # Newton runs from the 3 pair seeds of each pair of extrema and the polish, not
-    # from the 125 grid seeds as well: 79 points in its passes, 484 with the grid
-    # seeds.  Its 21 passes are set by the slowest pair seed, so the total stays 82
+    # Newton runs from one seed per pair of extrema, the lowest sample of its
+    # segment, and the polish, not from the 125 grid seeds: 22 points in its passes,
+    # 79 from three fixed seeds per pair and 484 with the grid seeds as well.  Its 13
+    # passes are set by the slowest pair seed, 21 from the fixed seeds; the samples
+    # take one pass, so the total goes 82 -> 75
     passes = search_three_center_frame(monkeypatch)
-    assert (passes["newton"], passes["newton_points"]) == (21, 79)
-    assert passes["all"] == 82
+    assert (passes["segments"], passes["segments_points"]) == (1, 93)
+    assert (passes["newton"], passes["newton_points"]) == (13, 22)
+    assert passes["all"] == 75
 
 
 def test_newton_pass_count_on_an_off_origin_hydrogen(monkeypatch):
@@ -718,14 +726,26 @@ COUNTED_FRAMES = {
 @pytest.mark.parametrize(
     "name, expected",
     [
-        ("hydrogen", dict(ascent=13, settle=3, newton=0, classify=2, routing_ladders=1, classify_ladders=0, reused=1)),
-        ("z3z1-3bohr", dict(ascent=20, settle=3, newton=11, classify=6, routing_ladders=2, classify_ladders=1, reused=2)),
-        ("3center", dict(ascent=28, settle=21, newton=21, classify=10, routing_ladders=3, classify_ladders=5, reused=0)),
+        (
+            "hydrogen",
+            dict(ascent=13, settle=3, segments=0, newton=0, classify=2, routing_ladders=1, classify_ladders=0, reused=1),
+        ),
+        (
+            "z3z1-3bohr",
+            dict(ascent=20, settle=3, segments=1, newton=6, classify=6, routing_ladders=2, classify_ladders=1, reused=2),
+        ),
+        (
+            "3center",
+            dict(ascent=28, settle=21, segments=1, newton=13, classify=10, routing_ladders=3, classify_ladders=5, reused=0),
+        ),
     ],
 )
 def test_search_passes_and_ladders_per_phase(monkeypatch, name, expected):
     # the kernel passes of each phase: kernel_pass in the ascent, Newton and classify,
-    # evaluate_many in the compass search.  classify reuses the routing ladder's
+    # evaluate_many in the compass search and the segment sampling.  Newton from the
+    # lowest sample of each pair's segment takes 6 and 13 passes on the two- and
+    # three-center frames, where three fixed seeds per pair took 11 and 21; a single
+    # nucleus has no pair to sample.  classify reuses the routing ladder's
     # reading at a point that neither the compass search nor Newton moved, so each
     # such ladder runs once: the hydrogen nucleus, which the ascent lands on, and
     # both Z3/Z1 nuclei ran 2 and 5 ladders where they now run 1 and 3
@@ -734,6 +754,40 @@ def test_search_passes_and_ladders_per_phase(monkeypatch, name, expected):
     find_critical_points(model_from_frame(frame), seeds_per_axis=seeds_per_axis)
     assert {key: passes[key] for key in expected} == expected
     assert passes["classify_ladders"] == passes["classify_calls"] - passes["reused"]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [model_from_frame(COUNTED_FRAMES["3center"][0]), random_maxima_frame(0)],
+    ids=["3center", "random-frame-0"],
+)
+def test_each_pair_of_extrema_seeds_newton_at_the_lowest_sample_of_its_segment(monkeypatch, model):
+    # one seed per pair, bit for bit the lowest of its 31 samples (1 - w) a + w b at
+    # w = k/32, the first where two tie, from one evaluate_many pass for all pairs
+    passes = count_search_passes(monkeypatch)
+    sampled, newton_seeds = [], []
+    segment_seeds, newton = topology._segment_seeds, topology._newton
+
+    def sample(model, points):
+        sampled.append((np.reshape(points, (-1, 3)), segment_seeds(model, points)))
+        return sampled[-1][1]
+
+    def run_newton(model, seeds, *args):
+        newton_seeds.append(np.reshape(seeds, (-1, 3)))
+        return newton(model, seeds, *args)
+
+    monkeypatch.setattr(topology, "_segment_seeds", sample)
+    monkeypatch.setattr(topology, "_newton", run_newton)
+    find_critical_points(model, seeds_per_axis=5)
+    assert passes["segments"] == len(sampled) == 1 and len(newton_seeds) == 2
+    (points, seeds), k = sampled[0], np.arange(1.0, 32.0)[:, None]
+    pairs = list(itertools.combinations(points, 2))
+    assert len(points) == len(model.frame) and len(seeds) == len(pairs)
+    assert np.array_equal(newton_seeds[1], seeds)
+    for (a, b), seed in zip(pairs, seeds):
+        samples = (1.0 - k / 32.0) * a + k / 32.0 * b
+        rho = evaluate_many(model, samples)
+        assert np.array_equal(seed, samples[np.argmin(rho)])
 
 
 def poincare_hopf_sum(points):
@@ -757,9 +811,20 @@ def test_search_closes_on_poincare_hopf(seeds_per_axis):
     assert broken == []
 
 
+def test_the_seeds_between_bond_points_find_a_ring_point_the_pair_seeds_miss():
+    # in frame 1242 (Z = 1, 4, 2) the lowest samples of the segments between the
+    # nuclei and the centroid of the three miss the ring point; the bond stage's
+    # three fixed seeds per pair of bond points find it.  The lowest sample of a
+    # segment between two bond points would not: each of those segments passes by
+    # the nucleus the two bonds share, so its lowest sample sits next to a bond point
+    points = find_critical_points(random_maxima_frame(1242), seeds_per_axis=5)
+    assert poincare_hopf_sum(points) == 1
+    assert sum(p.signature == 1 for p in points) == 1
+
+
 def test_a_shell_of_maxima_runs_no_later_newton_stage(monkeypatch):
     # one normalized power-2 slater_s term (c = zeta = 1): its maxima form a sphere,
-    # and the search finds thousands of degenerate points on it, for which the
+    # and the search finds hundreds of degenerate points on it, for which the
     # Poincare-Hopf sum means nothing.  Newton runs twice, to polish the smooth
     # maxima and from the pair seeds; the centroids of every triple of the 56 ascent
     # maxima (27,720 seeds) are never built
@@ -775,7 +840,9 @@ def test_a_shell_of_maxima_runs_no_later_newton_stage(monkeypatch):
     model = normalize(DensityModel(terms=((np.zeros(3), prim),), electron_count=1))
     points = find_critical_points(model, seeds_per_axis=4)
     assert len(calls) == 2
-    assert sum(not p.is_cusp and p.rank != 3 for p in points) > 1000  # 2,684 of 2,685
+    assert _poincare_hopf_sum(points) is None
+    # 776 of 777 from one seed per pair, 2,684 of 2,685 from three
+    assert sum(not p.is_cusp and p.rank != 3 for p in points) == 776
 
 
 @pytest.mark.parametrize("seed", [45, 68])
