@@ -413,25 +413,24 @@ COMMANDS = ("invert", "verify-cusp", "audit", "lst", "grid-export")
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The rho2v parser with the subparser of command only, or of every command
-    when command is None."""
-    parser = _ArgumentParser(
-        prog="rho2v",
-        description="Invert densities to Coulomb potentials and audit uniqueness machinery.",
-    )
-    parser.add_argument("--version", action="version", version=f"rho2v {__version__}")
-    parser.add_argument(
-        "--tolerances",
-        action="store_true",
-        help="print the default tolerance set as JSON and exit",
-    )
-    sub = parser.add_subparsers(dest="command")
+    """The parser of command alone, "rho2v <command>", reading what its subparser
+    reads; or, for None, the rho2v parser with every command's subparser."""
+    if command is not None:
+        parser = _ArgumentParser(prog=f"rho2v {command}")
+        parser.set_defaults(command=command, tolerances=False)
+        new = lambda name, help: parser  # noqa: E731 - the command's own parser takes its arguments
+    else:
+        description = "Invert densities to Coulomb potentials and audit uniqueness machinery."
+        parser = _ArgumentParser(prog="rho2v", description=description)
+        parser.add_argument("--version", action="version", version=f"rho2v {__version__}")
+        parser.add_argument("--tolerances", action="store_true", help="print the default tolerance set as JSON and exit")
+        new = parser.add_subparsers(dest="command").add_parser
 
     if command in (None, "invert"):
         from .spherical import DEFAULT_ORDER
         from .topology import DEFAULT_SEEDS
 
-        p = sub.add_parser("invert", help="reconstruct the Coulomb frame from a density")
+        p = new("invert", help="reconstruct the Coulomb frame from a density")
         p.add_argument("spec")
         _report_flags(p)
         p.add_argument("--lebedev-order", type=int, default=DEFAULT_ORDER, choices=SUPPORTED_ORDERS)
@@ -443,7 +442,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         from .inversion import CUSP_TOL
         from .spherical import DEFAULT_ORDER
 
-        p = sub.add_parser("verify-cusp", help="check cusp relations against the declared frame")
+        p = new("verify-cusp", help="check cusp relations against the declared frame")
         p.add_argument("spec")
         _report_flags(p)
         p.add_argument("--lebedev-order", type=int, default=DEFAULT_ORDER, choices=SUPPORTED_ORDERS)
@@ -453,7 +452,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command in (None, "audit"):
         from .audit import AUDIT_TOL
 
-        p = sub.add_parser("audit", help="cross-energy audit of two one-electron systems")
+        p = new("audit", help="cross-energy audit of two one-electron systems")
         p.add_argument("spec1")
         p.add_argument("spec2")
         _report_flags(p)
@@ -463,7 +462,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command in (None, "lst"):
         from .scaling import GRID_MAX, GRID_MIN, GRID_POINTS
 
-        p = sub.add_parser("lst", help="solve the radial local-scaling map between two densities")
+        p = new("lst", help="solve the radial local-scaling map between two densities")
         p.add_argument("spec_source")
         p.add_argument("spec_target")
         _report_flags(p)
@@ -474,7 +473,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_lst)
 
     if command in (None, "grid-export"):
-        p = sub.add_parser("grid-export", help="sample the density as a Gaussian cube file")
+        p = new("grid-export", help="sample the density as a Gaussian cube file")
         p.add_argument("spec")
         p.add_argument("--output", default=None, help="cube file path (default: stdout)")
         p.add_argument("--origin", type=float, nargs=3, default=(0.0, 0.0, 0.0))
@@ -487,9 +486,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a command name first: its subparser alone parses the rest, so build only that one
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+    # a command name first: its parser alone reads the rest, so build only that one
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    parser = build_parser(command)
+    args = parser.parse_args(argv[1:] if command else argv)
     if args.tolerances:
         sys.stdout.write(json.dumps(_tolerances(), indent=2, sort_keys=True) + "\n")
         return EXIT_OK

@@ -16,6 +16,10 @@ Two families of stationary features are distinguished:
     by safeguarded Newton iteration on grad rho = 0 and classified by the
     rank and signature of the Hessian spectrum.
 
+The points of each stage are classified together (_classify_many): one
+order-2 kernel pass over all of them, one order-1 pass over all their
+gradient-floor probes and one stacked eigvalsh over their Hessians.
+
 Search is multistart over a uniform seed grid, and every seed moves at
 once: one batched gradient ascent with a step length per seed, then a
 batched Newton iteration whose Hessians are solved as a stack.  The grid
@@ -26,13 +30,14 @@ point that is the minimum of rho along its bond path (Bader 1990); every
 pair's samples take one evaluate_many pass together.  The ascent
 doubles a seed's step after an uphill trial and halves it after a downhill
 one, unless the trial slopes down along the step: then it has passed the
-peak of its line, and the next step goes to the peak that the two slopes
-and values give for a V-shaped profile: back from an uphill trial, or from
-the seed, which stays put, after a downhill one (_ascend).  By Kato's cusp
-condition ln rho is locally a V with slopes +-2Z along any line through a
-nucleus, so where the two log-slopes are nearly opposite the V is taken in
-ln rho, and elsewhere in rho.  Every step
-is one pass of the density kernel, which returns the values, the
+peak of its line, and the next step goes to the peak of a line model
+through the two slopes and values: back from an uphill trial, or from the
+seed, which stays put, after a downhill one (_ascend, _line_peak).  The
+model is a parabola of ln rho, exact on a Gaussian, where the four data fit
+one; elsewhere it is a V.  By Kato's cusp condition ln rho is locally a V
+with slopes +-2Z along any line through a nucleus, so where the two
+log-slopes are nearly opposite the V is taken in ln rho, and elsewhere in
+rho.  Every step is one pass of the density kernel, which returns the values, the
 derivatives and the mask of the points on a cusp together, over a
 compacted set of the seeds still moving; the Newton seeds whose step
 falls below tolerance take one order-1 pass of their own in that
@@ -93,6 +98,9 @@ MAXIMA_MERGE_RADIUS = 1e-3
 SEARCH_MARGIN = 3.0
 # the seed ascent stops below this step; on cusps a compass search goes on to the next
 ASCENT_MIN_STEP = 1e-8
+# the ascent's line model is a parabola of ln rho where its four data fit one within
+# this fraction of s (kappa - kappa_t), and a V elsewhere (_line_peak)
+PARABOLA_FIT = 0.05
 CUSP_MIN_STEP = 1e-14
 # iteration caps of the seed ascent, the cusp compass search and Newton
 ASCENT_ITERATIONS = 500
@@ -170,14 +178,13 @@ def _fibonacci_directions(n: int) -> np.ndarray:
 _FLOOR_OFFSETS = np.concatenate([radius * _fibonacci_directions(24) for radius in (1e-3, 1e-4)])
 
 
-def _gradient_norm_floor(model: DensityModel, position: np.ndarray) -> float:
-    """Infimum of |grad rho| over small punctured spheres about position,
-    skipping probe points on a cusp singularity; 0.0 when none remain."""
-    p = kernel_pass(model, position + _FLOOR_OFFSETS, 1)
-    g = p.gradient[~p.on_cusp]
-    if not len(g):
-        return 0.0
-    return float(np.min(_norms(g)))
+def _gradient_norm_floor(model: DensityModel, positions: np.ndarray) -> np.ndarray:
+    """(N,) infimum of |grad rho| over small punctured spheres about each of the
+    positions (N, 3), skipping probe points on a cusp singularity; 0.0 where
+    none remain.  The probes of all positions take one order-1 kernel pass."""
+    p = kernel_pass(model, (positions[:, None] + _FLOOR_OFFSETS).reshape(-1, 3), 1)
+    floor = np.where(p.on_cusp, np.inf, _norms(p.gradient)).reshape(len(positions), -1).min(axis=1)
+    return np.where(floor < np.inf, floor, 0.0)
 
 
 def classify(
@@ -191,42 +198,75 @@ def classify(
     smooth points off a cusp singularity, where gradient_norm is None as well.
     estimate, when given, is that ladder's reading at this very point and
     order, taken before: the ladder is a pure function of them, so it is
-    reused as it is instead of being run again.
+    reused as it is instead of being run again.  The one-point case of
+    _classify_many.
     """
-    x = np.asarray(position, dtype=float).reshape(3)
-    p = kernel_pass(model, x[None], 2)
-    if estimate is None:
-        estimate = radial_derivative_at_center(model, x, order)
+    return _classify_many(model, np.asarray(position, dtype=float).reshape(1, 3), order, [estimate])[0]
 
-    grad_norm = rank = signature = None
-    if not p.on_cusp[0]:
-        grad_norm = float(np.linalg.norm(p.gradient[0]))
-        if not estimate.is_cusp:
-            eigs = np.linalg.eigvalsh(p.hessian[0])
-            lam_tol = EIG_REL_TOL * max(np.max(np.abs(eigs)), 1e-300)
-            nonzero = eigs[np.abs(eigs) > lam_tol]
-            rank = int(len(nonzero))
-            signature = int(np.sum(np.sign(nonzero)))
 
-    return CriticalPoint(
-        position=x,
-        kind=CriticalKind.CUSP_MAXIMUM if estimate.is_cusp else CriticalKind.SMOOTH_CRITICAL,
-        rank=rank,
-        signature=signature,
-        density_value=float(p.value[0]),
-        gradient_norm=grad_norm,
-        gradient_norm_floor=_gradient_norm_floor(model, x),
-        log_derivative=estimate.log_derivative,
-        ladder_converged=estimate.converged,
-        ladder_levels_used=estimate.levels_used,
-        log_derivative_uncertainty_estimate=estimate.uncertainty,
-    )
+def _classify_many(model: DensityModel, x: np.ndarray, order: int, estimates) -> list[CriticalPoint]:
+    """classify at every row of x (N, 3), with estimates[n] the ladder reading
+    at x[n] or None, in one order-2 kernel pass over the points, one order-1
+    pass over all their floor probes and one stacked eigvalsh over the smooth
+    points' Hessians.  A point's gradient, cusp mask and floor are the bits of
+    a pass of its own; its value and Hessian can differ by an ulp on models of
+    8 or more terms (kernel_pass)."""
+    p = kernel_pass(model, x, 2)
+    floor = _gradient_norm_floor(model, x)
+    estimates = [radial_derivative_at_center(model, xn, order) if e is None else e for xn, e in zip(x, estimates)]
+    # rank and signature of the Hessian spectrum of the smooth points off a cusp
+    # singularity, counting the eigenvalues above a relative floor
+    smooth = ~p.on_cusp & ~np.array([e.is_cusp for e in estimates], dtype=bool)
+    eigs = np.linalg.eigvalsh(p.hessian[smooth])
+    nonzero = np.abs(eigs) > EIG_REL_TOL * np.maximum(np.max(np.abs(eigs), axis=1), 1e-300)[:, None]
+    rank, signature = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=int)
+    rank[smooth], signature[smooth] = nonzero.sum(axis=1), (np.sign(eigs) * nonzero).sum(axis=1)
+    grad_norm = _norms(p.gradient)
+    return [
+        CriticalPoint(
+            position=x[n],
+            kind=CriticalKind.CUSP_MAXIMUM if e.is_cusp else CriticalKind.SMOOTH_CRITICAL,
+            rank=int(rank[n]) if smooth[n] else None,
+            signature=int(signature[n]) if smooth[n] else None,
+            density_value=float(p.value[n]),
+            gradient_norm=None if p.on_cusp[n] else float(grad_norm[n]),
+            gradient_norm_floor=float(floor[n]),
+            log_derivative=e.log_derivative,
+            ladder_converged=e.converged,
+            ladder_levels_used=e.levels_used,
+            log_derivative_uncertainty_estimate=e.uncertainty,
+        )
+        for n, e in enumerate(estimates)
+    ]
 
 
 def _rows_inside(box: np.ndarray, x: np.ndarray, slack: float = 1e-6) -> np.ndarray:
     """(S,) mask of the rows of x (S, 3) inside the box widened by slack."""
     inside = (x >= box[0] - slack) & (x <= box[1] + slack)
     return inside[:, 0] & inside[:, 1] & inside[:, 2]
+
+
+def _line_peak(s, f, f_t, k, k_t):
+    """Distance from the start of a step of length s to the peak of the line
+    model of rho along it, from its density f and slope k > 0 at the start and
+    f_t and k_t < 0 at the trial, arrays alike.  With the log-slopes kappa =
+    k/f and kappa_t = k_t/f_t, a parabola of ln rho meets ln(f_t/f) = s (kappa
+    + kappa_t)/2 exactly; where the four data fit it within PARABOLA_FIT s
+    (kappa - kappa_t), the peak is the parabola's, kappa s / (kappa - kappa_t),
+    exact on a Gaussian.  An exact V of ln rho meets that identity only when
+    its kink lies within PARABOLA_FIT s of the midpoint, where both models put
+    the peak near s/2.  Elsewhere the peak is a V's: one of ln rho where the
+    log-slopes are nearly opposite, |kappa + kappa_t| < (kappa - kappa_t)/2,
+    the Kato signature of a kink, (ln(f_t/f) - kappa_t s) / (kappa - kappa_t);
+    and one of rho, rising at k and falling at k_t, (f_t - f - k_t s) / (k -
+    k_t), otherwise."""
+    kappa, kappa_t = k / f, k_t / f_t
+    spread = kappa - kappa_t
+    log_rise = np.log(f_t / f)
+    parabola = np.abs(log_rise - 0.5 * s * (kappa + kappa_t)) <= PARABOLA_FIT * s * spread
+    kato = np.abs(kappa + kappa_t) < 0.5 * spread
+    v = np.where(kato, (log_rise - kappa_t * s) / spread, (f_t - f - k_t * s) / (k - k_t))
+    return np.where(parabola, kappa * s / spread, v)
 
 
 def _ascend(model, seeds, box):
@@ -236,27 +276,26 @@ def _ascend(model, seeds, box):
     s, starting at 0.05 box widths.  A trial whose slope along the step,
     k_t = grad rho(trial) . u, is >= 0 doubles s when it is uphill and
     halves s when it is downhill (rejected).  A trial with k_t < 0 has
-    passed the peak of its line, which lies s* from the start in the V model
-    of a Slater kink.  By Kato's cusp condition ln rho along a line through
-    a nucleus is a V with slopes +-2Z, exactly so for one hydrogenic term,
-    so where the log-slopes kappa = k/f at the start (k = |grad rho|) and
-    kappa_t = k_t/f_t at the trial are nearly opposite, |kappa + kappa_t| <
-    (kappa - kappa_t) / 2, the V is one of ln rho:
-    s* = (ln(f_t/f) - kappa_t s) / (kappa - kappa_t).  Elsewhere it is one
-    of rho, rising at k and falling at k_t: s* = (f_t - f - k_t s) / (k - k_t).
-    An uphill trial moves the seed and steps back to the peak next, s - s*
-    clipped to [1e-3 s, s]; a downhill one leaves the seed where it is and
-    steps to it next, s* clipped to [0.1 s, 0.3 s].  On a kink that lands on
-    the peak at once, where doubling would overshoot it again after every
-    uphill step and halving would take a run of rejected trials to come back
-    under it; on a hydrogenic kink a seed lands within about 1e-15 bohr of
-    the nucleus after its first trial past it, and then stops on the cusp.
-    The lower clip keeps a far overshoot, whose f_t << f makes s* much too
-    short, from stopping far short of the peak; the Kato test and the upper
-    clip keep the seeds that start in a small basin next to a heavier
-    nucleus in it.  A seed stops when its step
-    falls below ASCENT_MIN_STEP, when it sits on a cusp (where the gradient
-    is undefined) or where its gradient vanishes.  Endpoints outside the box or
+    passed the peak of its line, which lies s* from the start in the line
+    model of _line_peak, with k = |grad rho| at the start: the peak of a
+    parabola of ln rho where the four data fit one, exact on a Gaussian, and
+    elsewhere that of a V, one of ln rho at the Kato signature of a kink
+    (by Kato's cusp condition ln rho along a line through a nucleus is a V
+    with slopes +-2Z, exactly so for one hydrogenic term), one of rho
+    otherwise.  An uphill trial moves the seed and steps back to the peak
+    next, s - s* clipped to [1e-3 s, s]; a downhill one leaves the seed
+    where it is and steps to it next, s* clipped to [0.1 s, 0.3 s].  On a
+    kink or a Gaussian peak that lands on the peak at once, where doubling
+    would overshoot it again after every uphill step and halving would take
+    a run of rejected trials to come back under it; on one hydrogenic or
+    Gaussian term a seed lands within about 1e-15 bohr of the peak after its
+    first trial past it, and then stops on the cusp or where the gradient
+    vanishes.  The lower clip keeps a far overshoot, whose f_t << f makes s*
+    much too short, from stopping far short of the peak; the Kato test and
+    the upper clip keep the seeds that start in a small basin next to a
+    heavier nucleus in it.  A seed stops when its step falls below
+    ASCENT_MIN_STEP, when it sits on a cusp (where the gradient is
+    undefined) or where its gradient vanishes.  Endpoints outside the box or
     at zero density are not kept.  Each iteration is one kernel pass over
     the trial points of the seeds still moving, and an uphill trial point
     brings its own next direction and slope.
@@ -280,24 +319,16 @@ def _ascend(model, seeds, box):
         up = ft > fa
         step = sa * np.where(up, 2.0, 0.5)
         # a trial sloping down along the step has passed the peak of its line, which
-        # the V model puts `peak` from the start: an uphill trial steps back to it,
-        # a downhill one leaves the seed in place and steps to it next.  The V is one
-        # of ln rho where the log-slopes at the two ends are nearly opposite, the
-        # Kato signature of a kink, and one of rho elsewhere.  Only those trials,
-        # i, take the V; their k_t < 0 needs a nonzero gradient, so f_t > 0 there
+        # the line model puts `peak` from the start (_line_peak): an uphill trial steps
+        # back to it, a downhill one leaves the seed in place and steps to it next.
+        # Only those trials, i, take the model; their k_t < 0 needs a nonzero
+        # gradient, so f_t > 0 there
         gu = g * ua
         kt = gu[:, 0] + gu[:, 1] + gu[:, 2]
         i = (kt < 0.0).nonzero()[0]
         if len(i):
-            s, f0, f1, k0, k1, rose = sa[i], fa[i], ft[i], ka[i], kt[i], up[i]
-            kappa, kappa_t = k0 / f0, k1 / f1
-            spread = kappa - kappa_t
-            kato = np.abs(kappa + kappa_t) < 0.5 * spread
-            peak = (f1 - f0 - k1 * s) / (k0 - k1)
-            log_rise = f1 / f0
-            np.log(log_rise, out=log_rise, where=kato)
-            np.subtract(log_rise, kappa_t * s, out=log_rise, where=kato)
-            np.divide(log_rise, spread, out=peak, where=kato)
+            s, rose = sa[i], up[i]
+            peak = _line_peak(s, fa[i], ft[i], ka[i], kt[i])
             # clipped: s - peak to [1e-3 s, s] after an uphill trial, peak to [0.1 s, 0.3 s]
             lo, hi = s * np.where(rose, 1e-3, 0.1), s * np.where(rose, 1.0, 0.3)
             step[i] = np.minimum(np.maximum(np.where(rose, s - peak, peak), lo), hi)
@@ -496,15 +527,18 @@ def _dedupe(candidates, model, radius):
 
 
 def _kept_points(model, candidates, order, ladders) -> list[CriticalPoint]:
-    """Classify the candidates and keep each that is a cusp, whose ladder read a
-    cusp without converging (not a cusp then), or whose gradient is at most GRAD_TOL.
-    ladders maps the bytes of a point to its ladder's reading, which classify reuses."""
-    points = []
-    for x in candidates:
-        cp = classify(model, x, order, estimate=ladders.get(x.tobytes()))
-        if cp.log_derivative < -TAU_CUSP or (cp.gradient_norm is not None and cp.gradient_norm <= GRAD_TOL):
-            points.append(cp)
-    return points
+    """Classify the candidates together (_classify_many) and keep each that is a
+    cusp, whose ladder read a cusp without converging (not a cusp then), or whose
+    gradient is at most GRAD_TOL.  ladders maps the bytes of a point to its
+    ladder's reading, which classify reuses."""
+    if not len(candidates):
+        return []
+    estimates = [ladders.get(x.tobytes()) for x in candidates]
+    return [
+        cp
+        for cp in _classify_many(model, np.reshape(candidates, (-1, 3)), order, estimates)
+        if cp.log_derivative < -TAU_CUSP or (cp.gradient_norm is not None and cp.gradient_norm <= GRAD_TOL)
+    ]
 
 
 def find_critical_points(
@@ -514,8 +548,9 @@ def find_critical_points(
 
     From every seed of a seeds_per_axis^3 grid over default_search_box at
     once, a batched gradient ascent collects maxima; a trial that passed its
-    line's peak steps to the peak of a V, one of ln rho where the two
-    log-slopes are nearly opposite (the Kato signature of a kink).  Maxima
+    line's peak steps to the peak of a parabola of ln rho where its four data
+    fit one, and otherwise of a V, one of ln rho where the two log-slopes are
+    nearly opposite (the Kato signature of a kink).  Maxima
     whose spherical average (Lebedev order `order`) has a negative one-sided
     slope, read on its sign alone, are routed as cusps, settled onto the kink
     by a compass search down to a CUSP_MIN_STEP step that tries 16 step
@@ -527,7 +562,7 @@ def find_critical_points(
     (_segment_seeds), then collects the smooth stationary points; it is kept
     out of a 1e-2 bohr exclusion ball around each cusp.  Survivors are
     deduplicated within DEDUPE_RADIUS (highest density wins, ties broken by
-    lexicographic position) and classified; a point is kept when it is a
+    lexicographic position) and classified together; a point is kept when it is a
     cusp, when its ladder read a cusp without converging (not a cusp then),
     or when its gradient is at most GRAD_TOL.
     When no kept point is degenerate (each is a cusp or of rank 3) and

@@ -923,12 +923,16 @@ def test_report_result_bytes_are_pinned(tmp_path, command):
 # when the ascent took a V in ln rho at a kink: 3center and h moved by at most
 # 8.5e-15 bohr and 2.0e-11 in charge; and 3center again when Newton started each
 # pair of extrema at the lowest sample of its segment: one skipped point's x went
-# 0.03873837694408491 -> 0.038738376944084885, nothing else moved
+# 0.03873837694408491 -> 0.038738376944084885, nothing else moved; and 3center and
+# gaussian again when the ascent took the peak of a parabola of ln rho where the
+# four data of a trial fit one: two 3center nuclei moved by 2.0e-14 and 1.7e-14
+# bohr and 1.1e-11 in charge, and the Gaussian peak by 1.0e-15 bohr, where the
+# ascent now ends and Newton leaves it, with its gradient_norm_floor in the 11th digit
 INVERT_DIGESTS = {
     "z30": "df53c8a3f970ee6308497fa713eb9a56e32c40ff654ca951535afcd51747a2ed",
-    "3center": "6569bc4511d123af8bc195de4dd34fffe80775926ca68bb904159cdbe4cbc683",
+    "3center": "86209973af27b90579a69fee4ac4c0eb5a418f91ec6fad7068de71409427ce6f",
     "h": "b9134e4ed92e44b48eca6ba688774c9301f9585a7b6083e458505ea2bccd65aa",
-    "gaussian": "648769f46593e86f741a62a40d36150998759b767ff3c602797e2e562b9e7dd9",
+    "gaussian": "2c090fb1eb01112c08ebe83f56f469c34b35974e7ddd5e395470ac175ceab209",
 }
 INVERT_SPECS = {
     "z30": (spec_of(model_from_frame(NuclearFrame([[0.31, -0.17, 0.05]], [30.0]))), ["--seeds", "5"], 0),
@@ -1006,10 +1010,13 @@ MISSED_CENTER = Z3Z1_1BOHR | {"frame": [{"position": [0, 0, 0], "charge": 2.0}, 
 # the saddle of snap-charges and missed-center went (7.0e-46, 7.0e-46,
 # 0.9366326804175686) -> (0.0, 0.0, 0.9366326804175685); in two-smooth-maxima the
 # saddle went to z = 1.25 exactly with gradient_norm 0.0, and the maximum's z, its
-# gradient_norm (2.8e-17 -> 0.0) and both floors moved in their last digits
+# gradient_norm (2.8e-17 -> 0.0) and both floors moved in their last digits.
+# snap-charges and missed-center again when the ascent took the peak of a parabola
+# of ln rho where the four data of a trial fit one: the Z=1 nucleus moved by 1.4e-14
+# bohr and 1.8e-11 in charge
 BRANCH_DIGESTS = {
-    "invert-snap-charges": "3758ab580caa286ec913fbb1145fd065d352cad01b53840fedd8972088c52cce",
-    "invert-missed-center": "daeaf2b73684153ca48fe0301eedf3d87559b59444ca332418bff768af5d34e3",
+    "invert-snap-charges": "2317e060a55c0498ee2c122e022c60af72f75fe9268f7142f5ff80f78318c5eb",
+    "invert-missed-center": "79e5b1a5c6266e566ea6b83be3bfe8fddd0f86effb97f1be5f2374ffe81f87c6",
     "verify-cusp-fails": "993226f113ff8995cacee6d718d9b82f9a2ed3573782ab5a67e2cf464ae65dcb",
     "audit-cusp-cross-check": "b2c1e2392be88301b46902a88f754c8089dd576f18fb3e5de1f278b93bded069",
     "invert-two-smooth-maxima": "97e612954b044e2ad718f84e9ae0f61d6cf4da926394678605486be89eadfb47",
@@ -1108,10 +1115,37 @@ def test_tolerances_and_version_bytes_are_pinned(argv, capsys):
     ],
 )
 def test_the_parser_of_one_command_reads_what_the_full_parser_reads(argv):
-    one = vars(cli.build_parser(argv[0]).parse_args(argv))
+    one = vars(cli.build_parser(argv[0]).parse_args(argv[1:]))
     assert one == vars(cli.build_parser().parse_args(argv))
     if argv[0] == "grid-export":  # defaults are tuples, never a list shared across calls
         assert one["origin"] == (0.0, 0.0, 0.0) and one["step"] == (1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_a_named_command_builds_one_parser(command, tmp_path, monkeypatch, capsys):
+    # neither the rho2v parser nor a subparsers action: the command's own parser alone
+    built = []
+
+    class Counted(cli._ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_ArgumentParser", Counted)
+    missing = str(tmp_path / "missing.json")
+    operands = {"audit": [missing, missing], "lst": [missing, missing], "grid-export": [missing, "--counts", "2", "2", "2"]}
+    assert run([command, *operands.get(command, [missing])]) == 1
+    assert "missing.json" in capsys.readouterr().err
+    assert built == [f"rho2v {command}"]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_the_help_of_a_named_command_is_its_subparser_help(command, capsys):
+    subparsers = cli.build_parser()._subparsers._group_actions[0]
+    with pytest.raises(SystemExit) as exc:
+        run([command, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == subparsers.choices[command].format_help()
 
 
 # ten terms on three sites, in interleaved order; frame charges from the exact cusp slopes

@@ -240,10 +240,15 @@ def test_gradient_norm_floor_skips_probe_on_cusp():
     with pytest.raises(AtCuspSingularity):
         gradient(model, probes[3])
     others = [np.linalg.norm(gradient(model, p)) for i, p in enumerate(probes) if i != 3]
-    assert _gradient_norm_floor(model, position) == pytest.approx(min(others), rel=1e-15)
+    assert _gradient_norm_floor(model, position[None])[0] == pytest.approx(min(others), rel=1e-15)
     # every probe on a cusp: nothing left to measure
     covered = DensityModel(terms=(smooth,) + tuple((p, cusp) for p in probes))
-    assert _gradient_norm_floor(covered, position) == 0.0
+    assert _gradient_norm_floor(covered, position[None]).tolist() == [0.0]
+    # the probes of several points take one pass, each point's floor the bits of its own
+    positions = np.array([position, [1.0, 0.4, -0.2], [-0.6, 0.1, 0.3]])
+    floors = _gradient_norm_floor(covered, positions)
+    assert floors.tolist() == [_gradient_norm_floor(covered, x[None])[0] for x in positions]
+    assert floors[0] == 0.0 and floors[1:].min() > 0.0
 
 
 # --- batched seed search: a bad seed drops only itself ----------------------
@@ -581,7 +586,20 @@ def assert_every_nucleus_read(seed, seeds_per_axis):
         assert -0.5 * cp.log_derivative == pytest.approx(kato, rel=1e-9)
 
 
-@pytest.mark.parametrize("seed", [*range(30), *SMALL_BASIN_SEEDS])
+# frames where the search at 5 seeds per axis misses a Z = 1 nucleus 0.89-0.93 bohr
+# from a Z = 2 one together with the bond point to it, so that n - b + r - c is still 1
+MISSED_NUCLEUS_SEEDS = (72, 83, 92)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason="misses a Z = 1 nucleus and its bond point"))
+        if seed in MISSED_NUCLEUS_SEEDS
+        else seed
+        for seed in [*range(120), *SMALL_BASIN_SEEDS]
+    ],
+)
 def test_search_lands_on_every_nucleus_and_reads_its_kato_charge(seed):
     assert_every_nucleus_read(seed, 5)
 
@@ -597,14 +615,15 @@ def test_search_at_eight_seeds_per_axis_reads_every_small_basin_nucleus(seed):
 def count_search_passes(monkeypatch):
     """Count the kernel passes of find_critical_points, and those of its batched
     ascent, its compass search, its segment sampling, its Newton runs and its
-    classify calls, with the points they evaluate under "<phase>_points"; the
-    dict also holds the ascent's last (endpoints, kept).  Of the Richardson
-    ladders, "routing_ladders" counts those run outside classify and
-    "classify_ladders" those run inside it; "classify_calls" counts the
-    classify calls and "reused" those at a point, bit for bit, that a routing
-    ladder read."""
+    batched classify passes (_classify_many, once per stage), with the points
+    they evaluate under "<phase>_points"; the dict also holds the ascent's last
+    (endpoints, kept).  Of the Richardson ladders, "routing_ladders" counts
+    those run outside classify and "classify_ladders" those run inside it;
+    "classify_calls" counts the points classified and "reused" those at a
+    point, bit for bit, that a routing ladder read."""
     phases = ("ascent", "settle", "segments", "newton", "classify")
     ladders = ("routing_ladders", "classify_ladders", "classify_calls", "reused")
+    classify_many = topology._classify_many
     passes = dict.fromkeys(("all", "all_points", *phases, *(f"{name}_points" for name in phases), *ladders), 0)
     routed = set()
     inside = []
@@ -639,18 +658,18 @@ def count_search_passes(monkeypatch):
             routed.add(np.asarray(center, dtype=float).tobytes())
         return radial_derivative_at_center(model, center, *args, **kwargs)
 
-    def classified(model, position, *args, **kwargs):
-        passes["classify_calls"] += 1
-        passes["reused"] += np.asarray(position, dtype=float).tobytes() in routed
+    def classified(model, positions, *args, **kwargs):
+        passes["classify_calls"] += len(positions)
+        passes["reused"] += sum(x.tobytes() in routed for x in positions)
         inside.append(True)
         try:
-            return classify(model, position, *args, **kwargs)
+            return classify_many(model, positions, *args, **kwargs)
         finally:
             inside.pop()
 
     monkeypatch.setattr(topology, "kernel_pass", counted(kernel_pass))
     monkeypatch.setattr(topology, "radial_derivative_at_center", ladder)
-    monkeypatch.setattr(topology, "classify", phase("classify", classified))
+    monkeypatch.setattr(topology, "_classify_many", phase("classify", classified))
     monkeypatch.setattr(topology, "evaluate_many", counted(evaluate_many))
     monkeypatch.setattr(topology, "_ascend", phase("ascent", ascent))
     monkeypatch.setattr(topology, "_settle", phase("settle", _settle))
@@ -677,8 +696,9 @@ def test_ascent_pass_count_on_the_three_center_frame(monkeypatch):
 
 
 def test_settle_pass_count_on_the_three_center_frame(monkeypatch):
-    # the compass search tries 16 step lengths per pass: 21 passes, where one step
-    # length per pass takes 39 from the same points
+    # the compass search tries 16 step lengths per pass: 18 passes from where the
+    # ascent stops, where one step length per pass took 39 from the V model's end
+    # points (21 passes)
     assert 0 < search_three_center_frame(monkeypatch)["settle"] <= 25
 
 
@@ -695,16 +715,66 @@ def test_ascent_pass_count_on_an_off_origin_hydrogen(monkeypatch):
     assert np.max(np.linalg.norm(ends[kept] - center, axis=1)) <= 1e-12
 
 
+def line_data(log_rho, slope, s):
+    """The four data of a trial s along a line, (f, f_t, k, k_t), from ln rho and its slope."""
+    f, f_t = math.exp(log_rho(0.0)), math.exp(log_rho(s))
+    return f, f_t, f * slope(0.0), f_t * slope(s)
+
+
+@pytest.mark.parametrize("peak", [0.2, 0.45, 0.7, 0.95])
+def test_a_trial_past_the_peak_of_a_parabola_of_ln_rho_steps_onto_it(peak):
+    # ln rho = 1.5 - 0.8 (x - x*)^2, a Gaussian along a line through its center: the
+    # parabola through the four data is exact, so its peak is x*; a V of rho or of
+    # ln rho through them misses it
+    s, a = 0.6, 0.8
+    f, f_t, k, k_t = line_data(lambda x: 1.5 - a * (x - peak * s) ** 2, lambda x: -2.0 * a * (x - peak * s), s)
+    assert topology._line_peak(s, f, f_t, k, k_t) == pytest.approx(peak * s, rel=1e-12)
+
+
+@pytest.mark.parametrize("kink, slopes", [(0.8, (2.0, -2.0)), (0.25, (2.0, -2.0)), (0.7, (6.0, -4.0))])
+def test_a_trial_past_a_kink_off_the_midpoint_steps_onto_it(kink, slopes):
+    # ln rho a V with its kink at x*, 0.2-0.3 s off the midpoint, rising at kappa and
+    # falling at kappa_t: the data meet no parabola, and the V of ln rho through them
+    # (the Kato signature) has its kink at x*; a parabola would step to
+    # kappa s / (kappa - kappa_t) instead
+    s, (rise, fall) = 0.4, slopes
+    f, f_t, k, k_t = line_data(
+        lambda x: 0.3 + (rise if x < kink * s else fall) * (x - kink * s), lambda x: rise if x < kink * s else fall, s
+    )
+    assert topology._line_peak(s, f, f_t, k, k_t) == pytest.approx(kink * s, rel=1e-12)
+    assert rise * s / (rise - fall) != pytest.approx(kink * s, rel=1e-3)
+
+
+def test_ascent_pass_count_on_a_normalized_gaussian(monkeypatch):
+    # ln rho is a parabola along every line through the center, so a seed steps onto
+    # the peak after its first trial past it: 10 passes, and every seed ends within
+    # rounding of the center, where the V model alone took 36 passes and stopped
+    # 1.1e-8 bohr away
+    passes = count_search_passes(monkeypatch)
+    center = np.array([0.4, -0.7, 1.1])
+    model = normalize(DensityModel(terms=((center, RadialPrimitive(PrimitiveKind.GAUSSIAN, 1.0, 0.8, 0)),)))
+    (point,) = find_critical_points(model, seeds_per_axis=5)
+    assert passes["ascent"] == 10
+    ends, kept = passes["result"]
+    assert kept.sum() == 125
+    assert np.max(np.linalg.norm(ends[kept] - center, axis=1)) <= 1e-14
+    assert point.rank == 3 and point.signature == -3
+
+
 def test_search_pass_count_on_the_three_center_frame(monkeypatch):
     # Newton runs from one seed per pair of extrema, the lowest sample of its
     # segment, and the polish, not from the 125 grid seeds: 22 points in its passes,
     # 79 from three fixed seeds per pair and 484 with the grid seeds as well.  Its 13
     # passes are set by the slowest pair seed, 21 from the fixed seeds; the samples
-    # take one pass, so the total goes 82 -> 75
+    # take one pass, so the total went 82 -> 75.  classify takes one order-2 pass
+    # and one floor pass for the five points instead of two passes per point, and
+    # the compass search 18 passes from where the parabola-or-V ascent stops
+    # instead of 21: 75 -> 64
     passes = search_three_center_frame(monkeypatch)
     assert (passes["segments"], passes["segments_points"]) == (1, 93)
     assert (passes["newton"], passes["newton_points"]) == (13, 22)
-    assert passes["all"] == 75
+    assert (passes["classify"], passes["classify_points"]) == (2, 5 + 5 * len(_FLOOR_OFFSETS))
+    assert passes["all"] == 64
 
 
 def test_newton_pass_count_on_an_off_origin_hydrogen(monkeypatch):
@@ -732,11 +802,11 @@ COUNTED_FRAMES = {
         ),
         (
             "z3z1-3bohr",
-            dict(ascent=20, settle=3, segments=1, newton=6, classify=6, routing_ladders=2, classify_ladders=1, reused=2),
+            dict(ascent=20, settle=3, segments=1, newton=6, classify=2, routing_ladders=2, classify_ladders=1, reused=2),
         ),
         (
             "3center",
-            dict(ascent=28, settle=21, segments=1, newton=13, classify=10, routing_ladders=3, classify_ladders=5, reused=0),
+            dict(ascent=28, settle=18, segments=1, newton=13, classify=2, routing_ladders=3, classify_ladders=5, reused=0),
         ),
     ],
 )
@@ -748,7 +818,10 @@ def test_search_passes_and_ladders_per_phase(monkeypatch, name, expected):
     # nucleus has no pair to sample.  classify reuses the routing ladder's
     # reading at a point that neither the compass search nor Newton moved, so each
     # such ladder runs once: the hydrogen nucleus, which the ascent lands on, and
-    # both Z3/Z1 nuclei ran 2 and 5 ladders where they now run 1 and 3
+    # both Z3/Z1 nuclei ran 2 and 5 ladders where they now run 1 and 3.  The points
+    # of each stage take one order-2 pass and one pass over their floor probes
+    # together, where each point took two passes of its own (6 and 10 on the two-
+    # and three-center frames)
     passes = count_search_passes(monkeypatch)
     frame, seeds_per_axis = COUNTED_FRAMES[name]
     find_critical_points(model_from_frame(frame), seeds_per_axis=seeds_per_axis)
@@ -841,8 +914,9 @@ def test_a_shell_of_maxima_runs_no_later_newton_stage(monkeypatch):
     points = find_critical_points(model, seeds_per_axis=4)
     assert len(calls) == 2
     assert _poincare_hopf_sum(points) is None
-    # 776 of 777 from one seed per pair, 2,684 of 2,685 from three
-    assert sum(not p.is_cusp and p.rank != 3 for p in points) == 776
+    # 788 of 789 from one seed per pair; 776 of 777 while the ascent's line model was
+    # a V of rho off the Kato signature, 2,684 of 2,685 from three seeds per pair
+    assert sum(not p.is_cusp and p.rank != 3 for p in points) == 788
 
 
 @pytest.mark.parametrize("seed", [45, 68])
