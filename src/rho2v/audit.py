@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel, NuclearFrame, hydrogenic_model, total_integral
-from .errors import NodeEncountered
+from .density import CENTER_EPS, DensityModel, NuclearFrame, PrimitiveKind, hydrogenic_model, total_integral
+from .errors import NodeEncountered, OutOfScope
 from .inversion import IncompatibilityVerdict, incompatibility_check
 from .radial import frame_attraction
 
@@ -45,6 +45,9 @@ __all__ = [
 AUDIT_TOL = 1e-9
 # seed grid points per axis of the case-IV cusp cross-check
 CUSP_CHECK_SEEDS = 5
+# relative tolerance on the exponent and coefficient of an audited spec's
+# hydrogenic term
+HYDROGENIC_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,32 @@ class OneElectronSystem:
     def __post_init__(self):
         if self.charge <= 0.0:
             raise ValueError(f"charge must be > 0, got {self.charge}")
+
+    @classmethod
+    def from_spec(cls, model: DensityModel, offset: float, label: str) -> "OneElectronSystem":
+        """The system of a spec's one-center frame, with the spec's potential
+        offset; the spec's terms must be exactly that system's density,
+        Z^3/pi exp(-2 Z r) at the center.  Raises OutOfScope, naming label,
+        for any other spec."""
+        if model.frame is None or len(model.frame) != 1:
+            raise OutOfScope(f"{label}: audit requires a spec with a single-center frame")
+        if model.electron_count != 1:
+            raise OutOfScope(f"{label}: audit requires electron_count == 1")
+        z, center = float(model.frame.charges[0]), model.frame.positions[0]
+        prim = model.terms[0][1] if len(model.terms) == 1 else None
+        if not (
+            prim is not None
+            and prim.kind is PrimitiveKind.SLATER_S
+            and prim.power == 0
+            and np.linalg.norm(model.terms[0][0] - center) <= CENTER_EPS
+            and math.isclose(prim.exponent, z, rel_tol=HYDROGENIC_RTOL)
+            and math.isclose(prim.coefficient, z**3 / math.pi, rel_tol=HYDROGENIC_RTOL)
+        ):
+            raise OutOfScope(
+                f"{label}: audit requires the hydrogenic density of the frame, "
+                "one slater_s term of power 0 at its center with exponent Z and coefficient Z^3/pi"
+            )
+        return cls(charge=z, center=tuple(center), offset=offset)
 
     @property
     def frame(self) -> NuclearFrame:

@@ -19,14 +19,13 @@ Flags, per command (every one of them is read):
 Exit codes: 0 success, 1 input error (bad spec, out-of-range flag value, or
 usage error), 2 no cusps / cusp check failed (a claimed nucleus where the
 density has no cusp, read by a converged ladder, or is at most 1e-30, or
-whose slopes disagree), 3 out of scope (multi-center
-where single-center is required, or an audit spec whose terms are not the
-hydrogenic density of its frame), 4 electron-count mismatch, or an lst map
-that cannot be placed (a target density hole, a source charge that
-underflows to 0 at a grid radius, or a map that misses the q_residual
-target at a grid radius).  Errors are reported as one
-"rho2v <command>: <message>" line on stderr (usage errors: argparse's usage
-text and its "error:" line).
+whose slopes disagree), 3 out of scope (multi-center where single-center is
+required, or an audit spec whose terms are not the hydrogenic density of its
+frame), 4 electron-count mismatch, or an lst map that cannot be placed (a
+source with no electrons, a target density hole, a source charge that
+underflows to 0 at a grid radius, or a map that misses the q_residual target
+at a grid radius).  Errors are reported as one "rho2v <command>: <message>"
+line on stderr (usage errors: argparse's usage text and its "error:" line).
 All reports are deterministic JSON: same inputs and flags, same bytes.  Each
 records the tolerances its command used, with the values it passed.
 
@@ -50,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import CENTER_EPS, DensityModel, PrimitiveKind, evaluate_grid
+from .density import evaluate_grid
 from .errors import (
     MassMismatch,
     NoCuspsFound,
@@ -238,46 +237,15 @@ def cmd_verify_cusp(args) -> int:
     return EXIT_OK if all_passed else EXIT_NO_CUSPS
 
 
-# relative tolerance on the exponent and coefficient of an audited spec's
-# hydrogenic term
-HYDROGENIC_RTOL = 1e-12
-
-
-def _single_center_system(model: DensityModel, offset: float, label: str):
-    """The audit.OneElectronSystem of the spec's one-center frame; the spec's
-    terms must be exactly that system's density, Z^3/pi exp(-2 Z r) at the center."""
-    from .audit import OneElectronSystem
-
-    if model.frame is None or len(model.frame) != 1:
-        raise OutOfScope(f"{label}: audit requires a spec with a single-center frame")
-    if model.electron_count != 1:
-        raise OutOfScope(f"{label}: audit requires electron_count == 1")
-    z, center = float(model.frame.charges[0]), model.frame.positions[0]
-    prim = model.terms[0][1] if len(model.terms) == 1 else None
-    if not (
-        prim is not None
-        and prim.kind is PrimitiveKind.SLATER_S
-        and prim.power == 0
-        and np.linalg.norm(model.terms[0][0] - center) <= CENTER_EPS
-        and math.isclose(prim.exponent, z, rel_tol=HYDROGENIC_RTOL)
-        and math.isclose(prim.coefficient, z**3 / math.pi, rel_tol=HYDROGENIC_RTOL)
-    ):
-        raise OutOfScope(
-            f"{label}: audit requires the hydrogenic density of the frame, "
-            "one slater_s term of power 0 at its center with exponent Z and coefficient Z^3/pi"
-        )
-    return OneElectronSystem(charge=z, center=tuple(center), offset=offset)
-
-
 def cmd_audit(args) -> int:
-    from .audit import CUSP_CHECK_SEEDS, audit_pair
+    from .audit import CUSP_CHECK_SEEDS, OneElectronSystem, audit_pair
 
     if not 0.0 <= args.tol < math.inf:
         raise OptionError("--tol must be finite and >= 0")
     model1, raw1 = load_spec(args.spec1)
     model2, raw2 = load_spec(args.spec2)
-    sys1 = _single_center_system(model1, spec_offset(raw1), args.spec1)
-    sys2 = _single_center_system(model2, spec_offset(raw2), args.spec2)
+    sys1 = OneElectronSystem.from_spec(model1, spec_offset(raw1), args.spec1)
+    sys2 = OneElectronSystem.from_spec(model2, spec_offset(raw2), args.spec2)
     report = audit_pair(sys1, sys2, tol=args.tol)
     # the case-IV cross-check runs the cusp search at its own seed count
     tolerances = _tolerances(
@@ -350,7 +318,7 @@ def cmd_lst(args) -> int:
 
 
 def cmd_grid_export(args) -> int:
-    from .cube import _cube_text
+    from .cube import _cube_header, _cube_text
 
     counts = args.counts
     if any(c < 2 for c in counts):
@@ -365,23 +333,9 @@ def cmd_grid_export(args) -> int:
     model, _ = load_spec(args.spec)
     origin = np.asarray(args.origin, dtype=float)
     step = np.asarray(args.step, dtype=float)
-
-    lines = [
-        "rho2v density export",
-        f"source: {Path(args.spec).name}",
-    ]
-    natoms = 0 if model.frame is None else len(model.frame)
-    lines.append(f"{natoms:5d} {origin[0]:12.6f} {origin[1]:12.6f} {origin[2]:12.6f}")
-    for n, v in zip(counts, np.diag(step)):
-        lines.append(f"{n:5d} {v[0]:12.6f} {v[1]:12.6f} {v[2]:12.6f}")
-    if model.frame is not None:
-        for pos, z in zip(model.frame.positions, model.frame.charges):
-            lines.append(
-                f"{int(round(z)):5d} {z:12.6f} {pos[0]:12.6f} {pos[1]:12.6f} {pos[2]:12.6f}"
-            )
-
+    header = _cube_header(Path(args.spec).name, model.frame, origin, step, counts)
     try:
-        text = _cube_text("\n".join(lines) + "\n", evaluate_grid(model, origin, step, counts))  # z fastest
+        text = _cube_text(header, evaluate_grid(model, origin, step, counts))  # z fastest
     except MemoryError:
         raise OptionError(too_large) from None
     _write_output(text, args.output)

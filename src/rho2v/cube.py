@@ -1,6 +1,7 @@
 """Gaussian-cube text of density values, byte-identical to "%13.5E" per value.
 
-grid-export writes its grid values through _cube_text: six 13-byte cells to
+grid-export writes its cube as _cube_header, then its grid values through
+_cube_text: six 13-byte cells to
 a row, each formatted from numpy digits and lookup tables of 4-byte words
 rather than by one Python format call per value.  The tables are built when
 this module is imported, which only grid-export does.
@@ -58,6 +59,21 @@ def _cube_block(v: np.ndarray, cells: np.ndarray, words: list, work: tuple) -> N
     tie = np.abs(x, out=x) < 1e-6
     for i in np.flatnonzero((slow & ~zero) | tie):
         cells[i // 6, i % 6] = np.frombuffer(b"%13.5E" % v[i], dtype=np.uint8)
+
+
+def _cube_header(source: str, frame, origin: np.ndarray, step: np.ndarray, counts) -> str:
+    """The cube header: the title, the name of the source spec, the atom count
+    with the origin, each axis's point count with its step vector (the diagonal
+    of step), and each nucleus of the frame (None: no atoms) as its charge
+    rounded, its charge and its position."""
+    natoms = 0 if frame is None else len(frame)
+    lines = ["rho2v density export", f"source: {source}"]
+    lines.append(f"{natoms:5d} {origin[0]:12.6f} {origin[1]:12.6f} {origin[2]:12.6f}")
+    lines += [f"{n:5d} {v[0]:12.6f} {v[1]:12.6f} {v[2]:12.6f}" for n, v in zip(counts, np.diag(step))]
+    if frame is not None:
+        for pos, z in zip(frame.positions, frame.charges):
+            lines.append(f"{int(round(z)):5d} {z:12.6f} {pos[0]:12.6f} {pos[1]:12.6f} {pos[2]:12.6f}")
+    return "\n".join(lines) + "\n"
 
 
 def _cube_text(header: str, values: np.ndarray) -> str:

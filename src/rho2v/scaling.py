@@ -296,11 +296,14 @@ class LocalScalingMap:
 def solve_scaling_map(source: RadialDensity, target: RadialDensity, grid=None) -> LocalScalingMap:
     """Match cumulative charges on a radial grid.
 
-    Raises MassMismatch when the electron counts differ (the map would not
-    exist) and NonMonotoneCumulative when the target cumulative is flat
-    where charge has to be placed (density hole).
+    Raises NonMonotoneCumulative when the source electron count is not
+    positive (there is no charge to place), MassMismatch when the electron
+    counts differ (the map would not exist) and NonMonotoneCumulative when the
+    target cumulative is flat where charge has to be placed (density hole).
     """
     n_src, n_tgt = source.electron_count, target.electron_count
+    if not n_src > 0.0:
+        raise NonMonotoneCumulative(f"source electron count {n_src!r} is not positive; there is no charge to map")
     if abs(n_src - n_tgt) > MASS_TOL * max(1.0, abs(n_src)):
         raise MassMismatch(f"electron counts differ: {n_src!r} vs {n_tgt!r}")
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)

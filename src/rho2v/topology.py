@@ -48,15 +48,17 @@ quarter box width)) drops out alone.
 The critical points of a density that decays at infinity satisfy the
 Poincare-Hopf relation n - b + r - c = 1 over its maxima, bond (3,-1),
 ring (3,+1) and cage (3,+3) points (Bader, Atoms in Molecules, 1990), a
-cusp counting as a maximum.  When no point found is degenerate and the sum
-is not 1, Newton runs again from more of the structure found, in stages
-that stop once the sum is 1: from the centroid of every triple of extrema,
-then from seeds about the bond points (_bond_seeds).  A stage adds points
-and never replaces one.  The sum cannot see a missed maximum together with
-the bond point to it.  Results are
-deduplicated within a position tolerance and returned in a canonical order
-of their rounded positions, so the output is independent of seed
-enumeration order.
+cusp counting as a maximum.  Newton runs in up to three stages, each
+through the same loop body (seeds, Newton, the converged points farther
+than DEDUPE_RADIUS from every point kept, dedupe, classify): from the pair
+seeds, whose points are deduplicated and classified together with the
+extrema; then, while no point found is degenerate and the sum is not 1,
+from the centroid of every triple of extrema, and from seeds about the
+bond points (_bond_seeds).  A stage adds points and never replaces one.
+The sum cannot see a missed maximum together with the bond point to it.
+Results are deduplicated within a position tolerance and returned in a
+canonical order of their rounded positions, so the output is independent of
+seed enumeration order.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ import numpy as np
 
 from .density import DensityModel, _norms, evaluate_many, kernel_pass
 from .errors import EmptyResult
-from .spherical import DEFAULT_ORDER, TAU_CUSP, RadialDerivativeEstimate, radial_derivative_at_center
+from .spherical import DEFAULT_ORDER, TAU_CUSP, radial_derivative_at_center
 
 __all__ = [
     "CriticalKind",
@@ -113,9 +115,7 @@ _SETTLE_SCALES = 0.5 ** np.arange(16)
 CUSP_EXCLUSION = 1e-2
 # relative Hessian eigenvalue floor for rank counting
 EIG_REL_TOL = 1e-8
-# Newton seeds about a bond point: these offsets (bohr) along its middle Hessian eigenvector,
-# and these fractions of the way to each other bond point
-_BOND_OFFSETS = np.array([-0.3, -0.15, -0.05, 0.05, 0.15, 0.3])
+# Newton seeds about a bond point: these fractions of the way to each other bond point
 _BOND_PAIR_FRACTIONS = (0.5, 1.0 / 3.0, 2.0 / 3.0)
 # the samples of the segment between two points, of which the lowest seeds Newton:
 # these fractions of the way, the exact binary fractions k/32, k = 1 ... 31
@@ -187,28 +187,24 @@ def _gradient_norm_floor(model: DensityModel, positions: np.ndarray) -> np.ndarr
     return np.where(floor < np.inf, floor, 0.0)
 
 
-def classify(
-    model: DensityModel, position, order: int = DEFAULT_ORDER, *, estimate: RadialDerivativeEstimate | None = None
-) -> CriticalPoint:
+def classify(model: DensityModel, position, order: int = DEFAULT_ORDER) -> CriticalPoint:
     """Full diagnostic of the density at a point.
 
     kind is CUSP_MAXIMUM iff the Richardson ladder of the spherical average
     (Lebedev order `order`) reads a cusp (RadialDerivativeEstimate.is_cusp);
     rank/signature come from the Hessian spectrum and are reported only for
     smooth points off a cusp singularity, where gradient_norm is None as well.
-    estimate, when given, is that ladder's reading at this very point and
-    order, taken before: the ladder is a pure function of them, so it is
-    reused as it is instead of being run again.  The one-point case of
-    _classify_many.
+    The one-point case of _classify_many.
     """
-    return _classify_many(model, np.asarray(position, dtype=float).reshape(1, 3), order, [estimate])[0]
+    return _classify_many(model, np.asarray(position, dtype=float).reshape(1, 3), order, [None])[0]
 
 
 def _classify_many(model: DensityModel, x: np.ndarray, order: int, estimates) -> list[CriticalPoint]:
     """classify at every row of x (N, 3), with estimates[n] the ladder reading
-    at x[n] or None, in one order-2 kernel pass over the points, one order-1
-    pass over all their floor probes and one stacked eigvalsh over the smooth
-    points' Hessians.  A point's gradient, cusp mask and floor are the bits of
+    at x[n] and order, taken before, or None: the ladder is a pure function of
+    them, so a reading is reused as it is instead of being run again.  One
+    order-2 kernel pass over the points, one order-1 pass over all their floor
+    probes and one stacked eigvalsh over the smooth points' Hessians.  A point's gradient, cusp mask and floor are the bits of
     a pass of its own; its value and Hessian can differ by an ulp on models of
     8 or more terms (kernel_pass)."""
     p = kernel_pass(model, x, 2)
@@ -477,21 +473,19 @@ def _triangle_centroids(points) -> np.ndarray:
     return np.reshape(points, (-1, 3))[triples].mean(axis=1)
 
 
-def _bond_seeds(model, bonds, centroids) -> np.ndarray:
-    """Newton seeds about the bond points, where a missed ring point lies: each
-    bond point moved by _BOND_OFFSETS along its middle Hessian eigenvector, the
+def _bond_seeds(bonds, centroids) -> np.ndarray:
+    """Newton seeds about the bond points, where a missed ring point lies: the
     points at _BOND_PAIR_FRACTIONS of the segment between every pair of bond
-    points, and the midpoint between each centroid and each bond point.  A
-    bond pair takes no lowest sample (_segment_seeds): its straight segment
+    points, and the midpoint between each centroid and each bond point; of
+    random_maxima_frame 1242 and 1289 each family alone finds the ring point.
+    A bond pair takes no lowest sample (_segment_seeds): its straight segment
     leaves the ring surface and passes by a nucleus that the two bonds share,
     where rho rises, so its lowest sample sits next to a bond point already
     found."""
     bonds = np.reshape(bonds, (-1, 3))
-    soft = np.linalg.eigh(kernel_pass(model, bonds, 2).hessian)[1][:, :, 1]
-    along = bonds[:, None] + _BOND_OFFSETS[:, None] * soft[:, None]
     pairs = [(1.0 - w) * a + w * b for i, a in enumerate(bonds) for b in bonds[i + 1 :] for w in _BOND_PAIR_FRACTIONS]
     mids = 0.5 * (centroids[:, None] + bonds[None])
-    return np.concatenate([along.reshape(-1, 3), np.reshape(pairs, (-1, 3)), mids.reshape(-1, 3)])
+    return np.concatenate([np.reshape(pairs, (-1, 3)), mids.reshape(-1, 3)])
 
 
 def _poincare_hopf_sum(points) -> int | None:
@@ -557,22 +551,23 @@ def find_critical_points(
     lengths per pass; the others are polished by Newton.  Each routing
     ladder is kept by the bytes of its point, and classify reuses it for a
     point that neither the compass search nor Newton moved.  The grid seeds
-    only the ascent: a batched safeguarded Newton iteration from one seed
+    only the ascent; a batched safeguarded Newton iteration, kept out of a
+    1e-2 bohr exclusion ball around each cusp, collects the smooth
+    stationary points in up to three stages that share one loop body.  Each
+    stage runs Newton from its seeds, and its converged points farther than
+    DEDUPE_RADIUS from every kept point are deduplicated within
+    DEDUPE_RADIUS (highest density wins, ties broken by lexicographic
+    position) and classified together; a point is kept when it is a cusp,
+    when its ladder read a cusp without converging (not a cusp then), or
+    when its gradient is at most GRAD_TOL.  The first stage seeds one point
     per pair of extrema, the lowest of the samples of its segment
-    (_segment_seeds), then collects the smooth stationary points; it is kept
-    out of a 1e-2 bohr exclusion ball around each cusp.  Survivors are
-    deduplicated within DEDUPE_RADIUS (highest density wins, ties broken by
-    lexicographic position) and classified together; a point is kept when it is a
-    cusp, when its ladder read a cusp without converging (not a cusp then),
-    or when its gradient is at most GRAD_TOL.
-    When no kept point is degenerate (each is a cusp or of rank 3) and
+    (_segment_seeds), and carries the extrema themselves as candidates.
+    While no kept point is degenerate (each is a cusp or of rank 3) and
     n - b + r - c, a cusp counting as a maximum, is not the 1 of
-    Poincare-Hopf, Newton runs from the centroid of every triple of extrema,
-    and if the sum is still not 1, from seeds about the bond points
-    (_bond_seeds).  A stage's new points farther than DEDUPE_RADIUS from
-    every kept point are deduplicated, classified and kept as above; they
-    never replace a kept point.  The sum cannot see a missed maximum together
-    with the bond point to it.  The kept points are sorted on their
+    Poincare-Hopf, the next stage runs: from the centroid of every triple of
+    extrema, then from seeds about the bond points (_bond_seeds).  A later
+    stage never replaces a kept point.  The sum cannot see a missed maximum
+    together with the bond point to it.  The kept points are sorted on their
     positions rounded to multiples of DEDUPE_RADIUS, ties broken by the raw
     positions, so that roundoff in a coordinate near zero cannot flip the
     order.
@@ -607,32 +602,30 @@ def find_critical_points(
     polished, ok = _newton(model, maxima, box, cusps)
     smooth = list(np.where(ok[:, None], polished, np.reshape(maxima, (-1, 3))))
 
-    # stationary points between maxima (bond-region saddles) have narrow
-    # Newton basins; seed each at the lowest sample of the segment between its
-    # pair of detected extrema
-    extremum_reps = cusps + smooth
-    found, ok = _newton(model, _segment_seeds(model, extremum_reps), box, cusps)
-    smooth.extend(found[ok])
-
-    points = _kept_points(model, _dedupe(cusps + smooth, model, radius=DEDUPE_RADIUS), order, ladders)
-    if not points:
-        raise EmptyResult("no critical points survived classification")
-
-    # close the search on Poincare-Hopf: while no point is degenerate and the sum
-    # is not 1, seed Newton from more of the structure found; each stage's points
-    # farther than DEDUPE_RADIUS from every point kept join them
-    for stage in (1, 2):
-        if _poincare_hopf_sum(points) in (1, None):
+    # Newton stages, through one loop body: from the lowest sample between every
+    # pair of extrema, next to the bond-region saddles of narrow Newton basins;
+    # then, while no point is degenerate and the Poincare-Hopf sum is not 1, from
+    # the triangle centroids and from the seeds about the bond points.  A stage's
+    # converged points farther than DEDUPE_RADIUS from every point kept join them,
+    # the pair stage's deduplicated and classified together with the extrema
+    extrema = cusps + smooth
+    points: list[CriticalPoint] = []
+    for stage in ("pairs", "centroids", "bonds"):
+        if stage == "pairs":
+            seeds = _segment_seeds(model, extrema)
+        elif _poincare_hopf_sum(points) in (1, None):
             break
-        if stage == 1:
-            seeds = centroids = _triangle_centroids(extremum_reps)
+        elif stage == "centroids":
+            seeds = centroids = _triangle_centroids(extrema)
         else:
-            bonds = [p.position for p in points if p.rank == 3 and p.signature == -1]
-            seeds = _bond_seeds(model, bonds, centroids)
+            seeds = _bond_seeds([p.position for p in points if p.rank == 3 and p.signature == -1], centroids)
         found, ok = _newton(model, seeds, box, cusps)
         known = np.reshape([p.position for p in points], (-1, 1, 3))
         new = found[ok][np.all(_norms(found[ok] - known) > DEDUPE_RADIUS, axis=0)]
-        points += _kept_points(model, _dedupe(new, model, radius=DEDUPE_RADIUS), order, ladders)
+        candidates = [*extrema, *new] if stage == "pairs" else new
+        points += _kept_points(model, _dedupe(candidates, model, radius=DEDUPE_RADIUS), order, ladders)
+        if not points:
+            raise EmptyResult("no critical points survived classification")
 
     points.sort(key=lambda p: (*np.round(p.position / DEDUPE_RADIUS), *p.position))
     return points

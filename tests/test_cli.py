@@ -503,6 +503,20 @@ def test_lst_mass_mismatch_exit_4(tmp_path, capsys):
     assert captured.err.startswith("rho2v lst: electron counts differ")
 
 
+@pytest.mark.parametrize("target", ["zero", "hydrogen"])
+def test_lst_refuses_a_source_with_no_electrons(tmp_path, capsys, target):
+    # all coefficients 0: no grid places the map, so no --grid-min remedy is named,
+    # and the empty source is named before the counts are compared
+    empty = json.loads(json.dumps(HYDROGEN))
+    empty["terms"][0]["coefficient"] = 0.0
+    source = write_spec(tmp_path, "zero.json", empty)
+    paths = {"zero": source, "hydrogen": write_spec(tmp_path, "h.json", HYDROGEN)}
+    assert run(["lst", source, paths[target]]) == cli.EXIT_MASS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rho2v lst: source electron count 0.0 is not positive; there is no charge to map\n"
+
+
 def test_lst_nonspherical_exit_3(tmp_path):
     data = json.loads(json.dumps(HYDROGEN))
     data["terms"].append(

@@ -895,6 +895,20 @@ def test_the_seeds_between_bond_points_find_a_ring_point_the_pair_seeds_miss():
     assert sum(p.signature == 1 for p in points) == 1
 
 
+def test_the_bond_stage_seeds_three_points_per_pair_of_bond_points_and_a_midpoint_per_centroid():
+    # b bond points and C triangle centroids: 3 b (b - 1) / 2 pair seeds at 1/2, 1/3
+    # and 2/3 of the way, then the C b midpoints; seeds along each bond point's
+    # middle Hessian eigenvector, 6 b of them, never found a point the others missed
+    rng = np.random.default_rng(7)
+    bonds, centroids = rng.uniform(-2.0, 2.0, (4, 3)), rng.uniform(-2.0, 2.0, (5, 3))
+    b, c = len(bonds), len(centroids)
+    seeds = topology._bond_seeds(bonds, centroids)
+    assert seeds.shape == (3 * b * (b - 1) // 2 + c * b, 3)
+    pairs = [(1.0 - w) * x + w * y for x, y in itertools.combinations(bonds, 2) for w in (0.5, 1.0 / 3.0, 2.0 / 3.0)]
+    mids = [0.5 * (g + x) for g in centroids for x in bonds]
+    assert np.array_equal(seeds, np.array(pairs + mids))
+
+
 def test_a_shell_of_maxima_runs_no_later_newton_stage(monkeypatch):
     # one normalized power-2 slater_s term (c = zeta = 1): its maxima form a sphere,
     # and the search finds hundreds of degenerate points on it, for which the
